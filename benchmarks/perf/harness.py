@@ -2,13 +2,13 @@
 
 Two measurements, mirroring the two layers the performance work added:
 
-* **Kernel microbenchmark** — one simulator run at the ρ′ = 0.25,
-  M = 25 Figure-7 cell, fast kernel versus reference loop, reported as
-  slots simulated per second of wall-clock.
+* **Kernel microbenchmark** — one simulator run at the full-size
+  ρ′ = 0.25, M = 25 Figure-7 cell, the compiled engine (the default)
+  versus the reference loop, reported as slots simulated per CPU second.
 * **End-to-end sweep** — the full simulation arm grid of that cell
   (three protocols × the deadline grid) the way the seed repo ran it
-  (reference loop, sequential) versus the optimised path (fast kernel,
-  four workers).  The acceptance target is ≥5× on this measurement.
+  (reference loop, sequential) versus the default path (compiled
+  engine, four workers).
   The panel's analytic curves are warmed into the memo cache before
   either arm is timed: they are identical work in both arms (and served
   from the cache on every repeat invocation in practice), so timing
@@ -16,9 +16,9 @@ Two measurements, mirroring the two layers the performance work added:
   sweep's wall-clock.
 
 Both run every configuration at the same seed, so the speedups compare
-identical work — the fast path's bit-identity means the *results* of the
-timed runs agree exactly, which :func:`run_benchmarks` verifies as it
-times them.
+identical work — the compiled engine's bit-identity means the *results*
+of the timed runs agree exactly, which the harness verifies on every
+timed round.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ from repro.experiments.sweep import (
     SweepExecutor,
     derive_seeds,
     run_sequential,
-    run_spec,
 )
 from repro.mac import WindowMACSimulator
-from repro.mac.batch import run_batch
+from repro.mac.kernels.compiled import numba_available
 from repro.obs.metrics import MetricsRegistry
 from repro.stats import t_interval
 
@@ -111,53 +110,82 @@ def _timed(fn):
             gc.enable()
 
 
-def _time_kernel(config: PerfConfig, fast: bool, rounds: int = 3):
-    def once():
+def measure_kernel(
+    config: PerfConfig, rounds: int = 3, compiled_repeats: int = 20
+) -> dict:
+    """The compiled engine versus the reference loop on one run.
+
+    Measured at ``config``'s cell (the full-size Figure-7 cell in every
+    harness mode: a shrunken horizon would understate the sprint and
+    fast-forward amortisation the engine exists to exploit), as min CPU
+    seconds per arm over ``rounds`` interleaved rounds — each timing one
+    reference run and ``compiled_repeats`` compiled runs, since a ~3 ms
+    compiled run needs many samples for its minimum to settle.
+    Bit-parity with the reference is asserted on **every** timed run.
+    ``numba`` records which flavour of the compiled engine ran.
+    """
+    policy = ControlPolicy.optimal(config.deadline, config.arrival_rate)
+
+    def once(backend):
         simulator = WindowMACSimulator(
-            ControlPolicy.optimal(config.deadline, config.arrival_rate),
+            policy,
             arrival_rate=config.arrival_rate,
             transmission_slots=config.message_length,
             deadline=config.deadline,
             seed=config.seed,
-            fast=fast,
+            backend=backend,
         )
         return _timed(
             lambda: simulator.run(config.horizon, warmup_slots=config.warmup)
         )
 
-    times = []
+    reference_times, compiled_times = [], []
     for _ in range(rounds):
-        elapsed, result = once()
-        times.append(elapsed)
+        elapsed, reference_result = once("reference")
+        reference_times.append(elapsed)
+        for _ in range(compiled_repeats):
+            elapsed, compiled_result = once("compiled")
+            compiled_times.append(elapsed)
+            if compiled_result != reference_result:
+                raise AssertionError(
+                    "compiled engine diverged from the reference loop "
+                    "while being timed"
+                )
+    reference_s = min(reference_times)
+    compiled_s = min(compiled_times)
     slots = config.horizon + config.warmup
-    best = min(times)
     return {
-        "elapsed_s": best,
         "rounds": rounds,
+        "compiled_repeats": compiled_repeats,
         "slots": slots,
-        "slots_per_s": slots / best,
-    }, result
+        "numba": numba_available(),
+        "reference_s": reference_s,
+        "compiled_s": compiled_s,
+        "reference_slots_per_s": slots / reference_s,
+        "compiled_slots_per_s": slots / compiled_s,
+        "speedup": reference_s / compiled_s,
+    }
 
 
-#: Smallest horizon the overhead measurement will time.  A few-percent
-#: bound is meaningless on a millisecond-scale run (scheduler jitter
-#: alone exceeds it), so short smoke configs are stretched to this
-#: floor.  ~30ms runs x many repeats beat fewer longer runs here: cache
-#: -interference bursts on shared runners last long enough to cover a
-#: whole long round, but short rounds slip between them, so the per-arm
-#: minimum converges.
+#: Smallest horizon the overhead measurement will time: short smoke
+#: configs are stretched to the full Figure-7 cell.  The compiled engine
+#: runs it in ~3 ms, where min-of-20 still swung ±20% on a shared 2-vCPU
+#: VM; many short rounds slip between cache-interference bursts, so
+#: min-of-100 converges to ±2%.
 MIN_OVERHEAD_HORIZON = 150_000.0
 
 
-def measure_instrumentation_overhead(config: PerfConfig, repeats: int = 20) -> dict:
-    """Fast-kernel cost of the observability layer, as min-of-``repeats``.
+def measure_instrumentation_overhead(config: PerfConfig, repeats: int = 100) -> dict:
+    """Compiled-engine cost of the observability layer, min-of-``repeats``.
 
     Three arms at identical seed: no registry at all, a *disabled*
     registry (must be normalised to the uninstrumented path by the
     simulator — the "disabled is free" contract, held to a ≤3% noise
-    allowance by the smoke test), and an *enabled* registry (informational; per-epoch
-    histograms have a real cost).  All three arms must return the same
-    result bit-for-bit — instrumentation may never change physics.
+    allowance by the smoke test), and an *enabled* registry (per-epoch
+    histograms have a real cost: the instrumented sprint leaves the
+    jitted/tight walk for a per-event loop).  All three arms must return
+    the same result bit-for-bit — instrumentation may never change
+    physics.  ``numba`` records which flavour of the engine ran.
 
     Timed in **CPU seconds** (``time.process_time``), not wall-clock:
     the question is whether the code path does extra work, and CPU time
@@ -177,7 +205,6 @@ def measure_instrumentation_overhead(config: PerfConfig, repeats: int = 20) -> d
             transmission_slots=config.message_length,
             deadline=config.deadline,
             seed=config.seed,
-            fast=True,
             metrics=metrics,
         )
         return _timed(
@@ -208,6 +235,7 @@ def measure_instrumentation_overhead(config: PerfConfig, repeats: int = 20) -> d
         )
     return {
         "repeats": repeats,
+        "numba": numba_available(),
         "uninstrumented_s": plain_s,
         "disabled_registry_s": disabled_s,
         "enabled_registry_s": enabled_s,
@@ -216,121 +244,13 @@ def measure_instrumentation_overhead(config: PerfConfig, repeats: int = 20) -> d
     }
 
 
-def measure_batch(
-    config: PerfConfig, replications: int = 16, rounds: int = 3
-) -> dict:
-    """Batched replication kernel versus the sequential fast kernel.
-
-    The ISSUE 5 acceptance measurement: one Figure-7 arm at ``config``'s
-    cell, ``replications`` seeds spawned exactly as the sweep grids
-    spawn theirs, timed as min-of-``rounds`` CPU seconds per arm with
-    the rounds interleaved.  Bit-parity between the batched lanes and
-    the sequential fast kernel is asserted on **every** timed round —
-    the CI gate fails on the first diverging field, not just on a slow
-    run.
-    """
-    policy = ControlPolicy.optimal(config.deadline, config.arrival_rate)
-    specs = [
-        MACRunSpec(
-            policy=policy,
-            arrival_rate=config.arrival_rate,
-            transmission_slots=config.message_length,
-            horizon=config.horizon,
-            warmup=config.warmup,
-            deadline=config.deadline,
-            seed=seed,
-        )
-        for seed in derive_seeds(config.seed, replications)
-    ]
-    sequential_times, batched_times = [], []
-    for _ in range(rounds):
-        elapsed, sequential = _timed(lambda: [run_spec(s) for s in specs])
-        sequential_times.append(elapsed)
-        elapsed, batched = _timed(lambda: run_batch(specs))
-        batched_times.append(elapsed)
-        if batched != sequential:
-            raise AssertionError(
-                "batched lanes diverged from the sequential fast kernel "
-                "while being timed"
-            )
-    sequential_s = min(sequential_times)
-    batched_s = min(batched_times)
-    slots = replications * (config.horizon + config.warmup)
-    return {
-        "replications": replications,
-        "rounds": rounds,
-        "slots": slots,
-        "sequential_fast_s": sequential_s,
-        "batched_s": batched_s,
-        "sequential_slots_per_s": slots / sequential_s,
-        "batched_slots_per_s": slots / batched_s,
-        "speedup": sequential_s / batched_s,
-    }
-
-
-def measure_compiled(config: PerfConfig, rounds: int = 5) -> dict:
-    """Compiled backend versus the fast kernel (the ISSUE 7 tentpole).
-
-    Always measured at the full-size Figure-7 acceptance cell (like the
-    16-seed batch arm): a shrunken horizon would understate the sprint
-    and fast-forward amortisation the flat engine exists to exploit.
-    Bit-parity between the compiled backend and the fast kernel is
-    asserted on **every** timed round.  ``numba`` records which flavour
-    ran — the ≥10x CI floor holds for the pure-NumPy fallback too, so
-    the gate is meaningful on runners without the optional extra.
-    """
-    from repro.mac.kernels.compiled import numba_available
-
-    policy = ControlPolicy.optimal(config.deadline, config.arrival_rate)
-
-    def once(backend):
-        simulator = WindowMACSimulator(
-            policy,
-            arrival_rate=config.arrival_rate,
-            transmission_slots=config.message_length,
-            deadline=config.deadline,
-            seed=config.seed,
-            backend=backend,
-        )
-        return _timed(
-            lambda: simulator.run(config.horizon, warmup_slots=config.warmup)
-        )
-
-    fast_times, compiled_times = [], []
-    for _ in range(rounds):
-        elapsed, fast_result = once("fast")
-        fast_times.append(elapsed)
-        elapsed, compiled_result = once("compiled")
-        compiled_times.append(elapsed)
-        if compiled_result != fast_result:
-            raise AssertionError(
-                "compiled backend diverged from the fast kernel "
-                "while being timed"
-            )
-    fast_s = min(fast_times)
-    compiled_s = min(compiled_times)
-    slots = config.horizon + config.warmup
-    return {
-        "rounds": rounds,
-        "slots": slots,
-        "numba": numba_available(),
-        "fast_s": fast_s,
-        "compiled_s": compiled_s,
-        "fast_slots_per_s": slots / fast_s,
-        "compiled_slots_per_s": slots / compiled_s,
-        "speedup": fast_s / compiled_s,
-    }
-
-
 def measure_robustness_faulted(config: PerfConfig, rounds: int = 3) -> dict:
-    """Faulted fast kernel versus the reference loop (the ISSUE 8 gate).
+    """Faulted kernel versus the reference loop.
 
     Times a feedback-noise run (2% misdetection — the midpoint of the
     ``repro robustness --feedback-errors`` degradation axis) on the
-    full-size Figure-7 acceptance cell with ``backend="fast"`` against
-    the same cell forced onto the reference loop.  Before ISSUE 8 every
-    faulted run fell all the way down the compiled→fast→reference chain,
-    so this ratio is exactly the speedup the robustness sweeps gained.
+    full-size Figure-7 acceptance cell on the default path (the faulted
+    kernel) against the same cell forced onto the reference loop.
     Bit-parity — result *and* fault telemetry — is asserted on every
     timed round.
     """
@@ -356,14 +276,14 @@ def measure_robustness_faulted(config: PerfConfig, rounds: int = 3) -> dict:
     for _ in range(rounds):
         elapsed, reference_result = once("reference")
         reference_times.append(elapsed)
-        elapsed, fast_result = once("fast")
+        elapsed, fast_result = once("compiled")
         fast_times.append(elapsed)
         if (
             fast_result != reference_result
             or fast_result.faults != reference_result.faults
         ):
             raise AssertionError(
-                "faulted fast kernel diverged from the reference loop "
+                "faulted kernel diverged from the reference loop "
                 "while being timed"
             )
     fast_s = min(fast_times)
@@ -389,7 +309,7 @@ def measure_stations(
     Times simulator *construction* (must stay O(1) in the population —
     the lazy struct-of-arrays registry allocates nothing per station)
     and a full compiled-backend run at ``n_stations``, with bit-parity
-    against the fast kernel asserted every round.  The same measurement
+    against one reference-loop run asserted every round.  The same measurement
     at ``n_stations=1_000_000`` is the documented local run
     (``docs/performance.md``); CI keeps the 1e5 arm inside the
     perf-smoke budget.
@@ -413,15 +333,15 @@ def measure_stations(
         )
         return construct_s, run_s, result
 
+    _, _, reference_result = once("reference")
     construct_times, run_times = [], []
     for _ in range(rounds):
-        _, _, fast_result = once("fast")
         construct_s, run_s, compiled_result = once("compiled")
         construct_times.append(construct_s)
         run_times.append(run_s)
-        if compiled_result != fast_result:
+        if compiled_result != reference_result:
             raise AssertionError(
-                f"compiled backend diverged from the fast kernel at "
+                f"compiled backend diverged from the reference loop at "
                 f"n_stations={n_stations}"
             )
     slots = config.horizon + config.warmup
@@ -459,7 +379,7 @@ def measure_sequential_figure7(config: PerfConfig) -> dict:
     Two protocol arms (controlled and FCFS) at the Figure-7 acceptance
     cell, both certifying the same CI half-width target:
 
-    * **fixed** — ``SEQUENTIAL_FIXED_LANES`` batched lanes per arm (the
+    * **fixed** — ``SEQUENTIAL_FIXED_LANES`` lanes per arm (the
       pre-committed budget a fixed design needs for the grid's hardest
       arm), half-width reported from the per-lane t interval;
     * **sequential** — :func:`repro.experiments.sweep.run_sequential`
@@ -496,7 +416,9 @@ def measure_sequential_figure7(config: PerfConfig) -> dict:
         for policy in (policy_controlled, policy_fcfs)
         for s in seeds
     ]
-    fixed_s, fixed_results = _timed(lambda: run_batch(fixed_specs))
+    fixed_s, fixed_results = _timed(
+        lambda: SweepExecutor(None).run_specs(fixed_specs)
+    )
     controlled = [
         r.loss_fraction for r in fixed_results[:SEQUENTIAL_FIXED_LANES]
     ]
@@ -519,7 +441,7 @@ def measure_sequential_figure7(config: PerfConfig) -> dict:
         spending="obf",
         crn=True,
     )
-    executor = SweepExecutor(None, None, batch=True)
+    executor = SweepExecutor(None)
     sequential_s, estimates = _timed(
         lambda: run_sequential(
             [
@@ -580,9 +502,7 @@ def measure_sequential_figure7(config: PerfConfig) -> dict:
     }
 
 
-def _time_sweep(
-    config: PerfConfig, fast: bool, workers: Optional[int], batch: bool = True
-):
+def _time_sweep(config: PerfConfig, backend: str, workers: Optional[int]):
     panel = PanelConfig(
         rho_prime=config.rho_prime, message_length=config.message_length
     )
@@ -594,15 +514,13 @@ def _time_sweep(
         sim_warmup=config.warmup,
         sim_seed=config.seed,
         workers=workers,
-        sim_fast=fast,
-        batch=batch,
+        sim_backend=backend,
     )
     elapsed = time.perf_counter() - start
     return {
         "elapsed_s": elapsed,
         "workers": workers or 1,
-        "fast": fast,
-        "batch": batch,
+        "backend": backend,
     }, result
 
 
@@ -623,13 +541,12 @@ def _git_sha() -> str:
 
 
 def run_benchmarks(config: PerfConfig, mode: str, end_to_end: bool = True) -> dict:
-    """Measure, cross-check result identity, and return one history entry."""
-    fast_kernel, fast_result = _time_kernel(config, fast=True)
-    slow_kernel, slow_result = _time_kernel(config, fast=False)
-    if fast_result != slow_result:
-        raise AssertionError(
-            "fast kernel diverged from the reference loop while being timed"
-        )
+    """Measure, cross-check result identity, and return one history entry.
+
+    Every arm but the end-to-end sweep runs at the full-size acceptance
+    cell whatever ``config`` says: shrunken runs would understate the
+    amortisation the fast engines exist to exploit.
+    """
     generated_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     payload = {
         "mode": mode,
@@ -646,26 +563,10 @@ def run_benchmarks(config: PerfConfig, mode: str, end_to_end: bool = True) -> di
             "warmup": config.warmup,
             "seed": config.seed,
         },
-        "kernel": {
-            "fast": fast_kernel,
-            "slow": slow_kernel,
-            "speedup": slow_kernel["elapsed_s"] / fast_kernel["elapsed_s"],
-        },
+        "kernel": measure_kernel(PerfConfig()),
         "instrumentation": measure_instrumentation_overhead(config),
-        # Always measured at the full-size acceptance cell (the 16-seed
-        # Figure-7 arm of ISSUE 5), independent of smoke scaling: a
-        # shrunken arm would understate the amortised per-run overheads
-        # the batched kernel exists to remove.
-        "batch_16seed": measure_batch(PerfConfig()),
-        # Also full-size, for the same reason: the compiled-vs-fast
-        # ratio and the 1e5-station scaling arm are acceptance gates.
-        "compiled": measure_compiled(PerfConfig()),
         "stations_1e5": measure_stations(PerfConfig()),
-        # Full-size as well: the faulted-kernel ratio is the ISSUE 8
-        # acceptance gate for the robustness sweeps.
         "robustness_faulted": measure_robustness_faulted(PerfConfig()),
-        # Full-size: the lane-reduction ratio is the ISSUE 10 acceptance
-        # gate for the sequential replication engine.
         "sequential_figure7": measure_sequential_figure7(PerfConfig()),
     }
     if end_to_end:
@@ -674,30 +575,19 @@ def run_benchmarks(config: PerfConfig, mode: str, end_to_end: bool = True) -> di
             rho_prime=config.rho_prime, message_length=config.message_length
         )
         generate_panel(panel)
-        optimised, opt_panel = _time_sweep(
-            config, fast=True, workers=config.workers
+        default, default_panel = _time_sweep(
+            config, "compiled", workers=config.workers
         )
-        pr2_arm, pr2_panel = _time_sweep(
-            config, fast=True, workers=None, batch=False
-        )
-        baseline, base_panel = _time_sweep(
-            config, fast=False, workers=None, batch=False
-        )
+        baseline, base_panel = _time_sweep(config, "reference", workers=None)
         for name, series in base_panel.series.items():
-            if opt_panel.series[name].points != series.points:
+            if default_panel.series[name].points != series.points:
                 raise AssertionError(
-                    f"parallel fast sweep diverged on series {name!r}"
-                )
-            if pr2_panel.series[name].points != series.points:
-                raise AssertionError(
-                    f"sequential fast sweep diverged on series {name!r}"
+                    f"default-path sweep diverged on series {name!r}"
                 )
         payload["end_to_end"] = {
             "baseline_sequential_slow": baseline,
-            "fast_sequential": pr2_arm,
-            "fast_parallel": optimised,
-            "speedup": baseline["elapsed_s"] / optimised["elapsed_s"],
-            "batch_speedup": pr2_arm["elapsed_s"] / optimised["elapsed_s"],
+            "default_parallel": default,
+            "speedup": baseline["elapsed_s"] / default["elapsed_s"],
         }
     return payload
 
@@ -706,6 +596,7 @@ def render_table(payload: dict) -> str:
     """The human-readable summary written next to the JSON."""
     cell = payload["cell"]
     kernel = payload["kernel"]
+    flavour = "numba jit" if kernel["numba"] else "numpy fallback"
     lines = [
         f"Perf benchmark ({payload['mode']}) — rho'={cell['rho_prime']:g}, "
         f"M={cell['message_length']}, K={cell['deadline']:g}, "
@@ -714,11 +605,11 @@ def render_table(payload: dict) -> str:
         f"{'measurement':<34} {'elapsed':>10} {'slots/sec':>12}",
         "-" * 58,
         f"{'kernel, reference loop':<34} "
-        f"{kernel['slow']['elapsed_s']:>9.2f}s "
-        f"{kernel['slow']['slots_per_s']:>12,.0f}",
-        f"{'kernel, fast path':<34} "
-        f"{kernel['fast']['elapsed_s']:>9.2f}s "
-        f"{kernel['fast']['slots_per_s']:>12,.0f}",
+        f"{kernel['reference_s']:>9.2f}s "
+        f"{kernel['reference_slots_per_s']:>12,.0f}",
+        f"{'kernel, compiled (' + flavour + ')':<34} "
+        f"{kernel['compiled_s']:>9.3f}s "
+        f"{kernel['compiled_slots_per_s']:>12,.0f}",
         f"{'kernel speedup':<34} {kernel['speedup']:>9.1f}x",
     ]
     if "instrumentation" in payload:
@@ -726,34 +617,11 @@ def render_table(payload: dict) -> str:
         lines += [
             "",
             f"{'metrics disabled (cpu, overhead)':<34} "
-            f"{obs['disabled_registry_s']:>9.2f}s "
+            f"{obs['disabled_registry_s']:>9.4f}s "
             f"{obs['disabled_overhead']:>11.1%}",
             f"{'metrics enabled (cpu, overhead)':<34} "
-            f"{obs['enabled_registry_s']:>9.2f}s "
+            f"{obs['enabled_registry_s']:>9.4f}s "
             f"{obs['enabled_overhead']:>11.1%}",
-        ]
-    if "batch_16seed" in payload:
-        batch = payload["batch_16seed"]
-        reps = batch["replications"]
-        lines += [
-            "",
-            f"{f'{reps}-seed arm, sequential fast':<34} "
-            f"{batch['sequential_fast_s']:>9.2f}s "
-            f"{batch['sequential_slots_per_s']:>12,.0f}",
-            f"{f'{reps}-seed arm, batched lanes':<34} "
-            f"{batch['batched_s']:>9.2f}s "
-            f"{batch['batched_slots_per_s']:>12,.0f}",
-            f"{'batched replication speedup':<34} {batch['speedup']:>9.1f}x",
-        ]
-    if "compiled" in payload:
-        comp = payload["compiled"]
-        flavour = "numba jit" if comp["numba"] else "numpy fallback"
-        lines += [
-            "",
-            f"{'kernel, compiled (' + flavour + ')':<34} "
-            f"{comp['compiled_s']:>9.2f}s "
-            f"{comp['compiled_slots_per_s']:>12,.0f}",
-            f"{'compiled speedup over fast':<34} {comp['speedup']:>9.1f}x",
         ]
     if "robustness_faulted" in payload:
         rob = payload["robustness_faulted"]
@@ -763,7 +631,7 @@ def render_table(payload: dict) -> str:
             f"{'faulted run (' + noise + '), reference':<34} "
             f"{rob['reference_s']:>9.2f}s "
             f"{rob['reference_slots_per_s']:>12,.0f}",
-            f"{'faulted run, fast kernel':<34} "
+            f"{'faulted run, faulted kernel':<34} "
             f"{rob['fast_s']:>9.2f}s "
             f"{rob['fast_slots_per_s']:>12,.0f}",
             f"{'faulted kernel speedup':<34} {rob['speedup']:>9.1f}x",
@@ -789,7 +657,7 @@ def render_table(payload: dict) -> str:
         label = f"compiled, {st['n_stations']:,} stations"
         lines += [
             f"{label:<34} "
-            f"{st['compiled_s']:>9.2f}s "
+            f"{st['compiled_s']:>9.3f}s "
             f"{st['compiled_slots_per_s']:>12,.0f}",
             f"{'  construction (O(1) registry)':<34} "
             f"{st['construct_s'] * 1000:>8.1f}ms",
@@ -797,22 +665,14 @@ def render_table(payload: dict) -> str:
     if "end_to_end" in payload:
         e2e = payload["end_to_end"]
         base = e2e["baseline_sequential_slow"]
-        opt = e2e["fast_parallel"]
-        opt_label = f"figure-7 cell sweep, fast + {opt['workers']} workers"
+        opt = e2e["default_parallel"]
+        opt_label = f"figure-7 cell sweep, default + {opt['workers']} workers"
         lines += [
             "",
             f"{'figure-7 cell sweep, seed setup':<34} {base['elapsed_s']:>9.2f}s",
             f"{opt_label:<34} {opt['elapsed_s']:>9.2f}s",
             f"{'end-to-end speedup':<34} {e2e['speedup']:>9.1f}x",
         ]
-        if "fast_sequential" in e2e:
-            seq = e2e["fast_sequential"]
-            lines += [
-                f"{'figure-7 cell sweep, fast no-batch':<34} "
-                f"{seq['elapsed_s']:>9.2f}s",
-                f"{'batching speedup over PR 2 path':<34} "
-                f"{e2e['batch_speedup']:>9.1f}x",
-            ]
     return "\n".join(lines)
 
 

@@ -35,6 +35,9 @@ def run(priority_enabled: bool, seed: int = 13):
         n_stations=N_STATIONS,
         deadline=DEADLINE,
         seed=seed,
+        # Per-message records (scored_messages) come from the reference
+        # loop only; the scaled-station arm would run there anyway.
+        backend="reference",
     )
     if priority_enabled:
         for station in range(N_STATIONS // 2, N_STATIONS):

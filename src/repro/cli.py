@@ -100,13 +100,12 @@ from .experiments import (
 from .experiments.sweep import (
     MACRunSpec,
     SequentialOptions,
+    SweepExecutor,
     derive_seeds,
-    run_spec,
-    run_spec_with_metrics,
 )
 from .faults import RECOVERY_POLICIES, FaultModel
 from .mac import WindowMACSimulator
-from .mac.batch import run_batch, run_batch_with_metrics
+from .mac.simulator import BACKENDS
 from .obs import (
     JsonlTracer,
     MetricsRegistry,
@@ -191,14 +190,13 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
                         "fail loudly if any diverge (determinism audit)")
 
 
-def _add_batch_flag(p: argparse.ArgumentParser) -> None:
-    """Attach ``--batch/--no-batch`` (same escape-hatch shape as
-    ``--no-fast-path``: results are bit-identical either way)."""
-    p.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="group eligible runs into lane-parallel batched "
-                        "tasks (default on; bit-identical output — "
-                        "--no-batch restores one-task-per-run dispatch)")
+def _add_backend_flag(p: argparse.ArgumentParser) -> None:
+    """Attach ``--backend`` (the engine selector of simulating commands)."""
+    p.add_argument("--backend", choices=BACKENDS, default="compiled",
+                   help="simulation engine: compiled (default; the "
+                        "struct-of-arrays engine, jitted when numba is "
+                        "installed) or the reference loop — results are "
+                        "bit-identical (see docs/performance.md)")
 
 
 def _add_sequential_flags(p: argparse.ArgumentParser) -> None:
@@ -307,9 +305,7 @@ def _cmd_figure7(args: argparse.Namespace) -> int:
         sim_warmup=args.horizon * 0.125,
         sim_seed=args.seed,
         workers=args.workers,
-        sim_fast=not args.no_fast_path,
         sim_backend=args.backend,
-        batch=args.batch,
         resilience=_resilience_from(args),
         metrics=getattr(args, "obs_registry", None),
         sequential=_sequential_from(args),
@@ -358,7 +354,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         deadline=args.deadline,
         fault_model=fault_model,
         streams=RandomStreams(args.seed),
-        fast=not args.no_fast_path,
         backend=args.backend,
         metrics=getattr(args, "obs_registry", None),
     )
@@ -388,8 +383,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ],
     ]
     rows.append(["elapsed", f"{elapsed:.2f} s"])
-    # Guard the division: a tiny horizon on the fast kernel can finish
-    # inside the timer's resolution.
+    # Guard the division: a tiny horizon on the compiled engine can
+    # finish inside the timer's resolution.
     speed = total_slots / max(elapsed, 1e-9)
     rows.append(["simulation speed", f"{speed:,.0f} slots/s"])
     if fault_model is not None:
@@ -410,12 +405,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _simulate_replicated(args, policy, fault_model) -> int:
-    """``simulate --replications N``: one arm, N lanes, batched.
+    """``simulate --replications N``: one arm, N lanes, one after another.
 
     Replication seeds spawn from ``--seed`` exactly as the sweep grids
     derive theirs, and each lane uses the plain single-generator
     construction — so the N results match what an N-cell sweep of the
-    same arm produces, batched or not.
+    same arm produces.
     """
     lam = args.rho / args.m
     warmup = args.horizon * 0.125
@@ -430,27 +425,14 @@ def _simulate_replicated(args, policy, fault_model) -> int:
             deadline=args.deadline,
             fault_model=fault_model,
             seed=seed,
-            fast=not args.no_fast_path,
             backend=args.backend,
         )
         for seed in derive_seeds(args.seed, args.replications)
     ]
-    registry = getattr(args, "obs_registry", None)
-    instrumented = registry is not None and registry.enabled
+    executor = SweepExecutor(metrics=getattr(args, "obs_registry", None))
     start = time.perf_counter()
-    if args.batch:
-        entries = (run_batch_with_metrics if instrumented else run_batch)(specs)
-    else:
-        task = run_spec_with_metrics if instrumented else run_spec
-        entries = [task(spec) for spec in specs]
+    results = executor.run_specs(specs)
     elapsed = time.perf_counter() - start
-    if instrumented:
-        results = []
-        for result, state in entries:
-            results.append(result)
-            registry.merge_from(MetricsRegistry.from_dict(state))
-    else:
-        results = entries
 
     rows = []
     for spec, result in zip(specs, results):
@@ -472,14 +454,13 @@ def _simulate_replicated(args, policy, fault_model) -> int:
     stderr = (var / n) ** 0.5
     lane_slots = args.horizon * 1.125  # warmup is an eighth of the horizon
     speed = n * lane_slots / max(elapsed, 1e-9)
-    mode = "batched lanes" if args.batch else "sequential"
     print(
         ascii_table(
             ["seed", "arrivals", "on time", "late", "discarded",
              "loss", "mean wait"],
             rows,
             title=(
-                f"{args.protocol} protocol × {n} replications ({mode}): "
+                f"{args.protocol} protocol × {n} replications: "
                 f"rho'={args.rho}, M={args.m}, K={args.deadline}, "
                 f"{args.horizon:.0f} slots"
             ),
@@ -519,14 +500,14 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         report = protocol_degradation_sweep(
             config, error_rates=tuple(args.errors), recovery=args.recovery,
             workers=args.workers, resilience=resilience, metrics=metrics,
-            batch=args.batch, backend=args.backend, sequential=sequential,
+            backend=args.backend, sequential=sequential,
         )
         print(report.to_table())
         return 0
     if args.scenario == "feedback":
         report = feedback_error_sweep(
             config, error_rates=tuple(args.errors), workers=args.workers,
-            resilience=resilience, metrics=metrics, batch=args.batch,
+            resilience=resilience, metrics=metrics,
             backend=args.backend, sequential=sequential,
         )
         print(report.to_table())
@@ -538,7 +519,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         )
     results = station_failure_scenario(
         config, workers=args.workers, resilience=resilience, metrics=metrics,
-        batch=args.batch, backend=args.backend,
+        backend=args.backend,
     )
     rows = []
     holes = 0
@@ -620,22 +601,22 @@ def _cmd_ablations(args: argparse.Namespace) -> int:
          element4_ablation(
              horizon=horizon, warmup=warmup, seed=args.seed,
              workers=args.workers, resilience=resilience, metrics=metrics,
-             batch=args.batch, backend=args.backend, sequential=sequential)),
+             backend=args.backend, sequential=sequential)),
         ("Element 2: loss vs window occupancy (simulated)",
          window_length_ablation(
              simulate=True, horizon=horizon, warmup=warmup, seed=args.seed + 1,
              workers=args.workers, resilience=resilience, metrics=metrics,
-             batch=args.batch, backend=args.backend, sequential=sequential)),
+             backend=args.backend, sequential=sequential)),
         ("Element 3: split order (simulated)",
          split_rule_ablation(
              horizon=horizon, warmup=warmup, seed=args.seed + 2,
              workers=args.workers, resilience=resilience, metrics=metrics,
-             batch=args.batch, backend=args.backend, sequential=sequential)),
+             backend=args.backend, sequential=sequential)),
         ("Section 5: split arity (simulated)",
          arity_ablation(
              horizon=horizon, warmup=warmup, seed=args.seed + 3,
              workers=args.workers, resilience=resilience, metrics=metrics,
-             batch=args.batch, backend=args.backend, sequential=sequential)),
+             backend=args.backend, sequential=sequential)),
     ]
     print("\n\n".join(ablation_table(arms, title) for title, arms in sections))
     return 0
@@ -666,14 +647,14 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     if args.scenario == "stations":
         arms = station_count_sensitivity(
             seed=args.seed, workers=args.workers, resilience=resilience,
-            metrics=metrics, batch=args.batch, backend=args.backend,
+            metrics=metrics, backend=args.backend,
             sequential=sequential, **overrides,
         )
         title = "Loss vs station population (controlled protocol)"
     else:
         arms = burstiness_sensitivity(
             seed=args.seed, workers=args.workers, resilience=resilience,
-            metrics=metrics, batch=args.batch, backend=args.backend,
+            metrics=metrics, backend=args.backend,
             sequential=sequential, **overrides,
         )
         title = "Loss vs traffic burstiness (MMPP, fixed mean rate)"
@@ -697,7 +678,6 @@ def _cmd_validity(args: argparse.Namespace) -> int:
         workers=args.workers,
         resilience=_resilience_from(args),
         metrics=getattr(args, "obs_registry", None),
-        batch=args.batch,
         backend=args.backend,
         sequential=_sequential_from(args),
     )
@@ -771,7 +751,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sweep_workers=args.workers,
         task_timeout=args.task_timeout,
         max_retries=args.max_retries if args.max_retries is not None else 2,
-        batch=args.batch,
     )
     print(f"serving sweep jobs from state dir {args.state} "
           f"(SIGTERM or 'repro drain' to stop)", file=sys.stderr)
@@ -887,16 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="fan simulation arms over N worker processes "
                         "(results are identical for any N; see docs/usage.md)")
-    p.add_argument("--no-fast-path", action="store_true",
-                   help="force the reference simulation loop (the fast "
-                        "kernel is bit-identical; this is the escape hatch)")
-    p.add_argument("--backend", choices=("auto", "reference", "fast", "compiled"),
-                   default=None,
-                   help="simulation kernel for the arms: auto (default "
-                        "chain), reference loop, fast kernel, or the "
-                        "compiled struct-of-arrays backend (jitted when "
-                        "numba is installed; all are bit-identical)")
-    _add_batch_flag(p)
+    _add_backend_flag(p)
     _add_resilience_flags(p)
     _add_sequential_flags(p)
     _add_obs_flags(p)
@@ -926,20 +896,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feedback-error", type=float, default=0.0,
                    help="symmetric feedback-error rate (routes the run "
                         "through the fault-injection layer)")
-    p.add_argument("--no-fast-path", action="store_true",
-                   help="force the reference simulation loop (the fast "
-                        "kernel is bit-identical; this is the escape hatch)")
-    p.add_argument("--backend", choices=("auto", "reference", "fast", "compiled"),
-                   default=None,
-                   help="simulation kernel: auto (default chain), reference "
-                        "loop, fast kernel, or the compiled struct-of-arrays "
-                        "backend (jitted when numba is installed; all are "
-                        "bit-identical — see docs/performance.md)")
+    _add_backend_flag(p)
     p.add_argument("--replications", type=int, default=1, metavar="N",
-                   help="run N independent replications of the arm as "
-                        "lane-parallel batched lanes (seeds spawned from "
-                        "--seed; reports per-lane and aggregate slots/s)")
-    _add_batch_flag(p)
+                   help="run N independent replications of the arm one "
+                        "after another (seeds spawned from --seed; reports "
+                        "per-lane and aggregate slots/s)")
     _add_obs_flags(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -962,13 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="fan simulation arms over N worker processes "
                         "(results are identical for any N)")
-    p.add_argument("--backend", choices=("auto", "reference", "fast", "compiled"),
-                   default=None,
-                   help="simulation kernel for the arms: auto (default "
-                        "chain), reference loop, fast kernel, or the "
-                        "compiled struct-of-arrays backend (all are "
-                        "bit-identical)")
-    _add_batch_flag(p)
+    _add_backend_flag(p)
     _add_resilience_flags(p)
     _add_sequential_flags(p)
     _add_obs_flags(p)
@@ -990,13 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="fan sweep cells over N worker processes "
                         "(results are identical for any N)")
-    p.add_argument("--backend", choices=("auto", "reference", "fast", "compiled"),
-                   default=None,
-                   help="simulation kernel for the arms: auto (default "
-                        "chain), reference loop, fast kernel, or the "
-                        "compiled struct-of-arrays backend (all are "
-                        "bit-identical)")
-    _add_batch_flag(p)
+    _add_backend_flag(p)
     _add_resilience_flags(p)
     _add_sequential_flags(p)
     _add_obs_flags(p)
@@ -1028,12 +977,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="fan sweep cells over N worker processes "
                         "(results are identical for any N)")
-    p.add_argument("--backend", choices=("auto", "reference", "fast", "compiled"),
-                   default=None,
-                   help="simulation kernel (all backends are bit-identical)")
+    _add_backend_flag(p)
     p.add_argument("--csv", action="store_true",
                    help="emit the per-cell map as CSV instead of tables")
-    _add_batch_flag(p)
     _add_resilience_flags(p)
     _add_sequential_flags(p)
     _add_obs_flags(p)
@@ -1069,14 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="fan replications over N worker processes "
                         "(results are identical for any N)")
-    p.add_argument("--backend", choices=("auto", "reference", "fast", "compiled"),
-                   default=None,
-                   help="simulation kernel for the runs: auto (default "
-                        "chain), reference loop, fast kernel, or the "
-                        "compiled struct-of-arrays backend (all are "
-                        "bit-identical; faulted runs fall back from "
-                        "compiled to the fast kernel)")
-    _add_batch_flag(p)
+    _add_backend_flag(p)
     _add_resilience_flags(p)
     _add_sequential_flags(p)
     _add_obs_flags(p)
@@ -1139,7 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attempts per cell beyond the first (default 2)")
     p.add_argument("--seed", type=int, default=1,
                    help="accepted for uniformity (no randomness)")
-    _add_batch_flag(p)
     _add_obs_flags(p)
     p.set_defaults(func=_cmd_serve)
 

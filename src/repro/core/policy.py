@@ -96,7 +96,7 @@ class LengthRule:
     def constant_length(self) -> Optional[float]:
         """The rule's backlog-independent length, or ``None``.
 
-        The fast simulation kernel (:mod:`repro.mac.fastpath`) asks once
+        The compiled engine (:mod:`repro.mac.kernels.engine`) asks once
         per run instead of re-deriving the length at every decision
         epoch; rules whose length depends on the backlog return ``None``
         and are evaluated per epoch.

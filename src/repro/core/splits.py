@@ -1,9 +1,9 @@
 """Canonical window split rules — policy element 3, implemented once.
 
 Every kernel that resolves collisions — the reference loop's
-:class:`~repro.core.window.WindowingProcess`, the fast kernel
-(:mod:`repro.mac.fastpath`), the batched lanes (:mod:`repro.mac.batch`)
-and the compiled backend (:mod:`repro.mac.kernels`) — splits a colliding
+:class:`~repro.core.window.WindowingProcess`, the compiled engine
+(:mod:`repro.mac.kernels.engine`) and the faulted kernel
+(:mod:`repro.mac.kernels.faults`) — splits a colliding
 span into ``arity`` equal-measure parts and examines them in the
 policy's order.  Those two decisions are the protocol's split semantics,
 and they live *here* and nowhere else: :func:`split_parts` carves the
@@ -13,9 +13,7 @@ element 3 (``"older"`` / ``"newer"`` deterministic orders, ``"random"``
 via the caller's generator with the same draw pattern everywhere).
 
 This module sits in :mod:`repro.core` so the windowing state machine can
-import it without touching :mod:`repro.mac`;
-:mod:`repro.mac.kernels.primitives` re-exports both functions as part of
-the shared kernel-primitive surface.
+import it without touching :mod:`repro.mac`.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ class AblationArm:
 
 def _spec(
     policy: ControlPolicy, lam, m, deadline, horizon, warmup, seed,
-    backend=None,
+    backend="compiled",
 ) -> MACRunSpec:
     return MACRunSpec(
         policy=policy, arrival_rate=lam, transmission_slots=m, horizon=horizon,
@@ -67,7 +67,7 @@ def _spec(
 
 
 def _arms_from(
-    labels, specs, workers, resilience=None, metrics=None, batch=True,
+    labels, specs, workers, resilience=None, metrics=None,
     sequential: Optional[SequentialOptions] = None,
 ) -> "List[AblationArm]":
     """Run the arm specs through the sweep executor and wrap the losses.
@@ -81,7 +81,7 @@ def _arms_from(
     derivation; CRN pairs the arms unit-for-unit) and the arm's stderr
     renders the realized CI half-width.
     """
-    executor = SweepExecutor(workers, resilience, metrics=metrics, batch=batch)
+    executor = SweepExecutor(workers, resilience, metrics=metrics)
     if sequential is not None:
         base_seed = specs[0].seed if specs else 1
         with trace.span("ablation.sequential", cells=len(specs)):
@@ -122,8 +122,7 @@ def element4_ablation(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "compiled",
     sequential: Optional[SequentialOptions] = None,
 ) -> List[AblationArm]:
     """Controlled protocol with and without the sender discard (A-EL4)."""
@@ -141,7 +140,6 @@ def element4_ablation(
         workers,
         resilience,
         metrics,
-        batch,
         sequential,
     )
 
@@ -158,8 +156,7 @@ def window_length_ablation(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "compiled",
     sequential: Optional[SequentialOptions] = None,
 ) -> List[AblationArm]:
     """Loss versus window occupancy around the heuristic optimum (A-WIN).
@@ -188,7 +185,7 @@ def window_length_ablation(
             )
             for occupancy in occupancies
         ]
-        return _arms_from(labels, specs, workers, resilience, metrics, batch,
+        return _arms_from(labels, specs, workers, resilience, metrics,
                           sequential)
     arms = []
     for label, occupancy in zip(labels, occupancies):
@@ -208,8 +205,7 @@ def split_rule_ablation(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "compiled",
     sequential: Optional[SequentialOptions] = None,
 ) -> List[AblationArm]:
     """Split-order comparison under the controlled protocol (A-SPLIT)."""
@@ -229,7 +225,6 @@ def split_rule_ablation(
         workers,
         resilience,
         metrics,
-        batch,
         sequential,
     )
 
@@ -245,8 +240,7 @@ def arity_ablation(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "compiled",
     sequential: Optional[SequentialOptions] = None,
 ) -> List[AblationArm]:
     """Binary versus k-ary window splitting (§5 extension, A-ARITY)."""
@@ -265,7 +259,6 @@ def arity_ablation(
         workers,
         resilience,
         metrics,
-        batch,
         sequential,
     )
 

@@ -129,9 +129,7 @@ def generate_panel(
     sim_seed: int = 1,
     sim_deadlines: Optional[Sequence[float]] = None,
     workers: Optional[int] = None,
-    sim_fast: bool = True,
-    sim_backend: Optional[str] = None,
-    batch: bool = True,
+    sim_backend: str = "compiled",
     resilience=None,
     metrics=None,
     sequential: Optional[SequentialOptions] = None,
@@ -152,17 +150,9 @@ def generate_panel(
     workers:
         Fan the simulation grid over this many worker processes (None/1
         = sequential).  Results are identical for any worker count.
-    sim_fast:
-        Run simulations on the fast kernel (bit-identical; ``False``
-        forces the reference loop).
     sim_backend:
-        Explicit kernel selection per simulation run (``"auto"``,
-        ``"reference"``, ``"fast"`` or ``"compiled"``); ``None`` keeps
-        the historical ``sim_fast`` behaviour.  All backends are
-        bit-identical.
-    batch:
-        Group eligible grid cells into lane-parallel batched tasks
-        (bit-identical; ``False`` restores one-task-per-cell dispatch).
+        Simulation engine per run: ``"compiled"`` (default) or
+        ``"reference"``; both are bit-identical.
     resilience:
         :class:`~repro.resilience.ResilienceOptions` for the simulation
         grid: checkpoint journal, per-task timeout, retry/quarantine.
@@ -259,13 +249,12 @@ def generate_panel(
                 warmup=sim_warmup,
                 deadline=deadline,
                 seed=sim_seed,
-                fast=sim_fast,
                 backend=sim_backend,
             )
             for _, policy_factory in arms
             for deadline in sim_points
         ]
-        executor = SweepExecutor(workers, resilience, metrics=metrics, batch=batch)
+        executor = SweepExecutor(workers, resilience, metrics=metrics)
         if sequential is not None:
             # Adaptive replication: every (arm, deadline) cell becomes a
             # sequential arm; the flat template list keeps CRN unit

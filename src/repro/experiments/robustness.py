@@ -8,7 +8,7 @@ that assumption.  This module measures what the assumption was worth:
   degradation curve; the protocol should degrade smoothly, not cliff);
 * :func:`protocol_degradation_sweep` — the degradation *figure*:
   fraction-late versus common-mode feedback error rate for all four
-  Figure-7 protocols, running at full kernel speed on the faulted fast
+  Figure-7 protocols, running at full kernel speed on the faulted
   kernel (:mod:`repro.mac.kernels.faults`) with a selectable
   divergence-recovery policy;
 * :func:`station_failure_scenario` — a crash/restart + deafness soak
@@ -179,7 +179,7 @@ def point_spec(
     fault_model: Optional[FaultModel],
     seed: int,
     policy: Optional[ControlPolicy] = None,
-    backend: Optional[str] = None,
+    backend: str = "compiled",
     feedback_faults: Optional[FeedbackFaultModel] = None,
 ) -> MACRunSpec:
     """Spec for one replication at one fault setting.
@@ -259,8 +259,7 @@ def feedback_error_sweep(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "compiled",
     sequential: Optional[SequentialOptions] = None,
 ) -> RobustnessReport:
     """Loss versus symmetric feedback-error rate (the degradation curve).
@@ -297,9 +296,7 @@ def feedback_error_sweep(
             )
             for error_rate in error_rates
         ]
-        executor = SweepExecutor(
-            workers, resilience, metrics=metrics, batch=batch
-        )
+        executor = SweepExecutor(workers, resilience, metrics=metrics)
         with trace.span(
             "robustness.feedback_errors.sequential", cells=len(cells)
         ):
@@ -341,7 +338,7 @@ def feedback_error_sweep(
         for error_rate in error_rates
         for i in range(config.n_seeds)
     ]
-    executor = SweepExecutor(workers, resilience, metrics=metrics, batch=batch)
+    executor = SweepExecutor(workers, resilience, metrics=metrics)
     with trace.span("robustness.feedback_errors", cells=len(specs)):
         results = executor.run_specs(specs)
     for row, error_rate in enumerate(error_rates):
@@ -488,15 +485,14 @@ def protocol_degradation_sweep(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "compiled",
     sequential: Optional[SequentialOptions] = None,
 ) -> DegradationReport:
     """Fraction-late vs feedback error rate, per Figure-7 protocol.
 
     Drives the *common-mode* feedback-error family
     (:class:`~repro.faults.FeedbackFaultModel`), so every cell — faulted
-    or not — executes on the fast kernel (``repro robustness
+    or not — executes on a fast kernel (``repro robustness
     --feedback-errors`` is a full-speed sweep; the perf harness holds it
     to the kernel speedup floor).  Zero-rate cells carry no fault model
     at all and reproduce today's clean kernels bit for bit.
@@ -545,9 +541,7 @@ def protocol_degradation_sweep(
             for name, policy in arms
             for error_rate in error_rates
         ]
-        executor = SweepExecutor(
-            workers, resilience, metrics=metrics, batch=batch
-        )
+        executor = SweepExecutor(workers, resilience, metrics=metrics)
         with trace.span(
             "robustness.protocol_degradation.sequential",
             cells=len(cells),
@@ -599,7 +593,7 @@ def protocol_degradation_sweep(
         for error_rate in error_rates
         for i in range(config.n_seeds)
     ]
-    executor = SweepExecutor(workers, resilience, metrics=metrics, batch=batch)
+    executor = SweepExecutor(workers, resilience, metrics=metrics)
     with trace.span(
         "robustness.protocol_degradation",
         cells=len(specs),
@@ -636,8 +630,7 @@ def station_failure_scenario(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "compiled",
 ) -> List[MACSimResult]:
     """Crash/restart + deafness soak at the standard operating point.
 
@@ -660,6 +653,4 @@ def station_failure_scenario(
         for i in range(config.n_seeds)
     ]
     with trace.span("robustness.station_failures", cells=len(specs)):
-        return SweepExecutor(
-            workers, resilience, metrics=metrics, batch=batch
-        ).run_specs(specs)
+        return SweepExecutor(workers, resilience, metrics=metrics).run_specs(specs)

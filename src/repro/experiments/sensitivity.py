@@ -62,12 +62,12 @@ def _arms(label_format, parameters, results) -> List[AblationArm]:
 
 
 def _sequential_arms(
-    label_format, parameters, specs, workers, resilience, metrics, batch,
+    label_format, parameters, specs, workers, resilience, metrics,
     sequential,
 ) -> List[AblationArm]:
     """Adaptive-replication variant of the sweep-then-wrap pattern."""
     labels = [label_format.format(parameter) for parameter in parameters]
-    executor = SweepExecutor(workers, resilience, metrics=metrics, batch=batch)
+    executor = SweepExecutor(workers, resilience, metrics=metrics)
     base_seed = specs[0].seed if specs else 1
     estimates = run_sequential(
         list(zip(labels, specs)), sequential, executor, base_seed=base_seed
@@ -93,8 +93,7 @@ def station_count_sensitivity(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "compiled",
     sequential: Optional[SequentialOptions] = None,
 ) -> List[AblationArm]:
     """Loss of the controlled protocol across population sizes."""
@@ -117,12 +116,10 @@ def station_count_sensitivity(
         with trace.span("sensitivity.stations", cells=len(specs)):
             return _sequential_arms(
                 "{0} stations", station_counts, specs, workers, resilience,
-                metrics, batch, sequential,
+                metrics, sequential,
             )
     with trace.span("sensitivity.stations", cells=len(specs)):
-        results = SweepExecutor(
-            workers, resilience, metrics=metrics, batch=batch
-        ).run_specs(specs)
+        results = SweepExecutor(workers, resilience, metrics=metrics).run_specs(specs)
     return _arms("{0} stations", station_counts, results)
 
 
@@ -138,8 +135,7 @@ def burstiness_sensitivity(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    batch: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "compiled",
     sequential: Optional[SequentialOptions] = None,
 ) -> List[AblationArm]:
     """Loss under MMPP traffic of fixed mean rate, varying peak/mean.
@@ -182,12 +178,10 @@ def burstiness_sensitivity(
         with trace.span("sensitivity.burstiness", cells=len(specs)):
             return _sequential_arms(
                 "peak/mean {0:g}", burst_ratios, specs, workers, resilience,
-                metrics, batch, sequential,
+                metrics, sequential,
             )
     with trace.span("sensitivity.burstiness", cells=len(specs)):
-        results = SweepExecutor(
-            workers, resilience, metrics=metrics, batch=batch
-        ).run_specs(specs)
+        results = SweepExecutor(workers, resilience, metrics=metrics).run_specs(specs)
     return _arms("peak/mean {0:g}", burst_ratios, results)
 
 

@@ -8,10 +8,10 @@ small picklable spec, whose results are consumed in submission order.
 
 * ``workers=None`` (or 1) runs inline — no subprocesses, no pickling
   requirements, bit-identical to the historical sequential loops;
-* ``workers=N`` fans the specs over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with chunked
-  batching.  Because every task carries its own seed and tasks share no
-  state, the merged results are **independent of the worker count** —
+* ``workers=N`` fans the specs over a supervised process pool, one
+  spec per task.  Because every task carries its own seed and tasks
+  share no state, the merged results are **independent of the worker
+  count** —
   the determinism tests in ``tests/experiments/test_sweep.py`` hold the
   executor to that.
 
@@ -56,12 +56,10 @@ import numpy as np
 from ..core.policy import ControlPolicy
 from ..des.rng import RandomStreams
 from ..faults import FaultModel, FeedbackFaultModel
-from ..mac.batch import batch_eligible, run_batch, run_batch_with_metrics
 from ..mac.simulator import MACSimResult, WindowMACSimulator
 from ..obs.metrics import MetricsRegistry
 from ..resilience import (
     JournalMismatchError,
-    QuarantineRecord,
     ResilienceOptions,
     RunJournal,
     SupervisedExecutor,
@@ -75,13 +73,10 @@ __all__ = [
     "MACRunSpec",
     "run_spec",
     "run_spec_with_metrics",
-    "run_sweep_task",
     "spec_fingerprint",
-    "batch_eligible",
     "SweepExecutor",
     "derive_seeds",
     "ResilienceOptions",
-    "DEFAULT_BATCH_CHUNK",
     "arm_key",
     "plan_shards",
     "SequentialOptions",
@@ -89,12 +84,6 @@ __all__ = [
     "run_sequential",
     "sequential_decision_fingerprint",
 ]
-
-#: Upper bound on lanes per batched task.  Wide enough to amortise the
-#: per-round NumPy dispatch across a whole 16–64-seed arm, small enough
-#: that one task's arrival arrays stay cache-friendly and a parallel
-#: sweep still has tasks to balance across workers.
-DEFAULT_BATCH_CHUNK = 64
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -110,7 +99,8 @@ class MACRunSpec:
     family — the construction the robustness sweeps use — while ``seed``
     is the plain single-generator construction of the historical grids;
     the two draw differently, so specs must preserve whichever the
-    call site historically used.
+    call site historically used.  ``backend`` is the simulator's engine
+    selector (``"compiled"`` or ``"reference"``; bit-identical results).
     """
 
     policy: ControlPolicy
@@ -125,8 +115,7 @@ class MACRunSpec:
     stream_seed: Optional[int] = None
     workload: Optional[object] = None
     fault_model: Optional[FaultModel] = None
-    fast: bool = True
-    backend: Optional[str] = None
+    backend: str = "compiled"
     feedback_faults: Optional[FeedbackFaultModel] = None
     antithetic: bool = False
 
@@ -190,7 +179,6 @@ def _build_simulator(
         workload=spec.workload,
         fault_model=spec.fault_model,
         feedback_faults=spec.feedback_faults,
-        fast=spec.fast,
         backend=spec.backend,
         metrics=metrics,
         antithetic=spec.antithetic,
@@ -236,48 +224,24 @@ def derive_seeds(base_seed: int, n: int) -> List[int]:
     return [int(child.generate_state(1)[0]) for child in children]
 
 
-def run_sweep_task(task: Tuple[str, Any]):
-    """Execute one scheduled sweep task (module-level, pool-picklable).
-
-    A task is ``(kind, payload)``: ``"spec"``/``"spec+metrics"`` carry a
-    single :class:`MACRunSpec` and behave exactly like :func:`run_spec`
-    / :func:`run_spec_with_metrics`; ``"batch"``/``"batch+metrics"``
-    carry a tuple of specs and return the per-spec result list from the
-    lane-parallel kernel — bit-identical to running the members one by
-    one, so batch scheduling never changes a sweep's numbers.
-    """
-    kind, payload = task
-    if kind == "spec":
-        return run_spec(payload)
-    if kind == "spec+metrics":
-        return run_spec_with_metrics(payload)
-    if kind == "batch":
-        return run_batch(list(payload))
-    if kind == "batch+metrics":
-        return run_batch_with_metrics(list(payload))
-    raise ValueError(f"unknown sweep task kind: {kind!r}")
-
-
 def arm_key(spec: MACRunSpec) -> str:
     """Content hash of a spec's *arm* — every field except the seed.
 
-    Batched tasks group same-arm seed replications together (the shape
-    every headline grid has), so one task advances one arm's whole
-    cohort in lockstep.  The service's shard planner uses the same key,
-    so a shard is usually one arm's seed cohort and dispatching it to
-    one backend slot keeps the batched kernel fed.
+    Keys sequential wave decisions (one arm, many seeds) and the
+    service's shard planner, which groups an arm's seed cohort into one
+    shard.
     """
     return fingerprint(("mac-arm", replace(spec, seed=0)))
 
 
 def plan_shards(
-    specs: Sequence[MACRunSpec], shard_size: int = DEFAULT_BATCH_CHUNK
+    specs: Sequence[MACRunSpec], shard_size: int
 ) -> List[List[int]]:
     """Partition a grid into dispatch shards, grouped by arm fingerprint.
 
     Returns index lists that cover ``range(len(specs))`` exactly once:
     same-arm seed replications become adjacent (one shard is usually one
-    arm's cohort, the shape the batched kernel wants), and no shard
+    arm's cohort), and no shard
     exceeds ``shard_size`` cells.  The plan is a pure function of the
     spec list and ``shard_size`` — never of worker layout or wall-clock
     — so a restarted server re-plans a recovered job into *identical*
@@ -326,20 +290,6 @@ class SweepExecutor:
         :func:`run_spec_with_metrics` so per-run simulator metrics are
         collected in the workers, merged in submission order, and folded
         in here too.  ``None`` or a disabled registry costs nothing.
-    batch:
-        ``True`` (default) — ``run_specs`` groups
-        :func:`~repro.mac.batch.batch_eligible` specs into lane-parallel
-        batched tasks (same-arm seed replications together, leftovers
-        chunked heterogeneously) and runs the rest as single-spec tasks.
-        Results, journal fingerprints, quarantine holes, and merged
-        metrics are identical either way — the batched kernel is
-        bit-exact — so this is purely a scheduling lever; ``False`` is
-        the escape hatch that restores one-task-per-spec dispatch
-        (``--verify-replay`` audits force it implicitly, since their
-        contract is per-cell recomputation).
-    batch_chunk:
-        Lanes per batched task (default: :data:`DEFAULT_BATCH_CHUNK`,
-        halved down to balance across workers in parallel runs).
     progress:
         Optional callable invoked (in this process) with a completed
         task's cell count each time a task finishes and is journaled.
@@ -353,18 +303,12 @@ class SweepExecutor:
         workers: Optional[int] = None,
         resilience: Optional[ResilienceOptions] = None,
         metrics: Optional[MetricsRegistry] = None,
-        batch: bool = True,
-        batch_chunk: Optional[int] = None,
         progress: Optional[Callable[[int], None]] = None,
     ):
         if workers is not None and workers < 1:
             raise ValueError(f"worker count must be >= 1, got {workers}")
-        if batch_chunk is not None and batch_chunk < 1:
-            raise ValueError(f"batch chunk must be >= 1, got {batch_chunk}")
         self.workers = workers
         self.resilience = resilience
-        self.batch = batch
-        self.batch_chunk = batch_chunk
         self.progress = progress
         self.metrics = metrics if metrics is not None and metrics.enabled else None
         #: Outcome of the most recent ``run_specs``/``map`` call.
@@ -416,34 +360,71 @@ class SweepExecutor:
     def run_specs(self, specs: Sequence[MACRunSpec]) -> List[MACSimResult]:
         """Run a list of :class:`MACRunSpec`, results in spec order.
 
-        Under resilience options a quarantined spec leaves ``None`` at
-        its index — callers must surface the hole (the experiment
-        drivers mark it in their tables).  With batching on (the
-        default), eligible specs ride lane-parallel batched tasks; the
-        kernel is bit-exact, the journal keys stay per-spec, and a
-        quarantined batched task holes *all* its members, so every
-        caller-visible contract is unchanged.
+        Each spec is one :func:`run_spec` task.  Under resilience
+        options with a checkpoint, journaled specs are replayed *before*
+        dispatch, so a fully journaled sweep never starts the
+        supervisor (``--verify-replay`` instead hands every spec to it
+        for recomputation).  A quarantined spec leaves ``None`` at its
+        index — callers must surface the hole (the experiment drivers
+        mark it in their tables).
 
         With a registry attached, tasks run through
         :func:`run_spec_with_metrics`; per-run registries come back with
         the results and are merged **in spec submission order** (never
         completion order), so the merged metrics are identical for any
-        worker count or chunk layout — the property the
-        worker-invariance tests pin.
+        worker count — the property the worker-invariance tests pin.
         """
         specs = list(specs)
         instrumented = self.metrics is not None
-        if self._batchable(specs):
-            return self._run_specs_batched(specs, instrumented)
-        fn = run_spec_with_metrics if instrumented else run_spec
-        fingerprints = None
+        fps: Optional[List[str]] = None
         if self.resilience is not None:
-            fingerprints = [spec_fingerprint(spec, instrumented) for spec in specs]
-        outcome = self._engine(len(specs)).run(
-            fn, specs, fingerprints, progress=self.progress
+            fps = [spec_fingerprint(spec, instrumented) for spec in specs]
+        entries: List[Optional[Any]] = [None] * len(specs)
+        todo = list(range(len(specs)))
+        resilience = self.resilience
+        if (
+            fps is not None
+            and resilience.checkpoint is not None
+            and not resilience.verify_replay
+        ):
+            if resilience.resume and not RunJournal.exists(resilience.checkpoint):
+                raise FileNotFoundError(
+                    f"--resume: no journal at {resilience.checkpoint} "
+                    "(pass --checkpoint alone to start one)"
+                )
+            journal = RunJournal(resilience.checkpoint)
+            todo = []
+            for index, fp in enumerate(fps):
+                hit, value = journal.get(fp)
+                if hit:
+                    entries[index] = value
+                else:
+                    todo.append(index)
+        replayed = len(specs) - len(todo)
+        if replayed and self.metrics is not None:
+            self.metrics.counter("sweep.cells.replayed", volatile=True).inc(replayed)
+
+        engine_out = SweepOutcome()
+        if todo:
+            engine_out = self._engine(len(todo)).run(
+                run_spec_with_metrics if instrumented else run_spec,
+                [specs[k] for k in todo],
+                [fps[k] for k in todo] if fps is not None else None,
+                progress=self.progress,
+            )
+        for k, value in zip(todo, engine_out.results):
+            entries[k] = value
+        # Supervisor indices count positions in ``todo``; report grid ones.
+        self.last_outcome = replace(
+            engine_out,
+            results=entries,
+            replayed=replayed + engine_out.replayed,
+            quarantined=[
+                replace(record, index=todo[record.index])
+                for record in engine_out.quarantined
+            ],
         )
-        self.last_outcome = outcome
-        return self._fold_results(outcome.results, instrumented)
+        return self._fold_results(entries, instrumented)
 
     def _fold_results(
         self, entries: Sequence, instrumented: bool
@@ -463,168 +444,6 @@ class SweepExecutor:
         self.last_sim_metrics = merged
         self.metrics.merge_from(merged)
         return results
-
-    # -- batch-aware scheduling ---------------------------------------------
-
-    def _batchable(self, specs: Sequence[MACRunSpec]) -> bool:
-        """Whether batched scheduling applies to this spec list."""
-        if not self.batch or len(specs) < 2:
-            return False
-        if self.resilience is not None and self.resilience.verify_replay:
-            # The audit's contract is per-cell recomputation of journaled
-            # results; batched tasks would blur what was re-run.
-            return False
-        return any(batch_eligible(spec) for spec in specs)
-
-    def _chunk_size(self, n_batchable: int) -> int:
-        if self.batch_chunk is not None:
-            return self.batch_chunk
-        size = DEFAULT_BATCH_CHUNK
-        if self.parallel:
-            # Leave every worker something to chew on.
-            per_worker = -(-n_batchable // self.workers)
-            size = max(1, min(size, per_worker))
-        return size
-
-    def _chunks(
-        self, indices: List[int], specs: Sequence[MACRunSpec]
-    ) -> List[List[int]]:
-        """Group same-arm replications, then slice into bounded chunks.
-
-        Same-arm specs (identical but for the seed) become adjacent, so
-        a chunk is usually one arm's seed cohort; trailing partial
-        chunks pack heterogeneously — the kernel's lanes carry their own
-        parameters, so mixed chunks cost nothing.
-        """
-        if not indices:
-            return []
-        groups: Dict[str, List[int]] = {}
-        order: List[str] = []
-        for index in indices:
-            key = arm_key(specs[index])
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(index)
-        ordered = [index for key in order for index in groups[key]]
-        size = self._chunk_size(len(ordered))
-        return [ordered[i : i + size] for i in range(0, len(ordered), size)]
-
-    def _run_specs_batched(
-        self, specs: List[MACRunSpec], instrumented: bool
-    ) -> List[Optional[MACSimResult]]:
-        n = len(specs)
-        fps: Optional[List[str]] = None
-        if self.resilience is not None:
-            fps = [spec_fingerprint(spec, instrumented) for spec in specs]
-        entries: List[Optional[Any]] = [None] * n
-
-        # Per-spec journal replay *before* chunking, so resumed members
-        # never re-run inside a batched task.  The fingerprints are the
-        # same whether a spec ran batched or not, so a journal written
-        # by either scheduling mode satisfies the other.
-        replayed = 0
-        if fps is not None and self.resilience.checkpoint is not None:
-            if self.resilience.resume and not RunJournal.exists(
-                self.resilience.checkpoint
-            ):
-                raise FileNotFoundError(
-                    f"--resume: no journal at {self.resilience.checkpoint} "
-                    "(pass --checkpoint alone to start one)"
-                )
-            journal = RunJournal(self.resilience.checkpoint)
-            for index, fp in enumerate(fps):
-                hit, value = journal.get(fp)
-                if hit:
-                    entries[index] = value
-                    replayed += 1
-
-        todo = [index for index in range(n) if entries[index] is None]
-        singles = [k for k in todo if not batch_eligible(specs[k])]
-        chunks = self._chunks(
-            [k for k in todo if batch_eligible(specs[k])], specs
-        )
-
-        spec_kind = "spec+metrics" if instrumented else "spec"
-        batch_kind = "batch+metrics" if instrumented else "batch"
-        base_timeout = (
-            self.resilience.task_timeout if self.resilience is not None else None
-        )
-        tasks: List[Tuple[str, Any]] = []
-        task_fps: List[Optional[str]] = []
-        task_subkeys: List[Optional[List[str]]] = []
-        task_timeouts: List[Optional[float]] = []
-        owners: List[List[int]] = []
-        for k in singles:
-            tasks.append((spec_kind, specs[k]))
-            task_fps.append(fps[k] if fps is not None else None)
-            task_subkeys.append(None)
-            task_timeouts.append(None)
-            owners.append([k])
-        for chunk in chunks:
-            if len(chunk) == 1:  # no cohort to amortise: plain task
-                k = chunk[0]
-                tasks.append((spec_kind, specs[k]))
-                task_fps.append(fps[k] if fps is not None else None)
-                task_subkeys.append(None)
-                task_timeouts.append(None)
-                owners.append([k])
-                continue
-            tasks.append((batch_kind, tuple(specs[k] for k in chunk)))
-            task_fps.append(None)
-            task_subkeys.append(
-                [fps[k] for k in chunk] if fps is not None else None
-            )
-            task_timeouts.append(
-                base_timeout * len(chunk) if base_timeout is not None else None
-            )
-            owners.append(list(chunk))
-
-        outcome = SweepOutcome(results=[None] * n)
-        outcome.replayed = replayed
-        if tasks:
-            engine_out = self._engine(len(tasks)).run(
-                run_sweep_task, tasks, task_fps,
-                subkeys=task_subkeys, timeouts=task_timeouts,
-                sizes=[len(members) for members in owners],
-                progress=self.progress,
-            )
-            outcome.retries = engine_out.retries
-            outcome.timeouts = engine_out.timeouts
-            outcome.pool_restarts = engine_out.pool_restarts
-            holes = {record.index: record for record in engine_out.quarantined}
-            for t_index, members in enumerate(owners):
-                record = holes.get(t_index)
-                if record is not None:
-                    # A poisoned batched task holes *every* member — a
-                    # visible partial grid, never a silent truncation.
-                    suffix = (
-                        ""
-                        if len(members) == 1
-                        else f" (member of a {len(members)}-spec batched task)"
-                    )
-                    for k in members:
-                        outcome.quarantined.append(
-                            QuarantineRecord(
-                                index=k,
-                                fingerprint=(
-                                    fps[k] if fps is not None else None
-                                ),
-                                attempts=record.attempts,
-                                reason=record.reason + suffix,
-                            )
-                        )
-                    continue
-                value = engine_out.results[t_index]
-                if len(members) == 1 and tasks[t_index][0] == spec_kind:
-                    entries[members[0]] = value
-                else:
-                    for offset, k in enumerate(members):
-                        entries[k] = value[offset]
-                outcome.executed += len(members)
-        outcome.results = list(entries)
-        self.last_outcome = outcome
-        return self._fold_results(entries, instrumented)
 
 
 # -- sequential replication scheduling ----------------------------------------
@@ -849,11 +668,10 @@ def run_sequential(
 ) -> List[SequentialEstimate]:
     """Run labelled arms in waves until each meets the CI target.
 
-    Each wave flattens every *unstopped* arm's next batch of observation
-    units into one :meth:`SweepExecutor.run_specs` call, so the batched
-    lane kernel amortises the wave across arms and same-arm cohorts
-    exactly as fixed grids do — and journal/resume interop is inherited
-    per lane.  After the wave, each arm takes a group-sequential look
+    Each wave flattens every *unstopped* arm's next observation units
+    into one :meth:`SweepExecutor.run_specs` call, so the wave's lanes
+    share the worker pool exactly as fixed grids do — and journal/resume
+    is inherited per lane.  After the wave, each arm takes a group-sequential look
     (:func:`repro.stats.sequential.decide_wave`); the decision is
     journaled under a content-addressed key so a resumed run provably
     stops at the identical wave.

@@ -358,15 +358,14 @@ def run_validity(
     workers: Optional[int] = None,
     resilience=None,
     metrics: Optional[MetricsRegistry] = None,
-    batch: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "compiled",
     sequential: Optional[SequentialOptions] = None,
 ) -> ValidityReport:
     """Sweep every (family, ρ′, M, K) cell and build the divergence map.
 
     The whole grid goes through one :class:`SweepExecutor.run_specs`
-    call (batched lane-parallel by default), so the sweep inherits the
-    executor's parallelism, journaling and quarantine semantics.
+    call, so the sweep inherits the executor's parallelism, journaling
+    and quarantine semantics.
     Quarantined cells become explicit notes, never silent holes.
 
     With ``sequential`` options each grid cell becomes an adaptive-
@@ -408,7 +407,7 @@ def run_validity(
                 backend=backend,
             )
         )
-    executor = SweepExecutor(workers, resilience, metrics=metrics, batch=batch)
+    executor = SweepExecutor(workers, resilience, metrics=metrics)
     if sequential is not None:
         cells = [
             (f"{family}.rho{rho:g}.m{m}.k{deadline:g}", spec)

@@ -6,7 +6,7 @@ right machinery when stations can *disagree* about what they heard, but
 ineligible for every accelerated backend.  This module models the
 complementary regime: **common-mode** feedback errors, where every
 station observes the *same* (possibly wrong) symbol, so the network
-keeps a single shared protocol state and the fast kernel can execute
+keeps a single shared protocol state and the faulted kernel can execute
 the run directly.
 
 Three fault families, all driven by one :class:`FeedbackFaultModel`:
@@ -57,7 +57,7 @@ Randomness is drawn from the run's dedicated fault stream (the
 ``0xFA17``-keyed derived generator for plain seeds), so every fault
 setting replays the same traffic sample path.  Event scheduling and
 per-slot draws are consumed in a fixed order shared by the reference
-loop and the fast kernel — the bit-parity contract of
+loop and the faulted kernel — the bit-parity contract of
 ``tests/mac/test_faulted_parity.py``.
 """
 
@@ -205,7 +205,7 @@ class FeedbackFaultState:
 
     Owns the event heap (jam bursts, per-station misses), the set of
     currently desynchronized stations, and the per-slot observation
-    rule.  Both the reference loop and the fast kernel drive one
+    rule.  Both the reference loop and the faulted kernel drive one
     instance through the identical call sequence — ``poll`` at every
     decision epoch and examination slot, ``rejoin`` at epoch tops only,
     ``observe`` once per examination slot — so the fault stream's draw
@@ -335,7 +335,7 @@ class FeedbackFaultState:
     def scan_idle(self, n: int) -> int:
         """Number of leading *clean* IDLE observations among the next ``n``.
 
-        The fast kernel's idle fast-forward hook: an idle examination
+        The faulted kernel's idle fast-forward hook: an idle examination
         slot consumes exactly one uniform under misdetection noise
         (none otherwise), and only an erasure corrupts a truly idle
         span.  This consumes the draws of up to ``n`` such slots in one

@@ -1,72 +1,32 @@
-"""Shared kernel primitives for the MAC simulation back ends.
+"""The fast MAC simulation kernels.
 
-Four kernels execute the window protocol:
+Three engines execute the window protocol:
 
-* the **reference loop** (:meth:`repro.mac.simulator.WindowMACSimulator._run_shared`),
-* the **fast kernel** (:mod:`repro.mac.fastpath`),
-* the **batched lanes** (:mod:`repro.mac.batch`), and
-* the **compiled backend** (:mod:`repro.mac.kernels.compiled`, selected
-  with ``backend="compiled"`` / ``--backend compiled``).
-
-They used to carry three private copies of the protocol's policy
-decisions; this package is the single home for everything they share:
+* the **reference loop** (:meth:`repro.mac.simulator.WindowMACSimulator._run_shared`,
+  with its feedback-faulted and replicated variants) — the oracle;
+* the **compiled engine** (:mod:`repro.mac.kernels.compiled` over
+  :mod:`repro.mac.kernels.engine`) — the default fast engine;
+* the **faulted kernel** (:mod:`repro.mac.kernels.faults`) — feedback
+  fault runs at kernel speed.
 
 ``primitives``
     Policy traits (:class:`~repro.mac.kernels.primitives.KernelTraits`),
-    the decision-epoch executor, the idle fast-forward shortcut, wait
-    statistics, instrumentation buffers, fate codes, and the split rules
-    (re-exported from :mod:`repro.core.splits`, where the reference
-    state machine consumes them too).
-``lane``
-    The lane state machine — one independent run advanced in fused
-    rounds — shared by the batched kernel (R lanes in lockstep) and the
-    compiled backend (one lane, flat epochs).
+    the idle fast-forward shortcut, wait statistics, instrumentation
+    buffers and fate codes shared by the two fast kernels.
 ``engine``
-    The flat struct-of-arrays engine: interval-set and span arithmetic
-    on plain float pairs (bit-identical to
-    :mod:`repro.core.timeline`), replacing the object stack inside
-    collision-resolution epochs.
+    :class:`~repro.mac.kernels.engine.FlatLane`: one run as a VEC/GEN
+    state machine — closed-form epochs and the steady-state sprint from
+    an empty unresolved set, flat struct-of-arrays epochs (bit-identical
+    to :mod:`repro.core.timeline`) otherwise.
 ``compiled``
-    Backend selection: ``numba``-compiled hot loops when numba is
-    importable, the pure-NumPy/struct-of-arrays fallback otherwise,
-    plus the eligibility gate and the one-time fallback notice.
+    Backend selection: ``numba``-compiled sprint walk when numba is
+    importable, the pure-NumPy fallback otherwise, plus the eligibility
+    gate and the one-time fallback notice.
+``faults``
+    The feedback-faulted epoch executor and its run loop.
 
-Every quantity any of these produce is bound by the same bit-parity
-contract the fast kernel introduced: field-for-field equality with the
-reference loop, seeded RANDOM included, metrics registries equal when
-enabled.
+Every quantity these produce is bound by the same bit-parity contract:
+field-for-field equality with the reference loop, seeded RANDOM
+included, metrics registries equal when enabled (up to the
+epoch-granularity names the idle fast-forward elides).
 """
-
-from . import primitives
-from .primitives import (
-    DISCARDED,
-    LATE,
-    ON_TIME,
-    PENDING,
-    EpochContext,
-    KernelTraits,
-    ObsBuffers,
-    WaitStats,
-    examination_order,
-    execute_epoch,
-    kernel_traits,
-    split_parts,
-    try_fast_forward,
-)
-
-__all__ = [
-    "primitives",
-    "PENDING",
-    "ON_TIME",
-    "LATE",
-    "DISCARDED",
-    "EpochContext",
-    "KernelTraits",
-    "ObsBuffers",
-    "WaitStats",
-    "examination_order",
-    "execute_epoch",
-    "kernel_traits",
-    "split_parts",
-    "try_fast_forward",
-]

@@ -1,12 +1,12 @@
-"""The compiled backend: jitted hot loops with a pure-NumPy fallback.
+"""The compiled backend: the default fast engine, jitted when possible.
 
-Selected with ``backend="compiled"`` on
-:class:`~repro.mac.simulator.WindowMACSimulator` (or ``--backend
-compiled`` on the CLI).  The backend drives a single
-:class:`~repro.mac.kernels.engine.FlatLane` — the struct-of-arrays
-engine whose GEN epochs run on flat float columns — and, when ``numba``
-is importable, swaps the steady-state sprint walk for an ``@njit`` twin
-operating on NumPy views of the same precomputed tables.
+``backend="compiled"`` (the default on
+:class:`~repro.mac.simulator.WindowMACSimulator`, ``MACRunSpec`` and
+``--backend``) drives a single :class:`~repro.mac.kernels.engine.FlatLane`
+— the struct-of-arrays engine whose GEN epochs run on flat float columns
+— and, when ``numba`` is importable, swaps the steady-state sprint walk
+for an ``@njit`` twin operating on NumPy views of the same precomputed
+tables.
 
 **Fallback.**  ``numba`` is an optional extra (``pip install
 repro[compiled]``).  When it is missing, or its compilation fails, the
@@ -17,19 +17,19 @@ never *requires* numba; it requires only eligibility.
 
 **Bit parity.**  Both flavours are bound by the kernel contract:
 field-for-field equality with the reference loop (seeded RANDOM
-included) and equal metrics registries when instrumentation is on.
-numba's default configuration does not enable fastmath, so the jitted
-walk performs the same IEEE-754 double operations in the same order as
-the interpreted one.
+included) and equal metrics registries when instrumentation is on,
+except for the epoch-granularity names the idle fast-forward elides
+(see ``docs/observability.md``).  numba's default configuration does not
+enable fastmath, so the jitted walk performs the same IEEE-754 double
+operations in the same order as the interpreted one.
 
-**Eligibility** (:func:`compiled_eligible`) mirrors the fast kernel's
-gate plus the flat engine's own requirements: no fault model, no §5
-window scales, a canonical position rule (the flat window selection
-replicates exactly the three shipped rules), a standard loss
+**Eligibility** (:func:`compiled_eligible`): no fault model of either
+kind, no §5 window scales, a canonical position rule (the flat window
+selection replicates exactly the three shipped rules), a standard loss
 definition, no sub-slot discard deadline, and invariant-checking off
-(chaos runs keep the reference kernel whose guards are calibrated for
-it).  Ineligible runs fall back to the fast kernel (or further down its
-own fallback chain) with a one-time logged notice.
+(chaos runs keep the reference loop, whose guards are calibrated for
+it).  Ineligible runs fall back to the reference loop with a one-time
+logged notice and a ``kernel.fallbacks`` count.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _probe():
         @numba.njit(cache=False)
         def _walk(arr, cl, tl, iso, p, n, prev_now, last_fr,
                   warmup, sdl_f, m, kf, tot, wc, wt, wp):
-            # Twin of LaneState._sprint_walk: same operation sequence
+            # Twin of engine.sprint_walk: same operation sequence
             # on the NumPy views of the same tables (numba's default
             # config keeps strict IEEE-754 — no fastmath).
             ot = 0
@@ -170,13 +170,13 @@ def numba_available() -> bool:
 def compiled_eligible(sim: "WindowMACSimulator") -> bool:
     """Whether the compiled backend reproduces this run bit-for-bit.
 
-    See the module docstring; ineligible runs are the fast kernel's
-    business (it has its own fallback chain below it).
+    See the module docstring; ineligible runs fall back to the
+    reference loop.
     """
     policy = sim.policy
     return (
         sim.fault_model is None
-        # Feedback-faulted runs are the faulted fast kernel's business
+        # Feedback-faulted runs are the faulted kernel's business
         # (repro.mac.kernels.faults): the sprint walk has no fault hooks.
         and sim.feedback_faults is None
         and not sim.registry.has_scaled_stations
@@ -193,19 +193,18 @@ def compiled_eligible(sim: "WindowMACSimulator") -> bool:
 def run_compiled(
     sim: "WindowMACSimulator", total_time: float, warmup_slots: float
 ) -> "MACSimResult":
-    """Run the compiled backend; same contract as ``run_fast``.
+    """Run the compiled backend; same contract as ``_run_shared``.
 
     Draw order is identical to the reference loop: arrivals from
     ``sim._arrival_rng`` first (the workload substream under
     ``RandomStreams``, ``sim.rng`` itself on plain seeds), then policy
     draws (random placement / random split) from ``sim.rng`` as epochs
-    execute.  Unlike the batched kernel this uses the simulator's own
-    generator objects, so seeded *and* stream-based runs stay
-    bit-identical.
+    execute — the simulator's own generator objects, so seeded *and*
+    stream-based runs stay bit-identical.
 
-    ``scored_messages`` is not materialised on this backend (nothing in
-    the tree consumes it after a compiled run; the fast kernel remains
-    the path for callers that want per-message records).
+    Per-message records are not materialised: a compiled run leaves
+    ``sim.scored_messages`` unset (reading it raises
+    ``AttributeError``); run with ``backend="reference"`` for them.
     """
     policy = sim.policy
     rng = sim.rng
@@ -233,7 +232,6 @@ def run_compiled(
         total_time,
         arr_t,
         arr_s,
-        sim.metrics is not None,
         registry=sim.metrics,
         pos_code=_POSITION_CODES[type(policy.position)],
         jit_walk=_probe(),
@@ -242,7 +240,6 @@ def run_compiled(
         if not lane.advance_round():
             break
     result = lane.finalize()
-    sim.scored_messages = []
     sim.channel.now = lane.now
     sim.channel.stats = result.channel
     return result

@@ -1,25 +1,38 @@
 """The flat struct-of-arrays engine behind the compiled backend.
 
-:class:`FlatLane` is a :class:`~repro.mac.kernels.lane.LaneState` whose
-GEN epochs never touch the object stack: the unresolved pseudo-time set
-lives in two parallel ``list[float]`` columns (``u_lo``/``u_hi``) plus a
-frontier scalar, and one decision epoch — controller bookkeeping, window
-selection, the splitting state machine, scoring — runs as straight-line
-Python over those columns.  No :class:`~repro.core.controller.ProtocolController`
-method, :class:`~repro.core.window.WindowingProcess` object or
-:class:`~repro.core.timeline.IntervalSet` is created per epoch, which is
-where the remaining per-epoch cost of the lane kernel lived.
+:class:`FlatLane` is one simulator run reduced to struct-of-arrays form
+and advanced in fused rounds.  It has two modes:
 
-**Bit parity.**  Every helper here is a literal transcription of the
-corresponding :mod:`repro.core.timeline` method — same epsilon
-(``1e-12``), same bisect bounds, same branch structure, same sequential
-measure folds — so each float operation happens in the same order with
-the same operands as the reference loop's.  The split rules are not
-transcribed at all: a collision calls the canonical
-:func:`repro.core.splits.split_parts` / ``examination_order`` on a real
-:class:`~repro.core.timeline.Span` (collisions are rare; the shared code
-path is worth more than the microseconds).  Two deliberate deviations
-that provably cannot change results:
+**VEC** — the unresolved pseudo-time set is *empty*, so the controller
+state is one scalar (the frontier F).  Everything the reference loop
+would do from that state has a closed form that consumes **zero RNG
+draws**: the idle fast-forward jump, and a decision epoch whose initial
+window covers the whole unresolved span ``[max(F, now−K), now)`` — the
+window then admits the in-window backlog verbatim (no placement slack,
+so even RANDOM draws nothing), and a 0- or 1-message backlog resolves in
+a single idle or success examination.  At the paper's operating points
+runs of isolated arrivals are drained by the steady-state *sprint* over
+tables precomputed on the arrival axis (:meth:`FlatLane._prepare_sprint`).
+
+**GEN** — any other situation (≥2 in-window messages, a window shorter
+than the span, an exotic length rule).  The unresolved set lives in two
+parallel ``list[float]`` columns (``u_lo``/``u_hi``) plus a frontier
+scalar, and one decision epoch — controller bookkeeping, window
+selection, the splitting state machine, scoring — runs as straight-line
+Python over those columns.  When the set empties again the lane snaps
+back to VEC.
+
+**Bit parity.**  Every closed form replicates the reference loop's float
+arithmetic operation for operation (clamp = ``max``, measure = one
+subtraction, the same Welford mean update per event), and every column
+helper here is a literal transcription of the corresponding
+:mod:`repro.core.timeline` method — same epsilon (``1e-12``), same
+bisect bounds, same branch structure, same sequential measure folds.
+The split rules are not transcribed at all: a collision calls the
+canonical :func:`repro.core.splits.split_parts` / ``examination_order``
+on a real :class:`~repro.core.timeline.Span` (collisions are rare; the
+shared code path is worth more than the microseconds).  Two deliberate
+deviations that provably cannot change results:
 
 * resolved sub-spans are subtracted from the unresolved columns *as the
   process resolves them* rather than batched in
@@ -28,16 +41,16 @@ that provably cannot change results:
 * ``advance_time``'s backwards-clock guard is dropped — the lane clock
   is strictly monotone by construction.
 
-**RNG.**  The flat epoch draws from the same generator at the same two
-sites as the reference loop: the :class:`~repro.core.policy.RandomPosition`
-placement draw (only when the slack is positive) and the random split
-shuffle inside ``examination_order``.  All other paths are draw-free.
+**RNG.**  The lane draws from the simulator's own generator at the same
+two sites as the reference loop: the
+:class:`~repro.core.policy.RandomPosition` placement draw (only when the
+slack is positive) and the random split shuffle inside
+``examination_order``.  All other paths are draw-free.
 
-The steady-state sprint walk is inherited from :class:`LaneState`; when
-the compiled backend has a ``numba``-jitted twin available it is swapped
-in via ``jit_walk`` and runs over NumPy views of the same tables —
-identical operation sequence, identical IEEE-754 results (numba's
-default config does not enable fastmath).
+When the compiled backend has a ``numba``-jitted twin of the sprint walk
+it is passed in as ``jit_walk`` and runs over NumPy views of the same
+tables — identical operation sequence, identical IEEE-754 results
+(numba's default config does not enable fastmath).
 """
 
 from __future__ import annotations
@@ -51,8 +64,10 @@ import numpy as np
 from ...core.splits import examination_order, split_parts
 from ...core.timeline import Span
 from ...core.window import _MAX_SPLIT_DEPTH
-from .lane import LaneState
-from .primitives import LATE, ON_TIME
+from ...obs.metrics import MetricsRegistry
+from ..channel import ChannelStats
+from ..simulator import MACSimResult, flush_result_metrics
+from .primitives import ObsBuffers, kernel_traits
 
 __all__ = ["FlatLane"]
 
@@ -144,28 +159,238 @@ def _split_pieces(
     return older, newer
 
 
-class FlatLane(LaneState):
-    """A lane whose GEN epochs run on flat columns instead of objects.
+def sprint_walk(
+    arrl, cl, tl, iso, p, n, prev_now, last_fr, warmup, sdl_f, m,
+    kf, tot, wc, wt, wp,
+):
+    """The uninstrumented mask walk, one epoch per event.
+
+    A function over plain scalars and sequences so the compiled backend
+    can swap in an ``@njit`` twin operating on the NumPy views of the
+    same tables — the float operation sequence is identical either way,
+    so the results are bit-equal.
+
+    Two event shapes run inline; anything else exits to the rounds:
+
+    * an *isolated* arrival (``iso[p]``): jump to its landing slot,
+      deliver on one slot — the precomputed tables' case.  The static
+      ready-before premise is replaced by the dynamic ``u > prev_now``
+      so the walk stays valid after busy events (``prev_now`` remains
+      integer-valued, so the ceil decoupling argument of
+      :meth:`FlatLane._prepare_sprint` is unchanged).
+    * a *busy* arrival (``u <= prev_now``: it landed during the
+      predecessor's transmission and is due the instant the lane is
+      ready): the inlined single-success epoch, exactly
+      :meth:`FlatLane.advance_round`'s ``succ_epoch`` path.  Its window
+      preconditions are static under the sprint gate — the span is
+      ``prev_now − last_fr = m`` clamped to ``min(m, K)``, the measure
+      the gate already proved coverable — leaving only the dynamic
+      checks: it is the *only* due arrival, the horizon is not reached,
+      and the message is inside the clamped window (``u >= lo``, which
+      also makes the element-4 cut a no-op).
+    """
+    ot = 0
+    lt = 0
+    nm = 0
+    idle_acc = 0.0
+    tx_acc = 0.0
+    while p < n:
+        u = arrl[p]
+        if u > prev_now:
+            if not iso[p]:
+                break
+            c = cl[p]
+            idle_acc += c - prev_now
+            tv = tl[p]
+            if u >= warmup:
+                wc += 1
+                d = tv - wt
+                wt += d / wc
+                d = tv - wp
+                wp += d / wc
+                if tv > sdl_f:
+                    lt += 1
+                else:
+                    ot += 1
+                nm += 1
+            tx_acc += m
+            last_fr = c
+            prev_now = c + m
+            p += 1
+        else:
+            if p + 1 < n and arrl[p + 1] <= prev_now:
+                break  # >= 2 due arrivals: the general epoch
+            if prev_now >= tot:
+                break  # the horizon check belongs to the rounds
+            pk = prev_now - kf
+            lo = last_fr if last_fr >= pk else pk
+            if u < lo:
+                break  # outside the clamped window: discard path
+            tv = prev_now - u
+            if u >= warmup:
+                wc += 1
+                d = tv - wt
+                wt += d / wc
+                d = tv - wp
+                wp += d / wc
+                if tv > sdl_f:
+                    lt += 1
+                else:
+                    ot += 1
+                nm += 1
+            tx_acc += m
+            last_fr = prev_now
+            prev_now = prev_now + m
+            p += 1
+    return p, prev_now, last_fr, idle_acc, tx_acc, wc, wt, wp, ot, lt, nm
+
+
+class FlatLane:
+    """One run: its arm scalars, backlog, RNG, and the per-round hot
+    state the round loop reads (plain Python floats/ints — at these
+    widths a scalar attribute update is far cheaper than a NumPy per-op
+    dispatch).
 
     ``pos_code`` is derived from the policy's position rule: 0 for
     oldest-first, 1 for newest-first, 2 for random placement.  The
     eligibility gate (:func:`repro.mac.kernels.compiled.compiled_eligible`)
     guarantees the rule is one of the three canonical classes before a
-    ``FlatLane`` is built.
+    ``FlatLane`` is built.  ``registry`` (when given) receives the run's
+    metrics at :meth:`finalize`.
     """
 
-    __slots__ = ("rng", "u_lo", "u_hi", "fr", "pos_code", "jit_walk",
-                 "arr_np", "ceil_np", "true_np", "iso_np")
+    __slots__ = (
+        "policy",
+        "traits",
+        "rng",
+        "m_slots",
+        "m_f",
+        "discard_deadline",
+        "k_f",
+        "score_deadline",
+        "sdl_f",
+        "true_definition",
+        "warmup",
+        "arr_t",
+        "arr_s",
+        "n_arrivals",
+        "total_time",
+        "ceil_t",
+        "true_t",
+        "iso",
+        "backlog_t",
+        "backlog_i",
+        "stuck_i",
+        "ob",
+        "registry",
+        # hot per-round state
+        "now",
+        "frontier",
+        "idle",
+        "coll",
+        "tx",
+        "wait",
+        "upcoming",
+        "const",
+        "covers",
+        "steady",
+        "entry_ok",
+        "vec",
+        "wcount",
+        "wtrue",
+        "wpaper",
+        "on_time",
+        "late",
+        "disc",
+        "n_meas",
+        "ptr",
+        # flat controller state (GEN mode)
+        "u_lo",
+        "u_hi",
+        "fr",
+        "pos_code",
+        # the jitted sprint walk and its NumPy views
+        "jit_walk",
+        "arr_np",
+        "ceil_np",
+        "true_np",
+        "iso_np",
+    )
 
-    def __init__(self, *args, pos_code: int = 0, jit_walk=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.rng = self.controller.rng
-        self.pos_code = pos_code
-        # The flat image of the controller state the superclass seeded:
-        # fresh (∅, 0) — valid for closed-form and exotic lanes alike.
+    def __init__(
+        self,
+        policy,
+        rng: np.random.Generator,
+        m_slots: int,
+        score_deadline: Optional[float],
+        loss_definition: str,
+        warmup: float,
+        total_time: float,
+        arr_t: List[float],
+        arr_s: List[int],
+        registry: Optional[MetricsRegistry] = None,
+        pos_code: int = 0,
+        jit_walk=None,
+    ):
+        self.policy = policy
+        traits = kernel_traits(policy)
+        self.traits = traits
+        # The generator that produced the arrival draws keeps driving
+        # the policy draws, in the same order as the reference loop.
+        self.rng = rng
+        self.m_slots = m_slots
+        self.m_f = float(m_slots)
+        self.discard_deadline = policy.discard_deadline
+        self.k_f = (
+            float(policy.discard_deadline)
+            if policy.discard_deadline is not None
+            else math.inf
+        )
+        self.score_deadline = score_deadline
+        self.sdl_f = float(score_deadline) if score_deadline is not None else math.inf
+        self.true_definition = loss_definition == "true"
+        self.warmup = float(warmup)
+
+        self.arr_t = arr_t
+        self.arr_s = arr_s
+        self.n_arrivals = len(arr_t)
+        self.total_time = float(total_time)
+        self.backlog_t: List[float] = []
+        self.backlog_i: List[int] = []
+        self.stuck_i: List[int] = []
+        self._prepare_sprint(self.total_time, traits)
+
+        self.registry = registry
+        self.ob = ObsBuffers() if registry is not None else None
+
+        # Seed the hot state.
+        self.now = 0.0
+        self.frontier = 0.0
+        self.idle = 0.0
+        self.coll = 0.0
+        self.tx = 0.0
+        self.wait = 0.0
+        self.upcoming = self.arr_t[0] if self.arr_t else math.inf
+        self.const = traits.const_length
+        self.covers = traits.covers_backlog
+        self.steady = traits.steady_skippable
+        self.entry_ok = traits.entry_discard_ok
+        # Lanes whose length rule has no closed form run GEN epochs from
+        # slot zero (the flat controller state starts at (∅, 0)).
+        self.vec = traits.closed_form
+        self.wcount = 0
+        self.wtrue = 0.0
+        self.wpaper = 0.0
+        self.on_time = 0
+        self.late = 0
+        self.disc = 0
+        self.n_meas = 0
+        self.ptr = 0
+
         self.u_lo: List[float] = []
         self.u_hi: List[float] = []
         self.fr = 0.0
+        self.pos_code = pos_code
         self.jit_walk = jit_walk
         if jit_walk is not None and self.iso is not None:
             self.arr_np = np.asarray(self.arr_t, dtype=np.float64)
@@ -178,24 +403,272 @@ class FlatLane(LaneState):
             self.true_np = None
             self.iso_np = None
 
-    # -- sprint hook ---------------------------------------------------------
+    def _observe(self, true_value: float, paper_value: float) -> None:
+        """One Welford update of both wait means (the reference
+        :class:`~repro.des.monitor.Tally` arithmetic)."""
+        count = self.wcount + 1
+        self.wcount = count
+        delta = true_value - self.wtrue
+        self.wtrue += delta / count
+        delta = paper_value - self.wpaper
+        self.wpaper += delta / count
 
-    def _sprint_walk(
-        self, arrl, cl, tl, iso, p, n, prev_now, last_fr, warmup, sdl_f, m,
-        kf, tot, wc, wt, wp,
-    ):
-        walk = self.jit_walk
-        if walk is None:
-            return LaneState._sprint_walk(
-                arrl, cl, tl, iso, p, n, prev_now, last_fr,
-                warmup, sdl_f, m, kf, tot, wc, wt, wp,
+    # -- steady-state sprint -------------------------------------------------
+
+    def _prepare_sprint(self, total_time: float, traits) -> None:
+        """Precompute the arrival-axis tables the sprint loop walks.
+
+        In the happy steady state every event is *jump to the next
+        arrival, deliver it on one slot*.  With an integer transmission
+        length the clock only ever advances by integers, and for an
+        integer-valued float ``prev`` with ``0 <= prev <= u`` the
+        subtraction ``u - prev`` is exact (the difference's bits span at
+        most 53 positions), so the kernel's ``prev + ceil(u - prev)``
+        equals ``ceil(u)`` *bitwise* — the jump recurrence decouples and
+        every landing instant, wait value, and isolation predicate can
+        be precomputed on the arrival axis in one NumPy pass.  Arrival
+        ``p`` is *isolated* when the lane was ready before it
+        (``u_p > ceil(u_{p-1}) + m``), it is alone in its landing slot
+        (``u_{p+1} > ceil(u_p)``), and the landing is inside the
+        horizon.  The window checks reduce to per-lane constants: the
+        pre-jump span is ``min(m, K)`` and the landing span exactly
+        ``1.0`` (the clamp ``max(c-1, c-K)`` returns the representable
+        bound ``c-1`` for any ``K >= 1``), so coverability folds into
+        the one-time gate below.  Lanes with fractional transmission
+        lengths or awkward sub-``m`` fractional deadlines simply skip
+        the sprint and stay on the phased rounds.
+        """
+        m_f = float(self.m_slots)
+        kk = self.discard_deadline
+        axis = (
+            traits.closed_form
+            and traits.steady_skippable
+            and traits.entry_discard_ok
+            and self.n_arrivals > 0
+            and m_f.is_integer()
+            and (
+                kk is None
+                or kk >= m_f
+                or (kk >= 1.0 and float(kk).is_integer())
             )
-        return walk(
-            self.arr_np, self.ceil_np, self.true_np, self.iso_np,
-            p, n, prev_now, last_fr, warmup, sdl_f, m, kf, tot, wc, wt, wp,
         )
+        if axis:
+            meas_jump = m_f if (kk is None or kk >= m_f) else float(kk)
+            covers = traits.covers_backlog
+            const = traits.const_length
+            axis = (covers or (const is not None and const >= meas_jump)) and (
+                covers or (const is not None and const >= 1.0)
+            )
+        if not axis:
+            self.ceil_t = None
+            self.true_t = None
+            self.iso = None
+            return
+        arr = np.asarray(self.arr_t, dtype=np.float64)
+        c = np.ceil(arr)
+        self.ceil_t = c.tolist()
+        self.true_t = (c - arr).tolist()
+        n = self.n_arrivals
+        iso = np.empty(n, dtype=bool)
+        iso[0] = False  # the run's first event is validated dynamically
+        if n > 1:
+            iso[1:] = arr[1:] > c[:-1] + m_f  # lane ready before arrival
+            iso[:-1] &= arr[1:] > c[:-1]  # alone in its landing slot
+        iso &= c < total_time  # landing inside the horizon
+        self.iso = iso.tolist()
 
-    # -- flat controller state ----------------------------------------------
+    def sprint(self) -> None:
+        """Drain this lane's run of isolated arrivals.
+
+        The caller (:meth:`advance_round`) has already established the
+        jump preconditions — VEC mode, empty backlog, positive-measure
+        coverable window — so this validates only the parts of the
+        first jump+success pair the precomputed tables cannot know
+        (any failed condition defers the lane, untouched, to the
+        phased round), then walks the precomputed isolation mask:
+        per event only the Welford updates are inherently sequential.
+        Every accumulator update is an exact integer-valued float sum,
+        so batching them locally and storing once is bit-identical to
+        the per-event stores.
+        """
+        iso = self.iso
+        if iso is None:
+            return
+        arrl = self.arr_t
+        n = self.n_arrivals
+        p = self.ptr
+        if p >= n:
+            return
+        now = self.now
+        u = arrl[p]
+        if u <= now:
+            return  # due arrival: the phased ingest must run first
+        tot = self.total_time
+        kf = self.k_f
+        covers = self.covers
+        const = self.const
+        stop = u if u < tot else tot
+        sk0 = math.ceil(stop - now)
+        new_now = now + sk0
+        if new_now >= tot:
+            return  # dying jump: the phased round applies it
+        nxt = arrl[p + 1] if p + 1 < n else math.inf
+        if nxt <= new_now:
+            return  # arrival cluster at the landing slot
+        new_fr = new_now - 1.0
+        lo2 = max(new_fr, new_now - kf)
+        meas2 = new_now - lo2
+        if not (
+            meas2 > _EPS
+            and (covers or (const is not None and const >= meas2))
+            and u >= lo2
+        ):
+            return
+        warmup = self.warmup
+        sdl_f = self.sdl_f
+        m = self.m_f
+        cl = self.ceil_t
+        tl = self.true_t
+        ob = self.ob
+        wc = self.wcount
+        wt = self.wtrue
+        wp = self.wpaper
+        ot = 0
+        lt = 0
+        nm = 0
+        idle_acc = 0.0
+        tx_acc = 0.0
+        # The entry event (dynamic state; new_now == ceil(u) by the
+        # decoupling argument, keeping the iso mask's premises true).
+        idle_acc += sk0
+        tv = new_now - u
+        # tx and process start coincide at the epoch instant and
+        # tv >= 0, so both loss definitions observe the same value.
+        if u >= warmup:
+            wc += 1
+            d = tv - wt
+            wt += d / wc
+            d = tv - wp
+            wp += d / wc
+            if tv > sdl_f:
+                lt += 1
+            else:
+                ot += 1
+            nm += 1
+        tx_acc += m
+        if ob is not None:
+            ob.ff_skips.append(sk0)
+            ob.epochs += 1
+            ob.backlog_sizes.append(1)
+            ob.window_sizes.append(meas2)
+        last_fr = new_now
+        prev_now = new_now + m
+        p += 1
+        if ob is None:
+            # The tight loop, with the instrumentation branch hoisted
+            # out entirely — this is where compiled runs spend their time.
+            walk = self.jit_walk
+            if walk is None:
+                out = sprint_walk(
+                    arrl, cl, tl, iso, p, n, prev_now, last_fr,
+                    warmup, sdl_f, m, kf, tot, wc, wt, wp,
+                )
+            else:
+                out = walk(
+                    self.arr_np, self.ceil_np, self.true_np, self.iso_np,
+                    p, n, prev_now, last_fr, warmup, sdl_f, m, kf, tot,
+                    wc, wt, wp,
+                )
+            p, prev_now, last_fr, idle_d, tx_d, wc, wt, wp, ot_d, lt_d, nm_d = out
+            idle_acc += idle_d
+            tx_acc += tx_d
+            ot += ot_d
+            lt += lt_d
+            nm += nm_d
+        else:
+            while p < n and iso[p]:
+                u = arrl[p]
+                c = cl[p]
+                skf = c - prev_now
+                idle_acc += skf
+                tv = tl[p]
+                if u >= warmup:
+                    wc += 1
+                    d = tv - wt
+                    wt += d / wc
+                    d = tv - wp
+                    wp += d / wc
+                    if tv > sdl_f:
+                        lt += 1
+                    else:
+                        ot += 1
+                    nm += 1
+                tx_acc += m
+                ob.ff_skips.append(int(skf))
+                ob.epochs += 1
+                ob.backlog_sizes.append(1)
+                ob.window_sizes.append(1.0)
+                last_fr = c
+                prev_now = c + m
+                p += 1
+        self.now = prev_now
+        self.frontier = last_fr
+        self.ptr = p
+        self.upcoming = arrl[p] if p < n else math.inf
+        self.idle += idle_acc
+        self.tx += tx_acc
+        self.wcount = wc
+        self.wtrue = wt
+        self.wpaper = wp
+        if ot:
+            self.on_time += ot
+        if lt:
+            self.late += lt
+        if nm:
+            self.n_meas += nm
+
+    # -- scalar helpers (the uncommon paths) --------------------------------
+
+    def ingest(self, now_f: float) -> None:
+        arr_t = self.arr_t
+        n = self.n_arrivals
+        p = self.ptr
+        backlog_t = self.backlog_t
+        backlog_i = self.backlog_i
+        warmup = self.warmup
+        measured = 0
+        while p < n and arr_t[p] <= now_f:
+            t = arr_t[p]
+            backlog_t.append(t)
+            backlog_i.append(p)
+            if t >= warmup:
+                measured += 1
+            p += 1
+        self.ptr = p
+        if measured:
+            self.n_meas += measured
+        self.upcoming = arr_t[p] if p < n else math.inf
+
+    def _cut(self, now_f: float) -> None:
+        """Element-4 discard of over-age backlog (the reference epoch's
+        backlog cut after ``begin_process``)."""
+        deadline = self.discard_deadline
+        if deadline is None:
+            return
+        backlog_t = self.backlog_t
+        cut = bisect_left(backlog_t, now_f - deadline)
+        if cut:
+            backlog_i = self.backlog_i
+            arr_t = self.arr_t
+            warmup = self.warmup
+            dropped = 0
+            for index in backlog_i[:cut]:
+                if arr_t[index] >= warmup:
+                    dropped += 1
+            if dropped:
+                self.disc += dropped
+            del backlog_t[:cut]
+            del backlog_i[:cut]
 
     def _materialize(self, frontier: float) -> None:
         """Enter GEN mode at the closed-form state (∅, F), flat columns."""
@@ -203,6 +676,80 @@ class FlatLane(LaneState):
         del self.u_hi[:]
         self.fr = frontier
         self.vec = False
+
+    def vec_epoch(self, now_f: float) -> None:
+        """One decision epoch from the closed-form state (∅, F).
+
+        Replicates the reference epoch's float arithmetic exactly:
+        the clamp is ``max``, the measure one subtraction (the same op
+        ``IntervalSet.measure`` performs on a single interval), and a
+        whole-window selection returns the interval verbatim with no
+        RNG draw for any position rule.
+        """
+        frontier = self.frontier
+        deadline = self.discard_deadline
+        if deadline is None:
+            lo = frontier
+        else:
+            horizon = now_f - deadline
+            lo = horizon if frontier < horizon else frontier
+        meas = now_f - lo
+        ob = self.ob
+        if ob is not None:
+            ob.epochs += 1
+            ob.backlog_sizes.append(len(self.backlog_t))
+        if meas <= _EPS:
+            # begin_process would return None (measure zero ⇔ now == F,
+            # so advance_time was a no-op and the set stays empty); the
+            # element-4 cut still runs before the None branch.
+            self._cut(now_f)
+            self.wait += 1.0
+            self.now = now_f + 1.0
+            return
+        if not (
+            self.covers or (self.const is not None and self.const >= meas)
+        ):
+            # Window shorter than the span: the real split machinery.
+            self._materialize(frontier)
+            self._gen_epoch(now_f)
+            return
+        # The window is the whole span [lo, now); membership is t >= lo.
+        # The cut removes t < now−K ≤ lo only, so the in-window count is
+        # cut-invariant and can gate the closed form before any mutation.
+        backlog_t = self.backlog_t
+        n_in = len(backlog_t) - bisect_left(backlog_t, lo)
+        if n_in >= 2:
+            self._materialize(frontier)
+            self._gen_epoch(now_f)
+            return
+        self._cut(now_f)
+        if ob is not None:
+            ob.window_sizes.append(meas)
+        if n_in == 0:
+            # One full-window idle examination resolves everything.
+            self.idle += 1.0
+            self.frontier = now_f
+            self.now = now_f + 1.0
+            return
+        # Exactly one in-window message: SUCCESS on the first slot.
+        pos = len(backlog_t) - 1  # in-window ⇒ newest of the sorted backlog
+        t0 = backlog_t[pos]
+        del backlog_t[pos]
+        del self.backlog_i[pos]
+        m = self.m_slots
+        self.tx += m
+        self.frontier = now_f
+        self.now = now_f + m
+        true_value = now_f - t0
+        paper_value = max(0.0, now_f - t0)
+        wait = true_value if self.true_definition else paper_value
+        sdl = self.score_deadline
+        if t0 >= self.warmup:
+            if sdl is not None and wait > sdl:
+                self.late += 1
+            else:
+                self.on_time += 1
+            self._observe(true_value, paper_value)
 
     def gen_step(self, now_f: float) -> None:
         """One post-ingest iteration: flat fast-forward, else flat epoch."""
@@ -252,6 +799,123 @@ class FlatLane(LaneState):
             ob.backlog_sizes.append(len(self.backlog_t))
         self._gen_epoch(now_f)
 
+    def succ_epoch(self, now_f: float, meas: float) -> None:
+        """Single-message SUCCESS epoch, the steady state of the rounds.
+
+        Same arithmetic as :meth:`vec_epoch`'s one-in-window branch with
+        the preconditions (VEC, backlog of exactly one in-window
+        message, full-cover window, head not over-age so the element-4
+        cut is a no-op) already established by the caller.
+        """
+        backlog_t = self.backlog_t
+        t0 = backlog_t[0]
+        true_value = now_f - t0
+        m = self.m_f
+        self.tx += m
+        self.frontier = now_f
+        self.now = now_f + m
+        if t0 >= self.warmup:
+            wc = self.wcount + 1
+            self.wcount = wc
+            delta = true_value - self.wtrue
+            self.wtrue += delta / wc
+            paper_value = max(0.0, true_value)
+            delta = paper_value - self.wpaper
+            self.wpaper += delta / wc
+            if true_value > self.sdl_f:
+                self.late += 1
+            else:
+                self.on_time += 1
+        backlog_t.clear()
+        self.backlog_i.clear()
+        ob = self.ob
+        if ob is not None:
+            ob.epochs += 1
+            ob.backlog_sizes.append(1)
+            ob.window_sizes.append(meas)
+
+    def advance_round(self) -> bool:
+        """One fused round of this lane; returns whether it stays live.
+
+        Executes, in order: ingest of due arrivals; a steady-state
+        sprint when eligible (zero or more jump+success events drained,
+        see :meth:`sprint`); the idle fast-forward jump; a second ingest
+        if the jump landed on an arrival; then one decision epoch (the
+        inlined single-success form when its preconditions hold, else
+        the VEC/GEN dispatch).  That is one or more iterations of the
+        reference loop, never reordered.
+        """
+        now = self.now
+        tot = self.total_time
+        if self.upcoming <= now:
+            self.ingest(now)
+
+        # -- steady-state sprint + idle fast-forward jump ----------------
+        if self.vec and not self.backlog_t and self.entry_ok:
+            lo = max(self.frontier, now - self.k_f)
+            meas = now - lo
+            jump = meas > _EPS and (
+                self.covers or (self.const is not None and self.const >= meas)
+            )
+            if jump and self.steady:
+                self.sprint()
+                now = self.now
+                if now >= tot:
+                    return False
+                # Sprint exits may have landed on (or past) due arrivals.
+                if self.upcoming <= now:
+                    self.ingest(now)
+                if self.vec and not self.backlog_t and self.entry_ok:
+                    lo = max(self.frontier, now - self.k_f)
+                    meas = now - lo
+                    jump = meas > _EPS and (
+                        self.covers
+                        or (self.const is not None and self.const >= meas)
+                    )
+                else:
+                    jump = False
+            if jump:
+                # Closed form of try_fast_forward: clamp, measure,
+                # full-window test, ceil to the next arrival — identical
+                # arithmetic, no controller objects touched.
+                stop = min(self.upcoming, tot)
+                skipped = math.ceil(stop - now) if self.steady else 1.0
+                new_now = now + skipped
+                self.idle += skipped
+                self.frontier = new_now - 1.0
+                self.now = new_now
+                if self.ob is not None:
+                    self.ob.ff_skips.append(int(skipped))
+                now = new_now
+                # A jump lands at (or past) the next arrival: ingest it
+                # and fall through to this round's epoch, fusing the two
+                # sequential iterations into one pass.
+                if now < tot and self.upcoming <= now:
+                    self.ingest(now)
+
+        # -- decision epoch ----------------------------------------------
+        if now >= tot:
+            return False
+        # Inlined single-message SUCCESS epoch: VEC lane, backlog of
+        # exactly one in-window message, full-cover window.  This is the
+        # steady state at the paper's operating points.
+        backlog_t = self.backlog_t
+        if self.vec and len(backlog_t) == 1:
+            lo = max(self.frontier, now - self.k_f)
+            meas = now - lo
+            if (
+                meas > _EPS
+                and (self.covers or (self.const is not None and self.const >= meas))
+                and backlog_t[0] >= lo
+            ):
+                self.succ_epoch(now, meas)
+                return self.now < tot
+        if self.vec:
+            self.vec_epoch(now)
+        else:
+            self.gen_step(now)
+        return self.now < tot
+
     # -- the flat decision epoch ---------------------------------------------
 
     def _select(self, length: float, meas: float) -> List[Tuple[float, float]]:
@@ -283,11 +947,11 @@ class FlatLane(LaneState):
     def _gen_epoch(self, now_f: float) -> None:
         """One decision epoch, flat: begin + resolve + score, no objects.
 
-        The call sequence is ``begin_process`` (advance, discard,
-        measure, length, select), the element-4 backlog cut, then the
-        windowing state machine of ``execute_epoch`` /
-        :class:`~repro.core.window.WindowingProcess` with resolved spans
-        subtracted eagerly, and finally the verbatim scoring epilogue.
+        The call sequence is the reference epoch's: ``begin_process``
+        (advance, discard, measure, length, select), the element-4
+        backlog cut, then the :class:`~repro.core.window.WindowingProcess`
+        state machine with resolved spans subtracted eagerly, and finally
+        the scoring of the transmitted message.
         """
         u_lo = self.u_lo
         u_hi = self.u_hi
@@ -321,7 +985,7 @@ class FlatLane(LaneState):
             if wmeas <= _EPS:  # Span.is_empty
                 cur = None
 
-        # -- element-4 backlog cut (after begin, exactly as execute_epoch) --
+        # -- element-4 backlog cut (after begin, as the reference epoch) --
         self._cut(now)
 
         if cur is None:
@@ -407,6 +1071,9 @@ class FlatLane(LaneState):
                 transmitted = snap_i[first]
                 tx_instant = now
                 if deadline is None:
+                    # Same-station messages sharing the success span are
+                    # stranded: the span is resolved but they are not
+                    # transmitted, and no later window can enable them.
                     for lo, hi in cur:
                         left = bisect_left(snap_t, lo)
                         right = bisect_right(snap_t, hi)
@@ -419,12 +1086,8 @@ class FlatLane(LaneState):
                     _iv_subtract(u_lo, u_hi, lo, hi)
                 break
 
-        # -- scoring epilogue (verbatim from execute_epoch) ------------------
-        ctx = self.ctx
+        # -- scoring ---------------------------------------------------------
         arr_t = self.arr_t
-        warmup = self.warmup
-        on_time_d = 0
-        late_d = 0
         if transmitted >= 0:
             arrival = arr_t[transmitted]
             position = bisect_left(backlog_t, arrival)
@@ -440,29 +1103,21 @@ class FlatLane(LaneState):
                 del backlog_t[position]
                 del backlog_i[position]
                 stuck_i.append(index)
-            ctx.tx_start[transmitted] = tx_instant
-            ctx.process_start_of[transmitted] = process_start
             true_value = tx_instant - arrival
             paper_value = max(0.0, process_start - arrival)
-            wait = true_value if ctx.true_definition else paper_value
+            wait = true_value if self.true_definition else paper_value
             sdl = self.score_deadline
-            late = sdl is not None and wait > sdl
-            ctx.fate[transmitted] = LATE if late else ON_TIME
-            if arrival >= warmup:
-                if late:
-                    late_d += 1
+            if arrival >= self.warmup:
+                if sdl is not None and wait > sdl:
+                    self.late += 1
                 else:
-                    on_time_d += 1
-                ctx.waits.observe(true_value, paper_value)
+                    self.on_time += 1
+                self._observe(true_value, paper_value)
 
         self.idle += idle_d
         self.coll += collision_d
         self.tx += transmission_d
         self.now = now
-        if on_time_d:
-            self.on_time += on_time_d
-        if late_d:
-            self.late += late_d
         if self.traits.closed_form and not u_lo:
             self.vec = True
             self.frontier = self.fr
@@ -484,3 +1139,32 @@ class FlatLane(LaneState):
         order = examination_order(split, len(parts), rng)
         ordered = [parts[i].pieces for i in order]
         return ordered[0], ordered[1:], depth
+
+    def finalize(self) -> MACSimResult:
+        arr_t = self.arr_t
+        warmup = self.warmup
+        unresolved_count = sum(
+            1 for index in self.backlog_i if arr_t[index] >= warmup
+        ) + sum(1 for index in self.stuck_i if arr_t[index] >= warmup)
+        stats = ChannelStats(
+            idle_slots=float(self.idle),
+            collision_slots=float(self.coll),
+            transmission_slots=float(self.tx),
+            wait_slots=float(self.wait),
+        )
+        wcount = self.wcount
+        result = MACSimResult(
+            arrivals=int(self.n_meas),
+            delivered_on_time=int(self.on_time),
+            delivered_late=int(self.late),
+            discarded=int(self.disc),
+            unresolved=unresolved_count,
+            mean_true_wait=float(self.wtrue) if wcount else math.nan,
+            mean_paper_wait=float(self.wpaper) if wcount else math.nan,
+            channel=stats,
+            deadline=self.score_deadline,
+        )
+        if self.registry is not None:
+            self.ob.flush(self.registry)
+            flush_result_metrics(self.registry, result)
+        return result

@@ -1,24 +1,22 @@
-"""Fault application lifted into the fast-kernel primitives.
+"""The faulted kernel: feedback-fault runs at kernel speed.
 
-Runs carrying a :class:`~repro.faults.feedback.FeedbackFaultModel` used
-to be a concept this package had no answer for: any fault meant the
-compiled→fast→reference downgrade chain bottomed out at the slow loop.
-Common-mode feedback errors, however, leave the network with a *single*
-shared protocol state — exactly the structure the fast kernel's
+Common-mode feedback errors (a
+:class:`~repro.faults.feedback.FeedbackFaultModel`) leave the network
+with a *single* shared protocol state — exactly the structure
 struct-of-arrays bookkeeping models — so this module executes them at
-kernel speed.
+kernel speed instead of on the reference loop.
 
-:func:`execute_epoch_faulted` is the faulted sibling of
-:func:`~repro.mac.kernels.primitives.execute_epoch`: one decision epoch
-with the same controller call sequence, plus per-slot fault
+:func:`execute_epoch_faulted` runs one decision epoch with the
+reference loop's controller call sequence, plus per-slot fault
 application — jam bursts force COLLISION, the observation rule corrupts
 the symbol the windowing process sees, dispositions (delivery, faded
 frame, phantom capture dequeue) act on the struct-of-arrays backlog,
 and the divergence abort stops idle descents at ``max_split_depth``
 under the selected recovery policy.
 
-:func:`run_fast_faulted` wraps it into a full run, mirroring
-:func:`~repro.mac.fastpath.run_fast` with two deliberate differences:
+:func:`run_fast_faulted` wraps it into a full run over a
+struct-of-arrays backlog, with two deliberate differences from the
+faulted reference loop's bookkeeping:
 
 * **fault-aware idle fast-forward** — an idle examination slot consumes
   exactly one fault-stream uniform under misdetection noise, and only
@@ -43,7 +41,7 @@ equal the faulted reference loop's
 field for field — enforced by ``tests/mac/test_faulted_parity.py``.
 Epoch-granularity histograms (``mac.epochs``, ``mac.backlog.size``,
 ``mac.window.size``) cover *executed* epochs only, exactly as on the
-fault-free fast path: fast-forwarded idle examinations are accounted
+compiled engine: fast-forwarded idle examinations are accounted
 under ``mac.fastforward.*`` instead, so those names — and only those —
 legitimately differ from the reference loop when the noise-only
 fast-forward fires.
@@ -173,11 +171,10 @@ def drop_station_backlog(
 def execute_epoch_faulted(ctx: EpochContext, state: FeedbackFaultState, now: float):
     """One fault-injected decision epoch.
 
-    Same controller call sequence as
-    :func:`~repro.mac.kernels.primitives.execute_epoch`, with fault
-    application at every examination slot.  Returns the 8-tuple of the
-    clean executor extended with a ninth element: ``(now, idle,
-    collision, transmission, wait, on_time, late, discarded, lost)``.
+    The reference epoch's controller call sequence with fault
+    application at every examination slot.  Returns ``(now, idle,
+    collision, transmission, wait, on_time, late, discarded, lost)``:
+    the advanced clock plus this epoch's deltas.
     """
     controller = ctx.controller
     backlog_t = ctx.backlog_t
@@ -583,7 +580,7 @@ def execute_phantom_epoch(ctx: EpochContext, state: FeedbackFaultState, now: flo
 def run_fast_faulted(
     sim: "WindowMACSimulator", total_time: float, warmup_slots: float
 ) -> "MACSimResult":
-    """Run the fast kernel under a feedback fault model.
+    """Run the faulted kernel.
 
     Same contract as ``_run_shared_faulted`` (the faulted reference
     loop), bit for bit — results, telemetry and metrics registry.
@@ -663,7 +660,6 @@ def run_fast_faulted(
         arr_s,
         backlog_t,
         backlog_i,
-        [],  # stuck_i: unused — faulted runs never strand companions
         fate,
         tx_start,
         process_start_of,
@@ -760,7 +756,7 @@ def run_fast_faulted(
         )
         require(
             accounted == n_measured,
-            f"message conservation violated (faulted fast path): "
+            f"message conservation violated (faulted kernel): "
             f"{n_measured} measured arrivals but {accounted} accounted for",
         )
 

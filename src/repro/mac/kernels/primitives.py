@@ -1,12 +1,13 @@
-"""Shared protocol primitives consumed by every simulation kernel.
+"""Shared protocol primitives of the fast simulation kernels.
 
-The decision-epoch body, the idle fast-forward shortcut, the policy
-trait derivation, the wait/instrumentation accumulators and the fate
-codes all live here — one implementation, four consumers (reference
-loop, fast kernel, batched lanes, compiled backend).  The split rules of
-policy element 3 are re-exported from :mod:`repro.core.splits`, where
-the reference :class:`~repro.core.window.WindowingProcess` takes them
-from as well, so no kernel carries private split logic.
+The policy trait derivation, the idle fast-forward shortcut, the
+wait/instrumentation accumulators, the per-run epoch context and the
+fate codes live here — one implementation for the compiled engine
+(:mod:`repro.mac.kernels.engine`) and the faulted kernel
+(:mod:`repro.mac.kernels.faults`).  The split rules of policy element 3
+live in :mod:`repro.core.splits`, where the reference
+:class:`~repro.core.window.WindowingProcess` takes them from as well,
+so no kernel carries private split logic.
 
 Everything in this module is bound by the bit-parity contract: any
 kernel built from these primitives must reproduce the reference loop's
@@ -17,15 +18,12 @@ arithmetic on every recorded quantity.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from ...core.splits import examination_order, split_parts
 from ...core.timeline import IntervalSet
-from ...core.window import ChannelFeedback
 from ...resilience.invariants import require
 from ..messages import MessageFate
 
@@ -46,10 +44,7 @@ __all__ = [
     "WaitStats",
     "ObsBuffers",
     "EpochContext",
-    "execute_epoch",
     "try_fast_forward",
-    "split_parts",
-    "examination_order",
 ]
 
 # Integer fate codes of the struct-of-arrays bookkeeping.
@@ -72,9 +67,8 @@ FATE_OF_CODE = {
 class KernelTraits:
     """Shortcut eligibility of a control policy, derived once per run.
 
-    These are exactly the tests the fast kernel used to perform inline;
-    they are shared across kernels so all agree — by construction — on
-    when a closed-form step is legal.
+    Shared across kernels so all agree — by construction — on when a
+    closed-form step is legal.
     """
 
     #: Policy element 2 is :class:`~repro.core.policy.FullBacklogLength`:
@@ -94,8 +88,8 @@ class KernelTraits:
     def closed_form(self) -> bool:
         """Whether the window length is computable without the policy object.
 
-        The batched kernel's vectorised lanes require this; exotic
-        length rules fall back to stepping the real controller.
+        The compiled engine's VEC mode requires this; exotic length
+        rules run every epoch on its flat GEN path.
         """
         return self.covers_backlog or self.const_length is not None
 
@@ -246,11 +240,10 @@ def try_fast_forward(
 
 
 class EpochContext:
-    """Run-constant state threaded through :func:`execute_epoch`.
+    """Run-constant state threaded through the faulted kernel's epochs.
 
-    One instance per run (or per batched lane); the epoch helper reads
-    everything through it so the sequential, batched and compiled
-    kernels share the same epoch code verbatim.
+    One instance per run; the epoch helpers of
+    :mod:`repro.mac.kernels.faults` read everything through it.
     """
 
     __slots__ = (
@@ -264,7 +257,6 @@ class EpochContext:
         "arr_s",
         "backlog_t",
         "backlog_i",
-        "stuck_i",
         "fate",
         "tx_start",
         "process_start_of",
@@ -284,7 +276,6 @@ class EpochContext:
         arr_s: List[int],
         backlog_t: List[float],
         backlog_i: List[int],
-        stuck_i: List[int],
         fate: np.ndarray,
         tx_start: np.ndarray,
         process_start_of: np.ndarray,
@@ -301,159 +292,8 @@ class EpochContext:
         self.arr_s = arr_s
         self.backlog_t = backlog_t
         self.backlog_i = backlog_i
-        self.stuck_i = stuck_i
         self.fate = fate
         self.tx_start = tx_start
         self.process_start_of = process_start_of
         self.waits = waits
         self.obs = obs
-
-
-def execute_epoch(ctx: EpochContext, now: float):
-    """One reference decision epoch (same call sequence as the slow path).
-
-    Returns ``(now, idle, collision, transmission, wait, on_time, late,
-    discarded)``: the advanced clock plus this epoch's deltas.  All slot
-    deltas are integral-valued floats and all count deltas are ints, so
-    the caller's accumulation is bit-exact regardless of how epochs are
-    grouped — the property the batched kernel relies on.
-    """
-    controller = ctx.controller
-    backlog_t = ctx.backlog_t
-    backlog_i = ctx.backlog_i
-    arr_t = ctx.arr_t
-    warmup_slots = ctx.warmup_slots
-    fate = ctx.fate
-    discard_deadline = ctx.discard_deadline
-
-    idle_d = 0.0
-    collision_d = 0.0
-    transmission_d = 0.0
-    discarded_d = 0
-
-    process = controller.begin_process(now)
-    if discard_deadline is not None:
-        horizon = now - discard_deadline
-        cut = bisect_left(backlog_t, horizon)
-        if cut:
-            for index in backlog_i[:cut]:
-                fate[index] = DISCARDED
-                if arr_t[index] >= warmup_slots:
-                    discarded_d += 1
-            del backlog_t[:cut]
-            del backlog_i[:cut]
-
-    if process is None:
-        return (now + 1.0, 0.0, 0.0, 0.0, 1.0, 0, 0, discarded_d)
-
-    process_start = now
-    if ctx.obs is not None:
-        ctx.obs.window_sizes.append(process.current_span.measure)
-    # Per-process arrival bins: snapshot the initial window's messages
-    # once; the backlog cannot change until the process completes.
-    snap_t: List[float] = []
-    snap_s: List[int] = []
-    snap_i: List[int] = []
-    arr_s = ctx.arr_s
-    for lo, hi in process.current_span.pieces:
-        left = bisect_left(backlog_t, lo)
-        right = bisect_right(backlog_t, hi)
-        for k in range(left, right):
-            snap_t.append(backlog_t[k])
-            index = backlog_i[k]
-            snap_s.append(arr_s[index])
-            snap_i.append(index)
-
-    m_slots = ctx.m_slots
-    transmitted = -1
-    tx_instant = 0.0
-    stranded: List[int] = []
-    while not process.done:
-        # Resolve one slot against the snapshot: distinct enabled
-        # stations decide idle/success/collision, exactly like
-        # StationRegistry.enabled_stations on the live backlog.
-        first = -1
-        first_station = -1
-        collided = False
-        for lo, hi in process.current_span.pieces:
-            left = bisect_left(snap_t, lo)
-            right = bisect_right(snap_t, hi)
-            for k in range(left, right):
-                if first < 0:
-                    first = k
-                    first_station = snap_s[k]
-                elif snap_s[k] != first_station:
-                    collided = True
-                    break
-            if collided:
-                break
-        if first < 0:
-            now += 1.0
-            idle_d += 1.0
-            process.on_feedback(ChannelFeedback.IDLE)
-        elif collided:
-            now += 1.0
-            collision_d += 1.0
-            process.on_feedback(ChannelFeedback.COLLISION)
-        else:
-            # Single enabled station: it transmits its oldest message
-            # inside the span — the first snapshot entry, since the
-            # snapshot is arrival-ordered.
-            transmitted = snap_i[first]
-            tx_instant = now
-            if discard_deadline is None:
-                # Same-station messages sharing the success span are
-                # stranded: the span is resolved but they are not
-                # transmitted (see stuck_i in run_fast).
-                for lo, hi in process.current_span.pieces:
-                    left = bisect_left(snap_t, lo)
-                    right = bisect_right(snap_t, hi)
-                    for k in range(left, right):
-                        if k != first:
-                            stranded.append(snap_i[k])
-            now += m_slots
-            transmission_d += m_slots
-            process.on_feedback(ChannelFeedback.SUCCESS)
-    controller.complete_process(process)
-
-    on_time_d = 0
-    late_d = 0
-    if transmitted >= 0:
-        arrival = arr_t[transmitted]
-        position = bisect_left(backlog_t, arrival)
-        while backlog_i[position] != transmitted:
-            position += 1
-        del backlog_t[position]
-        del backlog_i[position]
-        stuck_i = ctx.stuck_i
-        for index in stranded:
-            position = bisect_left(backlog_t, arr_t[index])
-            while backlog_i[position] != index:
-                position += 1
-            del backlog_t[position]
-            del backlog_i[position]
-            stuck_i.append(index)
-        ctx.tx_start[transmitted] = tx_instant
-        ctx.process_start_of[transmitted] = process_start
-        true_value = tx_instant - arrival
-        paper_value = max(0.0, process_start - arrival)
-        wait = true_value if ctx.true_definition else paper_value
-        late = ctx.score_deadline is not None and wait > ctx.score_deadline
-        fate[transmitted] = LATE if late else ON_TIME
-        if arrival >= warmup_slots:
-            if late:
-                late_d += 1
-            else:
-                on_time_d += 1
-            ctx.waits.observe(true_value, paper_value)
-
-    return (
-        now,
-        idle_d,
-        collision_d,
-        transmission_d,
-        0.0,
-        on_time_d,
-        late_d,
-        discarded_d,
-    )

@@ -38,7 +38,6 @@ from ..faults import (
 )
 from ..obs.metrics import MetricsRegistry
 from ..resilience.invariants import invariants_enabled, require
-from . import fastpath
 from .channel import ChannelStats, SlottedChannel
 from .messages import Message, MessageFate
 from .station import StationRegistry
@@ -54,14 +53,14 @@ __all__ = [
 #: given, keeping fault draws independent of the traffic sample path.
 _FAULT_STREAM_KEY = 0xFA17
 
-#: Valid values of the ``backend`` selector (``None`` ≡ ``"auto"``).
-_BACKENDS = ("auto", "reference", "fast", "compiled")
+#: Valid values of the ``backend`` selector.
+BACKENDS = ("compiled", "reference")
 
 logger = logging.getLogger(__name__)
 
-#: Backend downgrades already logged, keyed by (requested backend, gate,
-#: arm parameters).  Module-level so a sweep re-running the same arm
-#: hundreds of times produces one notice, not hundreds; the per-run
+#: Backend downgrades already logged, keyed by arm parameters.
+#: Module-level so a sweep re-running the same arm hundreds of times
+#: produces one notice, not hundreds; the per-run
 #: ``kernel.fallbacks`` metric keeps the exact count.
 _FALLBACK_NOTICES: set = set()
 
@@ -157,8 +156,8 @@ def flush_result_metrics(metrics: MetricsRegistry, result: MACSimResult) -> None
     metrics view of channel usage agrees *exactly* with
     :meth:`ChannelStats.breakdown` — the parity test in
     ``tests/mac/test_obs_parity.py`` holds all three accountings (the
-    reference loop, the fast kernel, and these counters) to identical
-    values.  Shared by every simulation path, including the fast kernel.
+    reference loop, the compiled engine, and these counters) to
+    identical values.  Shared by every simulation path.
     """
     metrics.inc("mac.runs")
     stats = result.channel
@@ -178,7 +177,7 @@ def flush_fault_metrics(metrics: MetricsRegistry, telemetry: FaultTelemetry) -> 
     """Record one faulted run's fault-layer activity into ``metrics``.
 
     Shared by every fault-driven path — the feedback-faulted reference
-    loop, the faulted fast kernel and the replica bank — so the
+    loop, the faulted kernel and the replica bank — so the
     ``faults.*`` counters are backend-independent (part of the registry
     parity contract).  The replicated path skips it for a null model,
     keeping null-replica runs registry-identical to shared runs.
@@ -223,23 +222,17 @@ class WindowMACSimulator:
     loss_definition:
         ``"true"`` (the paper's simulation convention, default) or
         ``"paper"`` (the analysis convention).
-    fast:
-        Use the fast kernel (:mod:`repro.mac.fastpath`) when the run is
-        eligible.  The kernel is bit-identical to the reference loop —
-        same RNG draw order, same float arithmetic — and disables itself
-        automatically for fault-injected runs and §5 priority stations.
-        ``fast=False`` forces the reference loop (the escape hatch and
-        the benchmark baseline).
     backend:
-        Explicit kernel selector overriding ``fast``: ``"reference"``
-        forces the reference loop, ``"fast"`` the fast kernel (when
-        available), ``"compiled"`` the compiled backend
+        ``"compiled"`` (default) runs the compiled engine
         (:mod:`repro.mac.kernels.compiled` — jitted hot loops when
         ``numba`` is importable, the pure-NumPy struct-of-arrays
-        fallback otherwise; bit-identical either way).  ``None`` /
-        ``"auto"`` keeps the historical ``fast`` dispatch.  An
-        ineligible run falls down the chain (compiled → fast →
-        reference) with a one-time logged notice.
+        fallback otherwise), bit-identical to the reference loop — same
+        RNG draw order, same float arithmetic.  ``"reference"`` forces
+        the reference loop (the oracle and the benchmark baseline).
+        Replica-fault and feedback-fault runs take their own loops (see
+        :meth:`run`); any other run the compiled engine cannot reproduce
+        falls back to the reference loop with a one-time logged notice
+        and a ``kernel.fallbacks`` count.
     seed / streams:
         Randomness source.  A :class:`~repro.des.rng.RandomStreams`
         family (when given) supersedes ``seed`` and draws traffic and
@@ -264,7 +257,7 @@ class WindowMACSimulator:
         feedback-error family (misdetection noise, missed feedback,
         adversarial jamming) in which every station still observes the
         same symbol.  Unlike ``fault_model`` this keeps one shared
-        protocol state, so faulted runs execute on the fast kernel
+        protocol state, so faulted runs execute on the faulted kernel
         (:mod:`repro.mac.kernels.faults`) bit-identically to the faulted
         reference loop.  Mutually exclusive with ``fault_model``.
     antithetic:
@@ -288,9 +281,8 @@ class WindowMACSimulator:
         workload=None,
         fault_model: Optional[FaultModel] = None,
         streams: Optional[RandomStreams] = None,
-        fast: bool = True,
         metrics: Optional[MetricsRegistry] = None,
-        backend: Optional[str] = None,
+        backend: str = "compiled",
         feedback_faults: Optional[FeedbackFaultModel] = None,
         antithetic: bool = False,
     ):
@@ -307,9 +299,9 @@ class WindowMACSimulator:
             raise ValueError(f"unknown loss definition: {loss_definition!r}")
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be positive, got {deadline}")
-        if backend is not None and backend not in _BACKENDS:
+        if backend not in BACKENDS:
             raise ValueError(
-                f"unknown backend: {backend!r} (expected one of {_BACKENDS})"
+                f"unknown backend: {backend!r} (expected one of {BACKENDS})"
             )
         self.backend = backend
         self.policy = policy
@@ -358,7 +350,6 @@ class WindowMACSimulator:
         # must draw from this generator, never self.rng directly.
         self._arrival_rng = arrival_rng
         self.workload = workload  # None = homogeneous Poisson at arrival_rate
-        self.fast = fast
         # A disabled registry is normalised away so hot loops test one
         # reference against None and nothing else.
         self.metrics = (
@@ -413,75 +404,67 @@ class WindowMACSimulator:
         """Simulate ``warmup + horizon`` slots and score the horizon part.
 
         Messages arriving during warm-up are simulated but not scored.
-        Dispatches to the shared-controller path (no fault model) or the
-        per-station replica path (fault model given).
+        Dispatch, in order: a replica :class:`FaultModel` runs the
+        replicated loop; ``backend="reference"`` runs the reference loop
+        (its feedback-faulted variant under a feedback fault model); a
+        feedback fault model runs the faulted kernel; a run the compiled
+        engine reproduces runs on it; anything else falls back to the
+        reference loop (counted and noted by :meth:`_note_fallback`).
         """
         if horizon_slots <= 0:
             raise ValueError(f"horizon must be positive, got {horizon_slots}")
         total_time = warmup_slots + horizon_slots
-        if self.bank is not None:
-            return self._run_replicated(total_time, warmup_slots)
         if self.feedback_faults is not None and self.registry.has_scaled_stations:
             raise ValueError(
                 "feedback_faults cannot drive a run with §5 priority "
                 "(window-scaled) stations; use fault_model for per-station "
                 "failure domains"
             )
-        backend = self.backend
-        if backend == "reference":
-            return self._run_reference(total_time, warmup_slots)
-        if backend == "compiled":
-            from .kernels import compiled
-
-            if compiled.compiled_eligible(self):
-                return compiled.run_compiled(self, total_time, warmup_slots)
-            self._note_fallback("compiled", "compiled_eligible")
-        if backend in ("fast", "compiled") or (
-            (backend is None or backend == "auto") and self.fast
-        ):
-            if fastpath.fast_path_available(self):
-                return fastpath.run_fast(self, total_time, warmup_slots)
-            if backend in ("fast", "compiled"):
-                self._note_fallback(backend, "fast_path_available")
-        return self._run_reference(total_time, warmup_slots)
-
-    def _run_reference(self, total_time: float, warmup_slots: float) -> MACSimResult:
-        """The bottom of the downgrade chain: the matching slow loop."""
+        if self.bank is not None:
+            return self._run_replicated(total_time, warmup_slots)
+        if self.backend == "reference":
+            if self.feedback_faults is not None:
+                return self._run_shared_faulted(total_time, warmup_slots)
+            return self._run_shared(total_time, warmup_slots)
         if self.feedback_faults is not None:
-            return self._run_shared_faulted(total_time, warmup_slots)
+            from .kernels.faults import run_fast_faulted
+
+            return run_fast_faulted(self, total_time, warmup_slots)
+        # Resolved through the module attribute at call time, so
+        # wrappers installed on compiled.run_compiled see every run.
+        from .kernels import compiled
+
+        if compiled.compiled_eligible(self):
+            return compiled.run_compiled(self, total_time, warmup_slots)
+        self._note_fallback()
         return self._run_shared(total_time, warmup_slots)
 
-    def _note_fallback(self, requested: str, gate: str) -> None:
-        """Account a kernel downgrade (requested backend unavailable).
+    def _note_fallback(self) -> None:
+        """Account a downgrade from the compiled engine to the reference loop.
 
         Every downgraded run increments the ``kernel.fallbacks`` counter
-        (when instrumented); the log notice is emitted once per
-        (backend, gate, arm) fingerprint so sweeps re-running one arm
-        hundreds of times do not flood the log.
+        (when instrumented); the log notice is emitted once per arm
+        fingerprint so sweeps re-running one arm hundreds of times
+        do not flood the log.
         """
         if self.metrics is not None:
             self.metrics.inc("kernel.fallbacks")
         key = (
-            requested,
-            gate,
             repr(self.policy),
             self.arrival_rate,
             self.transmission_slots,
             self.registry.n_stations,
             self.deadline,
             self.loss_definition,
-            self.feedback_faults,
         )
         if key in _FALLBACK_NOTICES:
             return
         _FALLBACK_NOTICES.add(key)
         logger.info(
-            "backend=%s requested but the run is ineligible (gate: %s); "
-            "falling back down the compiled -> fast -> reference chain "
-            "(further identical downgrades logged only in the "
-            "kernel.fallbacks metric)",
-            requested,
-            gate,
+            "the compiled engine cannot reproduce this run (see "
+            "compiled_eligible); running the reference loop (further "
+            "identical downgrades logged only in the kernel.fallbacks "
+            "metric)"
         )
 
     def _run_shared(self, total_time: float, warmup_slots: float) -> MACSimResult:
@@ -618,7 +601,7 @@ class WindowMACSimulator:
         guard aborts idle descents deeper than ``max_split_depth`` under
         the configured recovery policy.  Faults stay common-mode — one
         shared protocol state — which is what keeps this loop (unlike
-        :meth:`_run_replicated`) expressible in the fast kernel:
+        :meth:`_run_replicated`) expressible in the faulted kernel:
         :func:`repro.mac.kernels.faults.run_fast_faulted` reproduces it
         bit for bit, results, telemetry and metrics registry alike.
 

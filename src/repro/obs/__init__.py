@@ -1,6 +1,6 @@
 """Observability: metrics, tracing, and run reports.
 
-The reproduction's performance and resilience layers (fast kernel,
+The reproduction's performance and resilience layers (fast kernels,
 parallel sweeps, supervised execution) made runs fast and durable but
 opaque: the only signals were a final ``slots/s`` line and a journal on
 disk.  This package adds the missing instrumentation, with zero
@@ -18,7 +18,7 @@ third-party dependencies and zero measurable cost when disabled:
   (metrics snapshot + environment + seed + timings) and a differ that
   checks two runs of the same seed for metric drift.
 
-Wiring: the simulator, the fast kernel, and the sweep executors accept
+Wiring: the simulator, its kernels, and the sweep executors accept
 an optional :class:`MetricsRegistry`; ``None`` (the default) and a
 disabled registry are both no-ops on the hot path — the perf bench
 holds the disabled overhead to ≤2%.  The memo cache reports hit/miss

@@ -206,19 +206,15 @@ class SweepOutcome:
 def _backoff_key(task: "_Task") -> str:
     """Content-derived seed key for a task's retry-backoff jitter.
 
-    Batched composite tasks carry ``fingerprint=None`` (their members own
-    the journal keys), and their ``index`` depends on how the chunker
-    packed the grid for the current worker count — seeding jitter from it
-    would make retry timing (and thus journal write order under races)
-    vary with ``--workers``.  Keying on the first member fingerprint
-    keeps the draw content-addressed wherever a fingerprint exists; the
-    index fallback only remains for unjournaled singleton sweeps, where
-    no content key exists at all.
+    A task's ``index`` depends on which cells of the grid still needed
+    running, so seeding jitter from it would make retry timing (and thus
+    journal write order under races) depend on journal state.  Keying on
+    the fingerprint keeps the draw content-addressed wherever one
+    exists; the index fallback only remains for unjournaled sweeps,
+    where no content key exists at all.
     """
     if task.fingerprint is not None:
         return task.fingerprint
-    if task.subkeys:
-        return task.subkeys[0]
     return f"task-{task.index}"
 
 
@@ -227,9 +223,6 @@ class _Task:
     index: int
     item: Any
     fingerprint: Optional[str]
-    subkeys: Optional[Sequence[str]] = None
-    timeout: Optional[float] = None  # None → options.task_timeout
-    size: int = 1  # cells this task completes (batched tasks: members)
     attempts: int = 0
     not_before: float = 0.0
     expected: Any = _UNSET  # journaled value under verify_replay
@@ -301,9 +294,6 @@ class SupervisedExecutor:
         fn: Callable[[Any], Any],
         items: Sequence[Any],
         fingerprints: Optional[Sequence[Optional[str]]] = None,
-        subkeys: Optional[Sequence[Optional[Sequence[str]]]] = None,
-        timeouts: Optional[Sequence[Optional[float]]] = None,
-        sizes: Optional[Sequence[int]] = None,
         progress: Optional[Callable[[int], None]] = None,
     ) -> SweepOutcome:
         """Apply ``fn`` to every item; results index-aligned with ``items``.
@@ -312,24 +302,8 @@ class SupervisedExecutor:
         fingerprint is already recorded are replayed, the rest executed
         and recorded as they complete.
 
-        ``subkeys`` (when given) journals *composite* tasks member-wise:
-        a task whose entry is a sequence of keys must produce a sequence
-        value, and each element is checkpointed under its own key as the
-        task finishes — so a batched task crash-resumes at per-member
-        granularity.  Composite tasks are never replayed at this level
-        (their members carry the fingerprints); the caller pre-filters
-        journaled members before chunking.
-
-        ``timeouts`` (when given) overrides ``options.task_timeout`` per
-        task — a composite task's budget scales with its member count.
-
-        ``sizes`` (when given) is how many *cells* each task completes
-        (a batched task's member count, default 1) — it keeps the
-        ``executed`` account and its telemetry counter invariant to how
-        cells were packed into tasks.
-
         ``progress`` (when given) is called in the *parent* with the
-        task's cell count each time a task completes and is journaled —
+        task's cell count (1) each time a task completes and is journaled —
         the liveness signal the service layer turns into lease
         heartbeats.  It is never called for replayed or quarantined
         tasks.
@@ -340,27 +314,10 @@ class SupervisedExecutor:
             fingerprints = [None] * len(items)
         if len(fingerprints) != len(items):
             raise ValueError("fingerprints must align with items")
-        if subkeys is None:
-            subkeys = [None] * len(items)
-        if len(subkeys) != len(items):
-            raise ValueError("subkeys must align with items")
-        if timeouts is None:
-            timeouts = [None] * len(items)
-        if len(timeouts) != len(items):
-            raise ValueError("timeouts must align with items")
-        if sizes is None:
-            sizes = [1] * len(items)
-        if len(sizes) != len(items):
-            raise ValueError("sizes must align with items")
         outcome = SweepOutcome(results=[None] * len(items))
         tasks: List[_Task] = []
-        for index, (item, fp, keys, budget, size) in enumerate(
-            zip(items, fingerprints, subkeys, timeouts, sizes)
-        ):
-            task = _Task(
-                index=index, item=item, fingerprint=fp,
-                subkeys=keys, timeout=budget, size=size,
-            )
+        for index, (item, fp) in enumerate(zip(items, fingerprints)):
+            task = _Task(index=index, item=item, fingerprint=fp)
             if self.journal is not None and fp is not None:
                 hit, value = self.journal.get(fp)
                 if hit:
@@ -418,17 +375,11 @@ class SupervisedExecutor:
                 "journal written by different code"
             )
         outcome.results[task.index] = value
-        # A batched task completes ``size`` cells at once, so the cells-
-        # executed account stays scheduling-invariant.
-        outcome.executed += task.size
-        if self.journal is not None:
-            if task.fingerprint is not None:
-                self.journal.record(task.fingerprint, value)
-            if task.subkeys is not None:
-                for key, member in zip(task.subkeys, value):
-                    self.journal.record(key, member)
+        outcome.executed += 1
+        if self.journal is not None and task.fingerprint is not None:
+            self.journal.record(task.fingerprint, value)
         if self._progress is not None:
-            self._progress(task.size)
+            self._progress(1)
 
     def _register_failure(
         self,
@@ -566,15 +517,11 @@ class SupervisedExecutor:
                     for future in overdue:
                         task = inflight.pop(future)
                         started.pop(future)
-                        budget = (
-                            task.timeout
-                            if task.timeout is not None
-                            else self.options.task_timeout
-                        )
                         self._register_failure(
                             task,
                             _TaskFailure(
-                                f"exceeded task timeout of {budget:g}s"
+                                "exceeded task timeout of "
+                                f"{self.options.task_timeout:g}s"
                             ),
                             pending,
                             outcome,
@@ -613,21 +560,15 @@ class SupervisedExecutor:
                 queue_hist.observe(started[future] - queue_origin)
 
     def _overdue(self, inflight, started) -> List[Any]:
+        budget = self.options.task_timeout
+        if budget is None:
+            return []
         now = time.monotonic()
-        overdue = []
-        for future, task in inflight.items():
-            budget = (
-                task.timeout
-                if task.timeout is not None
-                else self.options.task_timeout
-            )
-            if (
-                budget is not None
-                and not future.done()
-                and now - started[future] > budget
-            ):
-                overdue.append(future)
-        return overdue
+        return [
+            future
+            for future in inflight
+            if not future.done() and now - started[future] > budget
+        ]
 
     def _respawn(self, pool, pending, inflight, started, outcome):
         """Kill the pool, requeue survivors un-charged, start a fresh pool."""

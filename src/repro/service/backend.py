@@ -105,7 +105,6 @@ class InProcessBackend(Backend):
         task_timeout: Optional[float] = None,
         max_retries: int = 2,
         backoff_base: float = 0.1,
-        batch: bool = True,
     ):
         if slots < 1:
             raise ValueError(f"backend slots must be >= 1, got {slots}")
@@ -114,7 +113,6 @@ class InProcessBackend(Backend):
         self.task_timeout = task_timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.batch = batch
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._busy = 0
 
@@ -140,7 +138,6 @@ class InProcessBackend(Backend):
         executor = SweepExecutor(
             workers=self.sweep_workers,
             resilience=self._options(work.journal_dir),
-            batch=self.batch,
             progress=heartbeat,
         )
         results = executor.run_specs(list(work.specs))

@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..experiments.sweep import (
-    DEFAULT_BATCH_CHUNK,
     MACRunSpec,
     plan_shards,
     spec_fingerprint,
@@ -70,6 +69,11 @@ __all__ = ["ServiceConfig", "SweepService", "ServiceThread", "serve"]
 #: Name of the results layout written under ``<state>/results/``.
 RESULTS_SCHEMA = "repro-service-results-v1"
 
+#: Default cells per dispatch shard: one shard is usually one arm's
+#: seed cohort, small enough that a grid still spreads across the
+#: backend slots.
+DEFAULT_SHARD_SIZE = 64
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -87,7 +91,7 @@ class ServiceConfig:
     #: dead and re-dispatched.
     lease_ttl: float = 30.0
     #: Cells per dispatch shard (arm-grouped; see ``plan_shards``).
-    shard_size: int = DEFAULT_BATCH_CHUNK
+    shard_size: int = DEFAULT_SHARD_SIZE
     #: Concurrent in-flight shards.
     backend_slots: int = 2
     #: Worker processes per shard sweep (None = inline).
@@ -96,7 +100,6 @@ class ServiceConfig:
     task_timeout: Optional[float] = None
     #: Per-cell retry budget inside a shard (then quarantine).
     max_retries: int = 2
-    batch: bool = True
     #: Scheduler tick in seconds (lease expiry + dispatch cadence).
     poll_interval: float = 0.05
 
@@ -146,7 +149,6 @@ class SweepService:
             sweep_workers=config.sweep_workers,
             task_timeout=config.task_timeout,
             max_retries=config.max_retries,
-            batch=config.batch,
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry(False)
         self.tracer = tracer if tracer is not None else NullTracer()

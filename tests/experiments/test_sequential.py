@@ -1,7 +1,7 @@
 """Determinism and contracts of the sequential replication engine.
 
 :func:`run_sequential` is a scheduling layer over the executor: lanes
-run in batched waves until the group-sequential look says stop.  The
+run in waves until the group-sequential look says stop.  The
 properties pinned here are exact — worker-count invariance, CRN seed
 sharing, journaled stopping decisions, quarantine unit-poisoning —
 because the stopping decision is a pure function of the journaled lane
@@ -9,6 +9,7 @@ results and must replay bit-identically.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -72,14 +73,16 @@ class TestDeterminism:
         fanned = run_sequential(_arms(), _options(), SweepExecutor(2))
         assert inline == fanned
 
-    def test_batch_flag_invariant(self):
-        batched = run_sequential(
-            _arms(), _options(), SweepExecutor(None, batch=True)
+    def test_backend_invariant(self):
+        reference_arms = [
+            (label, replace(template, backend="reference"))
+            for label, template in _arms()
+        ]
+        compiled = run_sequential(_arms(), _options(), SweepExecutor(None))
+        reference = run_sequential(
+            reference_arms, _options(), SweepExecutor(None)
         )
-        unbatched = run_sequential(
-            _arms(), _options(), SweepExecutor(None, batch=False)
-        )
-        assert batched == unbatched
+        assert compiled == reference
 
     def test_rerun_is_bit_identical(self):
         a = run_sequential(_arms(), _options(), SweepExecutor(None))
@@ -158,7 +161,6 @@ class TestJournalReplay:
                     resume=True,
                     verify_replay=True,
                 ),
-                batch=False,  # verify-replay audits recompute per cell
             ),
         )
         assert first == resumed
@@ -235,7 +237,6 @@ class TestJournalReplay:
                     resume=True,
                     verify_replay=True,
                 ),
-                batch=False,
             ),
             base_seed=2,
         )

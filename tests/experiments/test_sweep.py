@@ -21,7 +21,9 @@ from repro.experiments import (
     replicate,
     spec_fingerprint,
 )
+from repro.experiments import sweep as sweep_mod
 from repro.experiments.sweep import run_spec
+from repro.resilience import SupervisedExecutor
 
 M = 25
 LAM = 0.5 / M
@@ -166,6 +168,67 @@ class TestResilientSweep:
             checkpoint=str(tmp_path / "j"), resume=True))
         resumer.map(_loss_at_seed, [3, 4])
         assert resumer.last_outcome.replayed == 2
+
+
+class TestOneSpecPerTask:
+    def test_killed_sweep_resumes_bit_identical(self, tmp_path, monkeypatch):
+        # A sweep dies with one cell poisoned (stand-in for a crash
+        # mid-grid) on top of a journal that already holds part of the
+        # grid: journaled cells replay before dispatch, the hole keeps
+        # its grid index, and a fresh invocation re-runs only the hole —
+        # the final grid bit-identical to an undisturbed run.
+        specs = _specs()
+        baseline = SweepExecutor(None).run_specs(specs)
+        journal = str(tmp_path / "j")
+        SweepExecutor(None, ResilienceOptions(checkpoint=journal)).run_specs(
+            specs[:3]
+        )
+        poison = specs[4].seed
+        real = sweep_mod.run_spec
+
+        def poisoned(spec):
+            if spec.seed == poison:
+                raise RuntimeError("injected poison cell")
+            return real(spec)
+
+        monkeypatch.setattr(sweep_mod, "run_spec", poisoned)
+        first = SweepExecutor(
+            None,
+            ResilienceOptions(max_retries=0, backoff_base=0.0, checkpoint=journal),
+        )
+        partial = first.run_specs(specs)
+        assert first.last_outcome.holes() == [4]
+        assert first.last_outcome.replayed == 3
+        assert first.last_outcome.executed == 2
+        assert partial[:4] + partial[5:] == baseline[:4] + baseline[5:]
+        assert partial[4] is None
+
+        monkeypatch.setattr(sweep_mod, "run_spec", real)
+        resumer = SweepExecutor(
+            None, ResilienceOptions(checkpoint=journal, resume=True)
+        )
+        assert resumer.run_specs(specs) == baseline
+        assert resumer.last_outcome.replayed == len(specs) - 1
+        assert resumer.last_outcome.executed == 1
+
+    def test_fully_journaled_sweep_never_starts_the_supervisor(
+        self, tmp_path, monkeypatch
+    ):
+        journal = str(tmp_path / "j")
+        baseline = SweepExecutor(
+            None, ResilienceOptions(checkpoint=journal)
+        ).run_specs(_specs())
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a fully journaled sweep reached the supervisor")
+
+        monkeypatch.setattr(SupervisedExecutor, "run", refuse)
+        resumer = SweepExecutor(
+            2, ResilienceOptions(checkpoint=journal, resume=True)
+        )
+        assert resumer.run_specs(_specs()) == baseline
+        assert resumer.last_outcome.replayed == len(baseline)
+        assert resumer.last_outcome.executed == 0
 
 
 def _loss_at_seed(seed: int) -> float:

@@ -1,13 +1,13 @@
-"""Batch-aware sweep scheduling: chunking, journals, quarantine.
+"""Shard-batched sweep scheduling: chunking, journals, quarantine.
 
-The executor's contract from ISSUE 5: grouping seed replications into
-lane-parallel batched tasks is a *scheduling* decision — results,
-metrics, journal fingerprints, quarantine holes, and resume semantics
-are identical to one-task-per-cell dispatch, for any chunk size and
-worker count.
+A job on the sweep service is split by :func:`plan_shards` into batches
+of specs (same-arm seed replications grouped, at most ``shard_size``
+each), and every batch is its own ``run_specs`` call against the job's
+one journal.  The contract pinned here: that batching is a *scheduling*
+decision — results, journal fingerprints and resume semantics are
+identical to one ``run_specs`` call over the whole grid, for any shard
+size and worker count, and a poisoned cell holes only itself.
 """
-
-import pytest
 
 from repro.core import ControlPolicy
 from repro.experiments import (
@@ -15,9 +15,9 @@ from repro.experiments import (
     ResilienceOptions,
     SweepExecutor,
     derive_seeds,
+    plan_shards,
 )
 from repro.experiments import sweep as sweep_mod
-from repro.obs.metrics import MetricsRegistry
 
 M = 25
 LAM = 0.5 / M
@@ -44,167 +44,133 @@ def _spec(seed, arm="optimal", **overrides):
 
 
 def _grid():
-    # Two arms x four seeds plus one batch-ineligible cell (reference
-    # loop), so every dispatch path appears in one sweep.
+    # Two arms x four seeds plus one reference-loop cell, so both
+    # engines appear in one sweep.
     specs = [_spec(s) for s in derive_seeds(1, 4)]
     specs += [_spec(s, arm="fcfs") for s in derive_seeds(9, 4)]
-    specs.append(_spec(77, fast=False))
+    specs.append(_spec(77, backend="reference"))
     return specs
+
+
+def _run_sharded(specs, shard_size, workers=None, resilience=None):
+    """Run ``specs`` shard by shard, as the service does; grid-ordered
+    results plus each shard's outcome."""
+    results = [None] * len(specs)
+    outcomes = []
+    for shard in plan_shards(specs, shard_size):
+        executor = SweepExecutor(workers, resilience)
+        shard_results = executor.run_specs([specs[k] for k in shard])
+        for index, result in zip(shard, shard_results):
+            results[index] = result
+        outcomes.append(executor.last_outcome)
+    return results, outcomes
+
+
+def _poison(monkeypatch, seed):
+    real = sweep_mod.run_spec
+
+    def poisoned(spec):
+        if spec.seed == seed:
+            raise RuntimeError("injected shard poison")
+        return real(spec)
+
+    monkeypatch.setattr(sweep_mod, "run_spec", poisoned)
 
 
 class TestSchedulingInvariance:
     def test_results_invariant_to_batching_chunks_and_workers(self):
         specs = _grid()
-        baseline = SweepExecutor(None, batch=False).run_specs(specs)
-        assert SweepExecutor(None).run_specs(specs) == baseline
-        assert (
-            SweepExecutor(None, batch_chunk=3).run_specs(specs) == baseline
-        )
+        baseline = SweepExecutor(None).run_specs(specs)
+        assert _run_sharded(specs, 64)[0] == baseline
+        assert _run_sharded(specs, 3)[0] == baseline
         assert SweepExecutor(2).run_specs(specs) == baseline
-        assert (
-            SweepExecutor(2, batch_chunk=2).run_specs(specs) == baseline
-        )
+        assert _run_sharded(specs, 4, workers=2)[0] == baseline
 
     def test_chunks_group_same_arm_replications(self):
         # Interleaved arms regroup into per-arm seed cohorts (first
-        # appearance order) before slicing into chunks.
+        # appearance order) before slicing into shards.
         specs = [
             _spec(1),
             _spec(1, arm="fcfs"),
             _spec(2),
             _spec(2, arm="fcfs"),
         ]
-        executor = SweepExecutor(None)
-        assert executor._chunks(list(range(4)), specs) == [[0, 2, 1, 3]]
-        assert SweepExecutor(None, batch_chunk=2)._chunks(
-            list(range(4)), specs
-        ) == [[0, 2], [1, 3]]
-
-    def test_metrics_merge_invariant_across_batching(self):
-        specs = _grid()
-        unbatched = MetricsRegistry()
-        SweepExecutor(None, batch=False, metrics=unbatched).run_specs(specs)
-        batched = MetricsRegistry()
-        SweepExecutor(None, batch_chunk=3, metrics=batched).run_specs(specs)
-
-        # Every scored metric is bit-identical; only volatile telemetry
-        # (per-task wall clocks) may differ between scheduling modes.
-        def scored(registry):
-            return {
-                name: metric
-                for name, metric in registry.to_dict().items()
-                if not metric.get("volatile")
-            }
-
-        assert scored(batched) == scored(unbatched)
-        # Cells-executed accounting is member-weighted, so it too is
-        # scheduling-invariant even though it is volatile telemetry.
-        for registry in (batched, unbatched):
-            assert registry.to_dict()["sweep.cells.executed"]["value"] == len(
-                specs
-            )
+        assert plan_shards(specs, 64) == [[0, 2, 1, 3]]
+        assert plan_shards(specs, 2) == [[0, 2], [1, 3]]
 
 
 class TestQuarantine:
-    def test_poisoned_batched_task_holes_every_member(self, monkeypatch):
+    def test_poisoned_spec_holes_only_its_own_cell(self, monkeypatch):
         specs = [_spec(s) for s in derive_seeds(1, 6)]
-        poison_seed = specs[4].seed
-        real = sweep_mod.run_batch
-
-        def poisoned(batch):
-            if any(spec.seed == poison_seed for spec in batch):
-                raise RuntimeError("injected batch poison")
-            return real(batch)
-
-        monkeypatch.setattr(sweep_mod, "run_batch", poisoned)
-        executor = SweepExecutor(
-            None,
-            ResilienceOptions(max_retries=1, backoff_base=0.0),
-            batch_chunk=3,
+        healthy = SweepExecutor(None).run_specs(specs)
+        _poison(monkeypatch, specs[4].seed)
+        results, outcomes = _run_sharded(
+            specs, 3, resilience=ResilienceOptions(max_retries=1, backoff_base=0.0)
         )
-        results = executor.run_specs(specs)
 
-        # Chunks are [0..2] and [3..5]; the second is poisoned, and
-        # every member holes visibly — never a silent truncation.
-        assert [r is None for r in results] == [False] * 3 + [True] * 3
-        outcome = executor.last_outcome
-        assert outcome.holes() == [3, 4, 5]
-        assert len(outcome.quarantined) == 3
-        for record in outcome.quarantined:
-            assert "injected batch poison" in record.reason
-            assert "member of a 3-spec batched task" in record.reason
-            assert record.attempts == 2
-        # The healthy chunk's results are untouched by the neighbour.
-        healthy = SweepExecutor(None, batch=False).run_specs(specs[:3])
-        assert results[:3] == healthy
+        # Shards are [0..2] and [3..5]; only the poisoned cell holes —
+        # visibly, never a silent truncation — and its shard neighbours
+        # complete untouched.
+        assert [r is None for r in results] == [False] * 4 + [True] + [False]
+        assert outcomes[0].holes() == []
+        assert outcomes[1].holes() == [1]
+        (record,) = outcomes[1].quarantined
+        assert "injected shard poison" in record.reason
+        assert record.attempts == 2
+        assert results[:4] + results[5:] == healthy[:4] + healthy[5:]
 
 
 class TestJournalInterop:
     def test_batched_journal_resumes_unbatched_and_vice_versa(self, tmp_path):
         specs = _grid()
-        baseline = SweepExecutor(None, batch=False).run_specs(specs)
+        baseline = SweepExecutor(None).run_specs(specs)
 
-        # Journal written by batched scheduling, resumed without it.
-        j1 = str(tmp_path / "j-batched")
-        SweepExecutor(
-            None, ResilienceOptions(checkpoint=j1), batch_chunk=3
-        ).run_specs(specs)
+        # Journal written shard by shard, resumed in one call.
+        j1 = str(tmp_path / "j-sharded")
+        _run_sharded(specs, 3, resilience=ResilienceOptions(checkpoint=j1))
         resumer = SweepExecutor(
-            None, ResilienceOptions(checkpoint=j1, resume=True), batch=False
+            None, ResilienceOptions(checkpoint=j1, resume=True)
         )
         assert resumer.run_specs(specs) == baseline
         assert resumer.last_outcome.replayed == len(specs)
         assert resumer.last_outcome.executed == 0
 
-        # Journal written unbatched, resumed by batched scheduling.
+        # Journal written in one call, resumed shard by shard.
         j2 = str(tmp_path / "j-plain")
-        SweepExecutor(
-            None, ResilienceOptions(checkpoint=j2), batch=False
-        ).run_specs(specs)
-        resumer = SweepExecutor(
-            None, ResilienceOptions(checkpoint=j2, resume=True), batch_chunk=3
+        SweepExecutor(None, ResilienceOptions(checkpoint=j2)).run_specs(specs)
+        resumed, outcomes = _run_sharded(
+            specs, 3, resilience=ResilienceOptions(checkpoint=j2, resume=True)
         )
-        assert resumer.run_specs(specs) == baseline
-        assert resumer.last_outcome.replayed == len(specs)
-        assert resumer.last_outcome.executed == 0
+        assert resumed == baseline
+        assert sum(outcome.replayed for outcome in outcomes) == len(specs)
+        assert sum(outcome.executed for outcome in outcomes) == 0
 
     def test_killed_batched_sweep_resumes_bit_identical(
         self, tmp_path, monkeypatch
     ):
-        # A sweep dies with one batched task poisoned (stand-in for a
-        # crash mid-grid): completed members are journaled per spec, so
-        # a fresh invocation replays them and re-runs only the hole —
-        # and the final grid is bit-identical to an undisturbed run.
+        # A sharded sweep dies with one cell poisoned (stand-in for a
+        # crash mid-grid): completed cells are journaled per spec, so a
+        # fresh invocation replays them and re-runs only the hole — and
+        # the final grid is bit-identical to an undisturbed run.
         specs = [_spec(s) for s in derive_seeds(1, 6)]
-        baseline = SweepExecutor(None, batch=False).run_specs(specs)
+        baseline = SweepExecutor(None).run_specs(specs)
         journal = str(tmp_path / "j-killed")
-        poison_seed = specs[4].seed
-        real = sweep_mod.run_batch
-
-        def poisoned(batch):
-            if any(spec.seed == poison_seed for spec in batch):
-                raise RuntimeError("injected batch poison")
-            return real(batch)
-
-        monkeypatch.setattr(sweep_mod, "run_batch", poisoned)
-        first = SweepExecutor(
-            None,
-            ResilienceOptions(
+        real = sweep_mod.run_spec
+        _poison(monkeypatch, specs[4].seed)
+        partial, _ = _run_sharded(
+            specs,
+            3,
+            resilience=ResilienceOptions(
                 max_retries=1, backoff_base=0.0, checkpoint=journal
             ),
-            batch_chunk=3,
         )
-        partial = first.run_specs(specs)
-        assert partial[:3] == baseline[:3]
-        assert partial[3:] == [None] * 3
+        assert partial[:4] + partial[5:] == baseline[:4] + baseline[5:]
+        assert partial[4] is None
 
-        monkeypatch.setattr(sweep_mod, "run_batch", real)
-        resumer = SweepExecutor(
-            None,
-            ResilienceOptions(checkpoint=journal, resume=True),
-            batch_chunk=3,
+        monkeypatch.setattr(sweep_mod, "run_spec", real)
+        resumed, outcomes = _run_sharded(
+            specs, 3, resilience=ResilienceOptions(checkpoint=journal, resume=True)
         )
-        resumed = resumer.run_specs(specs)
         assert resumed == baseline
-        assert resumer.last_outcome.replayed == 3
-        assert resumer.last_outcome.executed == 3
+        assert sum(outcome.replayed for outcome in outcomes) == len(specs) - 1
+        assert sum(outcome.executed for outcome in outcomes) == 1

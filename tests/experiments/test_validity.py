@@ -76,11 +76,10 @@ class TestRunValidity:
         # on this short horizon.
         assert abs(report.cells[1].delta) > abs(report.cells[0].delta)
 
-    def test_batched_and_unbatched_sweeps_agree(self):
-        batched = run_validity(SMALL, batch=True)
-        unbatched = run_validity(SMALL, batch=False)
-        for left, right in zip(batched.cells, unbatched.cells):
-            assert left == right
+    def test_compiled_and_reference_sweeps_agree(self):
+        compiled = run_validity(SMALL)
+        reference = run_validity(SMALL, backend="reference")
+        assert compiled.cells == reference.cells
 
     def test_family_summaries_and_tables(self):
         report = run_validity(SMALL)

@@ -2,17 +2,18 @@
 
 The ISSUE 10 contract: flipping ``MACRunSpec.antithetic`` wraps the
 simulator's generator in the uniform-mirroring twin at the same
-pre-draw point on every backend, so the reference loop, the fast
-kernel, the batched lane kernel and the compiled walk all produce the
-**same** mirrored result — bit for bit — and a mirrored lane genuinely
-differs from its plain twin (it is a second sample path, not a replay).
+pre-draw point on every backend, so the reference loop and the compiled
+engine produce the **same** mirrored result — bit for bit — and a
+mirrored lane genuinely differs from its plain twin (it is a second
+sample path, not a replay).
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.core import ControlPolicy
-from repro.experiments.sweep import MACRunSpec, run_spec
-from repro.mac.batch import run_batch
+from repro.experiments.sweep import MACRunSpec, SweepExecutor, run_spec
 
 M = 25
 LAM = 0.5 / M
@@ -45,13 +46,9 @@ def _spec(name: str, **overrides) -> MACRunSpec:
 class TestAntitheticParity:
     @pytest.mark.parametrize("name", PROTOCOLS)
     def test_all_backends_agree_on_the_mirrored_lane(self, name):
-        fast = run_spec(_spec(name))
-        reference = run_spec(_spec(name, fast=False))
+        reference = run_spec(_spec(name, backend="reference"))
         compiled = run_spec(_spec(name, backend="compiled"))
-        [batched] = run_batch([_spec(name)])
-        assert fast == reference
-        assert fast == compiled
-        assert fast == batched
+        assert compiled == reference
 
     @pytest.mark.parametrize("name", PROTOCOLS)
     def test_mirrored_lane_differs_from_plain(self, name):
@@ -63,22 +60,24 @@ class TestAntitheticParity:
         assert run_spec(_spec("optimal")) == run_spec(_spec("optimal"))
 
     def test_mixed_plain_and_mirrored_lanes_in_one_cohort(self):
-        # The batch kernel wraps per lane, so a CRN pair (plain,
-        # mirrored) in one cohort matches the per-run path lane by lane.
+        # The generator is wrapped per run, so a CRN pair (plain,
+        # mirrored) in one sweep matches the reference loop lane by lane.
         specs = [
             _spec("optimal", antithetic=False),
             _spec("optimal"),
             _spec("uncontrolled_fcfs", antithetic=False),
             _spec("uncontrolled_fcfs"),
         ]
-        assert run_batch(specs) == [run_spec(s) for s in specs]
+        assert SweepExecutor(None).run_specs(specs) == [
+            run_spec(replace(s, backend="reference")) for s in specs
+        ]
 
     def test_stream_seed_construction_also_mirrors(self):
         # The RandomStreams construction (robustness sweeps) honours
         # the flag too, via RandomStreams(antithetic=...).
         spec = _spec("optimal", seed=0, stream_seed=11)
         assert run_spec(spec) == run_spec(
-            _spec("optimal", seed=0, stream_seed=11, fast=False)
+            _spec("optimal", seed=0, stream_seed=11, backend="reference")
         )
         assert run_spec(spec) != run_spec(
             _spec("optimal", seed=0, stream_seed=11, antithetic=False)

@@ -1,15 +1,17 @@
-"""Bit-parity of the batched replication kernel.
+"""Bit-parity of a batch of specs dispatched through the sweep executor.
 
-The contract under test (the tentpole of ISSUE 5): ``run_batch(specs)``
-is **field-for-field identical** to ``[run_spec(s) for s in specs]``
-for every spec — eligible specs ride the lane-parallel kernel, the rest
-fall back transparently — and the sequential fast kernel is itself
-bit-identical to the reference loop (the PR 2 guarantee), so all three
-execution paths are pinned against each other here.  Grids are tiny:
-the property is exact equality, not statistics.
+The contract under test: ``SweepExecutor.run_specs(specs)`` — every spec
+its own ``run_spec`` task — is **field-for-field identical** to running
+each spec on its own, in spec order, whatever mix of arms, seeds and
+engines the batch holds: specs the compiled engine takes, specs pinned
+to the reference loop and feedback-faulted specs share one call.  The
+per-spec compiled runs are in turn bit-identical to the reference loop,
+so all three execution paths are pinned against each other here.  Grids
+are tiny: the property is exact equality, not statistics.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,12 +20,13 @@ from hypothesis import strategies as st
 from repro.core import ControlPolicy
 from repro.experiments.sweep import (
     MACRunSpec,
+    SweepExecutor,
     derive_seeds,
     run_spec,
     run_spec_with_metrics,
 )
-from repro.mac.batch import batch_eligible, run_batch, run_batch_with_metrics
-from repro.resilience import invariants
+from repro.faults import FeedbackFaultModel
+from repro.obs.metrics import MetricsRegistry
 
 M = 25
 LAM = 0.5 / M
@@ -52,22 +55,26 @@ def _spec(name: str, seed: int, **overrides) -> MACRunSpec:
     return MACRunSpec(**kwargs)
 
 
+def _run_batch(specs):
+    return SweepExecutor(None).run_specs(specs)
+
+
 class TestBitParity:
     @pytest.mark.parametrize("name", PROTOCOLS)
     def test_batched_equals_sequential_fast_and_reference(self, name):
-        # All four disciplines, three seeds each: batched == fast ==
-        # reference loop, field for field (the acceptance criterion).
+        # All four disciplines, three seeds each: batched == compiled ==
+        # reference loop, field for field.
         specs = [_spec(name, seed) for seed in (1, 7, 42)]
         fast = [run_spec(s) for s in specs]
-        batched = run_batch(specs)
+        batched = _run_batch(specs)
         reference = [
-            run_spec(_spec(name, seed, fast=False)) for seed in (1, 7, 42)
+            run_spec(_spec(name, seed, backend="reference")) for seed in (1, 7, 42)
         ]
         assert batched == fast
         assert batched == reference
 
     def test_mixed_arms_in_one_cohort(self):
-        # Heterogeneous lanes (different arms, deadlines, horizons,
+        # Heterogeneous specs (different arms, deadlines, horizons,
         # loss definitions) in a single call keep spec order.
         specs = [
             _spec("optimal", 3),
@@ -76,52 +83,44 @@ class TestBitParity:
             _spec("uncontrolled_fcfs", 9, loss_definition="paper"),
             _spec("uncontrolled_random", 2, transmission_slots=1),
         ]
-        assert run_batch(specs) == [run_spec(s) for s in specs]
+        assert _run_batch(specs) == [run_spec(s) for s in specs]
 
     def test_replicated_seeds_match_derive_seeds_loop(self):
         specs = [_spec("optimal", s) for s in derive_seeds(1, 8)]
-        assert run_batch(specs) == [run_spec(s) for s in specs]
+        assert _run_batch(specs) == [run_spec(s) for s in specs]
 
     def test_instrumented_parity_and_registry_equality(self):
-        # The instrumented variant must reproduce both the results and
-        # the exact per-run registry state of run_spec_with_metrics —
-        # this is what makes batched sweep metrics merge-invariant.
+        # The instrumented batch must reproduce both the results and the
+        # per-run registry state of run_spec_with_metrics, merged in spec
+        # order — this is what makes sweep metrics merge-invariant.
         specs = [_spec(name, 11) for name in PROTOCOLS]
         sequential = [run_spec_with_metrics(s) for s in specs]
-        batched = run_batch_with_metrics(specs)
-        for (res_a, reg_a), (res_b, reg_b) in zip(sequential, batched):
-            assert res_a == res_b
-            assert reg_a == reg_b
+        executor = SweepExecutor(None, metrics=MetricsRegistry())
+        batched = executor.run_specs(specs)
+        assert batched == [result for result, _ in sequential]
+        expected = MetricsRegistry()
+        for _, state in sequential:
+            expected.merge_from(MetricsRegistry.from_dict(state))
+        assert executor.last_sim_metrics.to_dict() == expected.to_dict()
 
 
 class TestEligibilityAndFallback:
-    def test_fast_false_is_ineligible_but_still_served(self):
-        spec = _spec("optimal", 1, fast=False)
-        assert not batch_eligible(spec)
-        assert run_batch([spec, spec]) == [run_spec(spec)] * 2
-
-    def test_stream_seed_is_ineligible(self):
-        spec = _spec("optimal", 1, stream_seed=123)
-        assert not batch_eligible(spec)
-        assert run_batch([spec]) == [run_spec(spec)]
-
-    def test_invariant_mode_disables_batching(self, monkeypatch):
-        spec = _spec("optimal", 1)
-        assert batch_eligible(spec)
-        monkeypatch.setenv(invariants.INVARIANTS_ENV, "1")
-        assert not batch_eligible(spec)
-
     def test_mixed_eligibility_preserves_order(self):
+        # Compiled, reference-pinned and feedback-faulted specs (three
+        # different engines) in one batch come back in spec order.
         specs = [
             _spec("optimal", 1),
-            _spec("optimal", 2, fast=False),
+            _spec("optimal", 2, backend="reference"),
+            _spec("uncontrolled_fcfs", 3, feedback_faults=FeedbackFaultModel.none()),
             _spec("uncontrolled_fcfs", 3),
         ]
-        assert run_batch(specs) == [run_spec(s) for s in specs]
+        results = _run_batch(specs)
+        assert results == [run_spec(s) for s in specs]
+        assert results[2] == results[3]
 
 
-# Ragged lane lifetimes: lanes with very different horizons (some dying
-# many rounds before others), warmups, and sub-slot deadline fractions.
+# Ragged lifetimes: specs with very different horizons, warmups, and
+# sub-slot deadline fractions.
 _spec_strategy = st.builds(
     lambda name, seed, horizon, warm_frac, dl_mult, m, loss: MACRunSpec(
         policy=_policy(name, dl_mult * m),
@@ -151,4 +150,6 @@ _spec_strategy = st.builds(
 )
 @given(specs=st.lists(_spec_strategy, min_size=1, max_size=6))
 def test_property_random_cohorts_are_bit_identical(specs):
-    assert run_batch(specs) == [run_spec(s) for s in specs]
+    assert _run_batch(specs) == [
+        run_spec(replace(s, backend="reference")) for s in specs
+    ]

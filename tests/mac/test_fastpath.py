@@ -1,21 +1,23 @@
-"""Golden-seed regression: the fast kernel is bit-identical to the slow path.
+"""Golden-seed regression: the default fast path is bit-identical to the slow path.
 
-These tests are the enforcement arm of the fast path's contract
-(`repro.mac.fastpath`): for every eligible run the fast kernel must
-reproduce the reference loop's `MACSimResult` field for field — same RNG
-draw order, same float arithmetic — across all four Figure-7 protocols,
-with and without a zero-rate fault model, under bursty workloads, and at
-loads where the idle fast-forward fires constantly (ρ′ = 0.25) or almost
-never (ρ′ = 0.8).
+These tests are the enforcement arm of the default engine's contract:
+for every run the compiled engine takes (``backend="compiled"``, the
+default) it must reproduce the reference loop's `MACSimResult` field for
+field — same RNG draw order, same float arithmetic — across all four
+Figure-7 protocols, with and without a zero-rate fault model, under
+bursty workloads, and at loads where the idle fast-forward fires
+constantly (ρ′ = 0.25) or almost never (ρ′ = 0.8).  Runs the compiled
+engine declines (§5 priority stations, replica fault models) must be
+recognised as such, and ``backend="reference"`` must force the slow path.
 """
 
 import pytest
 
 from repro.core import ControlPolicy
 from repro.des.rng import RandomStreams
-from repro.faults import FaultModel
+from repro.faults import FaultModel, FeedbackFaultModel
 from repro.mac import WindowMACSimulator
-from repro.mac.fastpath import fast_path_available
+from repro.mac.kernels import compiled
 from repro.workloads import MMPPWorkload
 
 M = 25
@@ -29,17 +31,18 @@ def _policy(name: str, lam: float, deadline: float) -> ControlPolicy:
     return getattr(ControlPolicy, f"uncontrolled_{name}")(lam)
 
 
-def _run(policy, lam, *, fast, seed=None, streams=None, fault_model=None,
-         workload=None):
+def _run(policy, lam, *, backend="compiled", seed=None, streams=None,
+         fault_model=None, feedback_faults=None, workload=None):
     simulator = WindowMACSimulator(
         policy,
         arrival_rate=lam,
         transmission_slots=M,
         n_stations=25,
         deadline=3.0 * M,
-        fast=fast,
+        backend=backend,
         workload=workload,
         fault_model=fault_model,
+        feedback_faults=feedback_faults,
         **({"streams": streams} if streams is not None else {"seed": seed}),
     )
     result = simulator.run(HORIZON, warmup_slots=WARMUP)
@@ -52,23 +55,24 @@ def _run(policy, lam, *, fast, seed=None, streams=None, fault_model=None,
 def test_fast_equals_slow_golden_seed(protocol, rho_prime, seed):
     lam = rho_prime / M
     policy = _policy(protocol, lam, 3.0 * M)
-    _, slow = _run(policy, lam, fast=False, seed=seed)
-    _, fast = _run(policy, lam, fast=True, seed=seed)
+    _, slow = _run(policy, lam, backend="reference", seed=seed)
+    _, fast = _run(policy, lam, seed=seed)
     assert fast == slow
 
 
 @pytest.mark.parametrize("protocol", ["controlled", "random"])
 def test_fast_equals_zero_rate_fault_model(protocol):
     """The replica path under FaultModel.none() is the shared path, which
-    in turn is the fast kernel: all three agree bit-for-bit."""
+    in turn is the compiled engine: all three agree bit-for-bit."""
     lam = 0.5 / M
     policy = _policy(protocol, lam, 3.0 * M)
     _, with_faults = _run(
-        policy, lam, fast=True, streams=RandomStreams(5),
-        fault_model=FaultModel.none(),
+        policy, lam, streams=RandomStreams(5), fault_model=FaultModel.none(),
     )
-    _, fast = _run(policy, lam, fast=True, streams=RandomStreams(5))
+    _, fast = _run(policy, lam, streams=RandomStreams(5))
+    _, slow = _run(policy, lam, backend="reference", streams=RandomStreams(5))
     assert fast == with_faults
+    assert fast == slow
 
 
 def test_fast_equals_slow_under_bursty_workload():
@@ -80,16 +84,22 @@ def test_fast_equals_slow_under_bursty_workload():
             low_rate=0.005, high_rate=0.04, mean_low=1200.0, mean_high=400.0
         )
 
-    _, slow = _run(policy, lam, fast=False, seed=9, workload=workload())
-    _, fast = _run(policy, lam, fast=True, seed=9, workload=workload())
+    _, slow = _run(policy, lam, backend="reference", seed=9, workload=workload())
+    _, fast = _run(policy, lam, seed=9, workload=workload())
     assert fast == slow
 
 
 def test_scored_messages_identical():
+    # The compiled engine keeps no per-message records; the fast kernel
+    # that does is the faulted one, whose physics collapse to the
+    # fault-free run under a null feedback model.  Its records must
+    # match the reference loop's one for one.
     lam = 0.5 / M
     policy = _policy("controlled", lam, 3.0 * M)
-    sim_slow, _ = _run(policy, lam, fast=False, seed=3)
-    sim_fast, _ = _run(policy, lam, fast=True, seed=3)
+    sim_slow, _ = _run(policy, lam, backend="reference", seed=3)
+    sim_fast, _ = _run(
+        policy, lam, seed=3, feedback_faults=FeedbackFaultModel.none()
+    )
     assert len(sim_fast.scored_messages) == len(sim_slow.scored_messages)
     for a, b in zip(sim_slow.scored_messages, sim_fast.scored_messages):
         assert (a.arrival, a.station, a.fate, a.tx_start, a.process_start) == (
@@ -97,15 +107,20 @@ def test_scored_messages_identical():
         )
 
 
-def test_escape_hatch_forces_reference_loop():
+def test_escape_hatch_forces_reference_loop(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("backend='reference' reached run_compiled")
+
+    monkeypatch.setattr(compiled, "run_compiled", refuse)
     lam = 0.25 / M
     policy = _policy("controlled", lam, 3.0 * M)
     simulator = WindowMACSimulator(
         policy, arrival_rate=lam, transmission_slots=M, n_stations=25,
-        deadline=3.0 * M, seed=1, fast=False,
+        deadline=3.0 * M, seed=1, backend="reference",
     )
-    assert simulator.fast is False
-    assert fast_path_available(simulator)  # eligible, but opted out
+    assert simulator.backend == "reference"
+    assert compiled.compiled_eligible(simulator)  # eligible, but opted out
+    simulator.run(4_000.0, warmup_slots=500.0)
 
 
 def test_fast_path_declines_priority_stations():
@@ -116,9 +131,9 @@ def test_fast_path_declines_priority_stations():
         deadline=3.0 * M, seed=1,
     )
     simulator.registry.set_window_scale(3, 0.5)
-    assert not fast_path_available(simulator)
+    assert not compiled.compiled_eligible(simulator)
     simulator.registry.set_window_scale(3, 1.0)
-    assert fast_path_available(simulator)
+    assert compiled.compiled_eligible(simulator)
 
 
 def test_fast_path_declines_fault_models():
@@ -129,4 +144,4 @@ def test_fast_path_declines_fault_models():
         deadline=3.0 * M, streams=RandomStreams(1),
         fault_model=FaultModel.feedback_noise(0.01),
     )
-    assert not fast_path_available(simulator)
+    assert not compiled.compiled_eligible(simulator)

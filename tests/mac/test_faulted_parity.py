@@ -1,10 +1,10 @@
-"""Faulted-kernel bit-parity: the fast kernel under feedback faults.
+"""Faulted-kernel bit-parity: the fast path under feedback faults.
 
-Enforcement arm of the faulted fast path's contract
+Enforcement arm of the faulted kernel's contract
 (`repro.mac.kernels.faults`): for every common-mode feedback fault
 family — misdetection noise, capture, fade, erasure, per-station missed
 feedback under each divergence-recovery policy, jamming, and their
-combination — a faulted fast run must reproduce the faulted reference
+combination — a default (faulted-kernel) run must reproduce the faulted reference
 loop field for field: the ``MACSimResult``, the ``FaultTelemetry``
 (excluded from the dataclass ``==``, so compared explicitly), and the
 metrics registry snapshot, across all four Figure-7 protocols.
@@ -12,14 +12,15 @@ metrics registry snapshot, across all four Figure-7 protocols.
 Event-fault families (missed feedback, jamming) never fast-forward, so
 their registries match the reference in full.  Noise-only families ride
 the scan-gated idle fast-forward, which elides idle examination epochs
-exactly as the fault-free fast path does — the epoch-granularity names
+exactly as the compiled engine does — the epoch-granularity names
 (``mac.epochs``, ``mac.backlog.size``, ``mac.window.size``) and the
 ``mac.fastforward.*`` accounts are the documented carve-out (see
 ``tests/mac/test_obs_parity.py``); everything else matches in full.
 
-A null ``FeedbackFaultModel`` must collapse to today's fault-free
-kernels bit-for-bit, and a hypothesis property sweeps randomly drawn
-fault schedules through the same contract.
+A null ``FeedbackFaultModel`` must collapse to the fault-free engines
+bit-for-bit, and a hypothesis property sweeps randomly drawn fault
+schedules through the same contract.  Dispatch tests pin which runs the
+default path counts as downgrades (``kernel.fallbacks``).
 """
 
 import pytest
@@ -30,7 +31,6 @@ from repro.core import ControlPolicy
 from repro.des.rng import RandomStreams
 from repro.faults import FaultModel, FeedbackFaultModel, RECOVERY_POLICIES
 from repro.mac import WindowMACSimulator
-from repro.mac.batch import batch_eligible
 from repro.mac.kernels.compiled import compiled_eligible
 from repro.obs.metrics import MetricsRegistry
 
@@ -63,7 +63,7 @@ FAULT_FAMILIES = {
 PROTOCOLS = ["controlled", "fcfs", "lcfs", "random"]
 
 #: Epoch-granularity registry names that legitimately differ between the
-#: fast kernel and the reference loop whenever the idle fast-forward can
+#: faulted kernel and the reference loop whenever the idle fast-forward can
 #: fire (noise-only fault models): elided idle examinations are
 #: accounted under ``mac.fastforward.*`` instead of per-epoch records.
 EPOCH_GRANULARITY = frozenset(
@@ -84,9 +84,9 @@ def _policy(name: str) -> ControlPolicy:
     return getattr(ControlPolicy, f"uncontrolled_{name}")(LAM)
 
 
-def _run(protocol, *, backend, faults=None, seed=None, streams=None,
-         metrics=None, horizon=HORIZON, warmup=WARMUP):
-    simulator = WindowMACSimulator(
+def _simulator(protocol, *, backend, faults=None, seed=None, streams=None,
+               metrics=None):
+    return WindowMACSimulator(
         _policy(protocol),
         arrival_rate=LAM,
         transmission_slots=M,
@@ -97,14 +97,17 @@ def _run(protocol, *, backend, faults=None, seed=None, streams=None,
         feedback_faults=faults,
         **({"streams": streams} if streams is not None else {"seed": seed}),
     )
-    return simulator.run(horizon, warmup_slots=warmup)
+
+
+def _run(protocol, *, horizon=HORIZON, warmup=WARMUP, **kwargs):
+    return _simulator(protocol, **kwargs).run(horizon, warmup_slots=warmup)
 
 
 def _assert_parity(protocol, faults, seed, horizon=HORIZON, warmup=WARMUP):
     ref_metrics, fast_metrics = MetricsRegistry(), MetricsRegistry()
     ref = _run(protocol, backend="reference", faults=faults, seed=seed,
                metrics=ref_metrics, horizon=horizon, warmup=warmup)
-    fast = _run(protocol, backend="fast", faults=faults, seed=seed,
+    fast = _run(protocol, backend="compiled", faults=faults, seed=seed,
                 metrics=fast_metrics, horizon=horizon, warmup=warmup)
     assert fast == ref
     assert fast.faults == ref.faults
@@ -135,7 +138,7 @@ class TestFaultedParity:
         faults = FAULT_FAMILIES["combined"]
         ref = _run(protocol, backend="reference", faults=faults,
                    streams=RandomStreams(11))
-        fast = _run(protocol, backend="fast", faults=faults,
+        fast = _run(protocol, backend="compiled", faults=faults,
                     streams=RandomStreams(11))
         assert fast == ref
         assert fast.faults == ref.faults
@@ -143,21 +146,20 @@ class TestFaultedParity:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_null_model_equals_fault_free_run(self, protocol):
         """FeedbackFaultModel.none() exercises the faulted loops, whose
-        physics must collapse to the fault-free kernels bit-for-bit."""
+        physics must collapse to the fault-free engines bit-for-bit."""
         null_ref, null_fast = _assert_parity(
             protocol, FeedbackFaultModel.none(), seed=3
         )
-        clean = _run(protocol, backend="fast", seed=3)
+        clean = _run(protocol, backend="compiled", seed=3)
         assert null_fast == clean
         assert null_ref == clean
 
     def test_zero_fault_dispatch_unchanged(self):
         """Without a feedback fault model nothing routes through the
-        faulted kernels: auto dispatch reproduces today's results."""
-        auto = _run("controlled", backend=None, seed=9)
-        fast = _run("controlled", backend="fast", seed=9)
+        faulted kernels: the default dispatch reproduces the reference."""
+        default = _run("controlled", backend="compiled", seed=9)
         ref = _run("controlled", backend="reference", seed=9)
-        assert auto == fast == ref
+        assert default == ref
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -208,21 +210,6 @@ class TestDispatch:
         )
         assert not compiled_eligible(simulator)
 
-    def test_batch_ineligible_under_feedback_faults(self):
-        from repro.experiments.sweep import MACRunSpec
-
-        spec = MACRunSpec(
-            policy=_policy("controlled"),
-            arrival_rate=LAM,
-            transmission_slots=M,
-            horizon=HORIZON,
-            warmup=WARMUP,
-            deadline=DEADLINE,
-            seed=1,
-            feedback_faults=FAULT_FAMILIES["noise"],
-        )
-        assert not batch_eligible(spec)
-
     def test_spec_rejects_both_fault_layers(self):
         from repro.experiments.sweep import MACRunSpec
 
@@ -240,13 +227,49 @@ class TestDispatch:
             )
 
     def test_compiled_request_downgrades_and_counts(self):
-        """backend="compiled" on a faulted run lands on the faulted fast
-        kernel (same result as reference) and counts the downgrade."""
+        """A run the compiled engine cannot reproduce (a custom position
+        rule) lands on the reference loop, bit-identical, and counts one
+        downgrade; the same run with backend="reference" counts none."""
+        from dataclasses import replace
+
+        from repro.core.policy import OldestFirstPosition
+
+        class Oldest(OldestFirstPosition):
+            """Same placement, but not one of the canonical rule types."""
+
+        policy = replace(_policy("controlled"), position=Oldest())
+
+        def run(backend, metrics):
+            simulator = WindowMACSimulator(
+                policy, arrival_rate=LAM, transmission_slots=M,
+                n_stations=25, deadline=DEADLINE, seed=5, backend=backend,
+                metrics=metrics,
+            )
+            assert not compiled_eligible(simulator)
+            return simulator.run(HORIZON, warmup_slots=WARMUP)
+
+        downgraded_metrics, ref_metrics = MetricsRegistry(), MetricsRegistry()
+        downgraded = run("compiled", downgraded_metrics)
+        ref = run("reference", ref_metrics)
+        assert downgraded == ref
+        assert downgraded_metrics.value("kernel.fallbacks") == 1
+        assert ref_metrics.value("kernel.fallbacks", default=0) == 0
+
+    def test_default_scaled_station_run_counts_one_fallback(self):
         metrics = MetricsRegistry()
-        downgraded = _run("controlled", backend="compiled",
-                          faults=FAULT_FAMILIES["noise"], seed=5,
-                          metrics=metrics)
+        simulator = _simulator("controlled", backend="compiled", seed=5,
+                               metrics=metrics)
+        simulator.registry.set_window_scale(3, 0.5)
+        simulator.run(HORIZON, warmup_slots=WARMUP)
+        assert metrics.value("kernel.fallbacks") == 1
+
+    def test_default_feedback_faulted_run_counts_no_fallback(self):
+        """The faulted kernel is the default path for feedback faults,
+        not a downgrade."""
+        metrics = MetricsRegistry()
+        faulted = _run("controlled", backend="compiled",
+                       faults=FAULT_FAMILIES["noise"], seed=5, metrics=metrics)
         ref = _run("controlled", backend="reference",
                    faults=FAULT_FAMILIES["noise"], seed=5)
-        assert downgraded == ref
-        assert metrics.value("kernel.fallbacks") == 1
+        assert faulted == ref
+        assert metrics.value("kernel.fallbacks", default=0) == 0

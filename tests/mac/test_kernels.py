@@ -1,10 +1,12 @@
-"""The shared kernel primitive layer (ISSUE 7 unification).
+"""The shared split primitives and the large-population startup budget.
 
-Pins the structural claim behind the tentpole: the reference loop, the
-fast kernel, and the batched lanes all *consume the same primitives* —
-one split implementation, one examination-order rule, one epoch
-executor, one fast-forward — so a protocol-semantics change lands in
-exactly one place.  Also holds the large-population startup guarantee:
+Pins the structural claim behind the kernel unification: the reference
+loop, the compiled engine and the faulted kernel all *consume the same
+split primitives* — one split implementation, one examination-order
+rule — and the two fast kernels share one primitive layer (epoch
+context, fast-forward, observation buffers), so a protocol-semantics
+change lands in exactly one place.  Also
+holds the large-population startup guarantee:
 simulator construction is O(1) in ``n_stations`` (the lazy
 struct-of-arrays registry), checked under a time/memory budget and by
 the ``REPRO_CHECK_INVARIANTS`` structural guard.
@@ -20,8 +22,7 @@ from repro.core import ControlPolicy
 from repro.core import splits as core_splits
 from repro.core import window as core_window
 from repro.core.timeline import Span
-from repro.mac import batch, fastpath
-from repro.mac.kernels import lane, primitives
+from repro.mac.kernels import engine, faults, primitives
 from repro.mac.simulator import WindowMACSimulator
 from repro.mac.station import StationRegistry
 from repro.resilience import invariants
@@ -36,19 +37,23 @@ class TestUnifiedPrimitives:
         # split: the compat alias in core.window IS core.splits'.
         assert core_window._split_parts is core_splits.split_parts
 
-    def test_fast_kernel_reuses_primitive_layer(self):
-        # The fast kernel's epoch executor, fast-forward, and context
-        # are re-exports of repro.mac.kernels.primitives — not copies.
-        assert fastpath._execute_epoch is primitives.execute_epoch
-        assert fastpath._try_fast_forward is primitives.try_fast_forward
-        assert fastpath._EpochContext is primitives.EpochContext
-        assert fastpath._ObsBuffers is primitives.ObsBuffers
+    def test_fast_kernels_split_via_shared_primitives(self):
+        # The compiled engine and the faulted kernel import the
+        # canonical split rules — not copies.
+        assert engine.split_parts is core_splits.split_parts
+        assert engine.examination_order is core_splits.examination_order
+        assert faults.examination_order is core_splits.examination_order
 
-    def test_batch_kernel_reuses_lane_machinery(self):
-        # The batched lanes are the shared LaneState driven by the
-        # shared round driver.
-        assert issubclass(batch._Lane, lane.LaneState)
-        assert batch._advance is lane.drive
+    def test_fast_kernel_reuses_primitive_layer(self):
+        # The faulted kernel's epoch context, fast-forward and buffers,
+        # and the compiled engine's buffers and traits, are imports from
+        # repro.mac.kernels.primitives — not copies.
+        assert faults.EpochContext is primitives.EpochContext
+        assert faults.try_fast_forward is primitives.try_fast_forward
+        assert faults.ObsBuffers is primitives.ObsBuffers
+        assert faults.kernel_traits is primitives.kernel_traits
+        assert engine.ObsBuffers is primitives.ObsBuffers
+        assert engine.kernel_traits is primitives.kernel_traits
 
     def test_examination_order_covers_all_split_rules(self):
         rng = np.random.default_rng(3)

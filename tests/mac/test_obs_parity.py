@@ -1,9 +1,9 @@
-"""Three-way parity: reference loop, fast kernel, and metrics counters.
+"""Three-way parity: reference loop, compiled engine, and metrics counters.
 
 The observability layer's hard rule is that instrumentation never
 changes physics, and its counters never disagree with the result they
 describe.  For every protocol this test runs the same seeded cell four
-ways — {reference loop, fast kernel} x {with, without metrics} — and
+ways — {reference loop, compiled engine} x {with, without metrics} — and
 asserts that
 
 * all four runs return bit-identical ``MACSimResult``;
@@ -13,7 +13,7 @@ asserts that
 * the message-outcome counters equal the result's message ledger.
 
 Epoch-granularity histograms (``mac.epochs``, ``mac.backlog.size``)
-legitimately differ between the two paths — the fast kernel's idle
+legitimately differ between the two paths — the compiled engine's idle
 fast-forward elides empty epochs and accounts them under
 ``mac.fastforward.*`` instead — so they are exactly the names this
 test does *not* compare across paths.
@@ -53,7 +53,7 @@ def _policy(name: str) -> ControlPolicy:
     return getattr(ControlPolicy, f"uncontrolled_{name}")(LAM)
 
 
-def _run(protocol: str, *, fast: bool, metrics=None):
+def _run(protocol: str, *, compiled: bool, metrics=None):
     simulator = WindowMACSimulator(
         _policy(protocol),
         arrival_rate=LAM,
@@ -61,7 +61,7 @@ def _run(protocol: str, *, fast: bool, metrics=None):
         n_stations=25,
         deadline=DEADLINE,
         seed=7,
-        fast=fast,
+        backend="compiled" if compiled else "reference",
         metrics=metrics,
     )
     return simulator.run(HORIZON, warmup_slots=WARMUP)
@@ -70,12 +70,12 @@ def _run(protocol: str, *, fast: bool, metrics=None):
 @pytest.mark.parametrize("protocol", ["controlled", "fcfs", "lcfs", "random"])
 def test_result_identical_with_and_without_metrics(protocol):
     runs = {
-        (fast, instrumented): _run(
+        (compiled, instrumented): _run(
             protocol,
-            fast=fast,
+            compiled=compiled,
             metrics=MetricsRegistry() if instrumented else None,
         )
-        for fast in (False, True)
+        for compiled in (False, True)
         for instrumented in (False, True)
     }
     baseline = runs[(False, False)]
@@ -84,10 +84,10 @@ def test_result_identical_with_and_without_metrics(protocol):
 
 
 @pytest.mark.parametrize("protocol", ["controlled", "fcfs", "lcfs", "random"])
-@pytest.mark.parametrize("fast", [False, True])
-def test_metrics_counters_match_channel_stats_exactly(protocol, fast):
+@pytest.mark.parametrize("compiled", [False, True])
+def test_metrics_counters_match_channel_stats_exactly(protocol, compiled):
     metrics = MetricsRegistry()
-    result = _run(protocol, fast=fast, metrics=metrics)
+    result = _run(protocol, compiled=compiled, metrics=metrics)
     stats = result.channel
 
     for name, field in SLOT_COUNTERS.items():
@@ -109,14 +109,14 @@ def test_metrics_counters_match_channel_stats_exactly(protocol, fast):
 def test_fast_path_accounts_elided_epochs(protocol):
     """Fast-forward spans explain the epoch-count gap between the paths."""
     slow_metrics, fast_metrics = MetricsRegistry(), MetricsRegistry()
-    _run(protocol, fast=False, metrics=slow_metrics)
-    _run(protocol, fast=True, metrics=fast_metrics)
+    _run(protocol, compiled=False, metrics=slow_metrics)
+    _run(protocol, compiled=True, metrics=fast_metrics)
 
     # Slot counters agree across paths even though epoch histograms don't.
     for name in SLOT_COUNTERS:
         assert fast_metrics.value(name) == slow_metrics.value(name), name
 
-    # At this idle-heavy cell the fast path must have skipped something,
+    # At this idle-heavy cell the compiled engine must have skipped something,
     # and every skipped slot is accounted under mac.fastforward.*.
     assert fast_metrics.value("mac.fastforward.spans") > 0
     assert fast_metrics.value("mac.fastforward.slots") > 0

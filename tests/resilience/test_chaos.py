@@ -147,13 +147,8 @@ def test_poison_cell_completes_as_partial_grid_with_marked_hole(monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(sweep_mod, "run_spec", poisoned)
-    # batch=False pins the one-task-per-cell dispatch this test injects
-    # into; the batched-task quarantine path has its own coverage in
-    # tests/experiments/test_sweep_batch.py.
     executor = SweepExecutor(
-        None,
-        ResilienceOptions(max_retries=1, backoff_base=0.0),
-        batch=False,
+        None, ResilienceOptions(max_retries=1, backoff_base=0.0)
     )
     results = executor.run_specs(specs)
 
@@ -168,19 +163,15 @@ def test_poison_cell_completes_as_partial_grid_with_marked_hole(monkeypatch):
 
 def test_strict_sweep_still_fails_fast(monkeypatch):
     # Without resilience options the legacy contract holds: the first
-    # failure propagates instead of becoming a hole — whichever dispatch
-    # (per-cell or batched) the executor picked.
+    # failure propagates instead of becoming a hole.
     specs = _grid()[:2]
 
     def boom(*_args):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(sweep_mod, "run_spec", boom)
-    monkeypatch.setattr(sweep_mod, "run_batch", boom)
     with pytest.raises(RuntimeError, match="boom"):
         SweepExecutor(None).run_specs(specs)
-    with pytest.raises(RuntimeError, match="boom"):
-        SweepExecutor(None, batch=False).run_specs(specs)
 
 
 # Shared between the parent test and the SIGKILLed child process so the
@@ -299,7 +290,6 @@ def test_sequential_killed_mid_wave_resumes_to_identical_report(tmp_path):
         ResilienceOptions(
             checkpoint=str(journal), resume=True, verify_replay=True
         ),
-        batch=False,  # verify-replay audits recompute per cell
     )
     resumed = run_sequential(arms, options, resumer)
     assert resumed == baseline

@@ -39,7 +39,7 @@ class TestRequire:
         require(True, "never raised")
 
 
-def _spec(fast: bool) -> MACRunSpec:
+def _spec(backend: str) -> MACRunSpec:
     m = 25
     lam = 0.5 / m
     return MACRunSpec(
@@ -51,17 +51,18 @@ def _spec(fast: bool) -> MACRunSpec:
         n_stations=25,
         deadline=3.0 * m,
         seed=17,
-        fast=fast,
+        backend=backend,
     )
 
 
 class TestSimulatorUnderGuards:
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_guarded_run_is_clean_and_bit_identical(self, monkeypatch, fast):
+    @pytest.mark.parametrize("backend", ["compiled", "reference"])
+    def test_guarded_run_is_clean_and_bit_identical(self, monkeypatch, backend):
         # The guards must be pure observation: enabling them neither
-        # raises on a healthy run nor perturbs a single statistic.
+        # raises on a healthy run nor perturbs a single statistic (a
+        # guarded compiled request runs the guarded reference loop).
         monkeypatch.delenv(INVARIANTS_ENV, raising=False)
-        unguarded = run_spec(_spec(fast))
+        unguarded = run_spec(_spec(backend))
         monkeypatch.setenv(INVARIANTS_ENV, "1")
-        guarded = run_spec(_spec(fast))
+        guarded = run_spec(_spec(backend))
         assert guarded == unguarded

@@ -99,40 +99,25 @@ class TestBackoffKey:
     """The ISSUE 10 seeded-jitter audit: retry jitter must be keyed by
     task *content*, never by scheduler position.
 
-    Batched composite tasks carry ``fingerprint=None`` (their members
-    own the journal keys) and a chunker-assigned ``index`` that shifts
-    with ``--workers``; seeding jitter from the index would make the
-    retry schedule worker-count-dependent.
+    A task's ``index`` shifts with how much of the grid was already
+    journaled; seeding jitter from it would make the retry schedule
+    depend on journal state.
     """
 
     def test_fingerprint_wins_when_present(self):
         task = _Task(index=3, item=None, fingerprint="abc123")
         assert _backoff_key(task) == "abc123"
 
-    def test_batched_task_keys_on_first_member(self):
-        task = _Task(
-            index=3,
-            item=None,
-            fingerprint=None,
-            subkeys=("member-a", "member-b"),
-            size=2,
-        )
-        assert _backoff_key(task) == "member-a"
-
     def test_index_fallback_only_without_any_content_key(self):
         task = _Task(index=5, item=None, fingerprint=None)
         assert _backoff_key(task) == "task-5"
 
     def test_retry_schedule_is_worker_count_invariant(self):
-        # The same batched chunk lands at index 2 under --workers 4 and
-        # index 7 under --workers 2; its backoff draws must agree.
+        # The same cell lands at index 2 on a resumed run and index 7
+        # on a fresh one; its backoff draws must agree.
         options = _opts(backoff_base=0.5, backoff_jitter=0.25)
-        few_workers = _Task(
-            index=7, item=None, fingerprint=None, subkeys=("cell-fp",), size=1
-        )
-        many_workers = _Task(
-            index=2, item=None, fingerprint=None, subkeys=("cell-fp",), size=1
-        )
+        few_workers = _Task(index=7, item=None, fingerprint="cell-fp")
+        many_workers = _Task(index=2, item=None, fingerprint="cell-fp")
         for attempt in (1, 2, 3):
             assert backoff_delay(
                 options, _backoff_key(few_workers), attempt

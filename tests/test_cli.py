@@ -20,6 +20,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--protocol", "psychic"])
 
+    @pytest.mark.parametrize(
+        "command",
+        ["figure7", "simulate", "ablations", "sensitivity", "validity",
+         "robustness"],
+    )
+    def test_backend_flag_accepts_exactly_compiled_and_reference(self, command):
+        parser = build_parser()
+        assert parser.parse_args([command]).backend == "compiled"
+        assert parser.parse_args(
+            [command, "--backend", "reference"]
+        ).backend == "reference"
+        for retired in ("auto", "fast"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--backend", retired])
+        for retired in ("--batch", "--no-batch", "--no-fast-path"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, retired])
+
 
 class TestCommands:
     def test_capacity_output(self, capsys):
@@ -374,7 +392,6 @@ class TestServiceCommands:
         assert args.port == 0
         assert args.lease_ttl == 30.0
         assert args.max_jobs == 8
-        assert args.batch is True
 
     def test_submit_accepts_inline_json_and_wait_flags(self):
         args = build_parser().parse_args([
