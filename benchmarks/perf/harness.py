@@ -19,6 +19,10 @@ Both run every configuration at the same seed, so the speedups compare
 identical work — the compiled engine's bit-identity means the *results*
 of the timed runs agree exactly, which the harness verifies on every
 timed round.
+
+One analytic arm rides along: ``lcfs_figure7`` times the LCFS baseline
+curves of all six Figure-7 panels, which every ``repro figure7`` run
+recomputes (the uncontrolled baselines are not memoised).
 """
 
 from __future__ import annotations
@@ -34,7 +38,12 @@ from pathlib import Path
 from typing import Optional
 
 from repro.core import ControlPolicy
-from repro.experiments import PanelConfig, generate_panel
+from repro.experiments import (
+    PAPER_PANELS,
+    PanelConfig,
+    default_deadlines,
+    generate_panel,
+)
 from repro.experiments.sweep import (
     MACRunSpec,
     SequentialOptions,
@@ -45,6 +54,7 @@ from repro.experiments.sweep import (
 from repro.mac import WindowMACSimulator
 from repro.mac.kernels.compiled import numba_available
 from repro.obs.metrics import MetricsRegistry
+from repro.queueing import LCFSQueue
 from repro.stats import t_interval
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -356,6 +366,33 @@ def measure_stations(
     }
 
 
+def measure_lcfs_figure7(rounds: int = 3) -> dict:
+    """The analytic LCFS baseline of all six Figure-7 panels.
+
+    Times the ``LCFSQueue.loss_beyond_deadline`` calls
+    :func:`~repro.experiments.generate_panel` makes — one per default
+    deadline of each panel, on the panel's service pmf refined to a
+    half-τ lattice — as min CPU seconds over ``rounds``.  Building the
+    service pmfs is left untimed: eq. 4.7 shares them and they are
+    memoised per panel.
+    """
+    points = [
+        (LCFSQueue(panel.arrival_rate, panel.service_pmf().refine(2)), deadline)
+        for panel in PAPER_PANELS
+        for deadline in default_deadlines(panel)
+    ]
+    lcfs_s = min(
+        _timed(lambda: [queue.loss_beyond_deadline(k) for queue, k in points])[0]
+        for _ in range(rounds)
+    )
+    return {
+        "panels": len(PAPER_PANELS),
+        "calls": len(points),
+        "rounds": rounds,
+        "lcfs_s": lcfs_s,
+    }
+
+
 #: Half-width the sequential Figure-7 measurement certifies.  Half a
 #: loss-percentage point is comfortably below what Figure 7's published
 #: curves resolve visually, so it is the quality bar a production sweep
@@ -568,6 +605,7 @@ def run_benchmarks(config: PerfConfig, mode: str, end_to_end: bool = True) -> di
         "stations_1e5": measure_stations(PerfConfig()),
         "robustness_faulted": measure_robustness_faulted(PerfConfig()),
         "sequential_figure7": measure_sequential_figure7(PerfConfig()),
+        "lcfs_figure7": measure_lcfs_figure7(),
     }
     if end_to_end:
         # Warm the analytic memo so neither timed arm pays for eq. 4.7.
@@ -662,6 +700,10 @@ def render_table(payload: dict) -> str:
             f"{'  construction (O(1) registry)':<34} "
             f"{st['construct_s'] * 1000:>8.1f}ms",
         ]
+    if "lcfs_figure7" in payload:
+        lcfs = payload["lcfs_figure7"]
+        label = f"lcfs analytic, {lcfs['calls']} figure-7 points"
+        lines += ["", f"{label:<34} {lcfs['lcfs_s']:>9.3f}s"]
     if "end_to_end" in payload:
         e2e = payload["end_to_end"]
         base = e2e["baseline_sequential_slow"]

@@ -3,67 +3,85 @@
 Needed for the non-preemptive LCFS waiting-time analysis
 (:mod:`repro.queueing.lcfs`), the [Kurose 83] LCFS baseline of Figure 7.
 
-In a slotted system with per-slot Bernoulli(a) arrivals, the busy period
-``G`` started by one customer satisfies the branching identity
+In a slotted system with per-slot Bernoulli(a) arrivals,
+``a = 1 − e^{−λ·δ}``, clearing work is a downward skip-free walk: each
+slot removes one slot of work and, with probability a, an arrival adds a
+service time X.  A busy period started by work R ~ r is the first
+passage of ``S_n = R + Σ_{i≤n} (ξ_i − 1)``, ``ξ_i ~ (1 − a)δ₀ + a·X``,
+to 0 — in pgf form ``D(z) = R̃(z·(1 − a + a·G(z)))`` with G the
+ordinary busy period (R = X).  The hitting-time theorem (Kemperman,
+Takács), ``P(τ_k = n) = (k/n)·P(ξ₁ + … + ξ_n = n − k)`` for a walk
+started at k, gives D in one pass:
 
-    G  =  Σ_{slots s of the initial service}  (1 + A_s · G_s)
+    P(D = 0) = r₀,
+    P(D = n) = (1/n)·Σ_m C(n, m)·aᵐ·(1 − a)ⁿ⁻ᵐ·((k·r_k) ⊛ X^{*m})[n].
 
-where ``A_s`` is the arrival indicator of slot ``s`` and the ``G_s`` are
-iid copies of ``G`` (each arrival during a service ultimately contributes
-its own sub-busy-period).  In pgf form  ``G(z) = X̃(z·(1 − a + a·G(z)))``.
-We solve it by fixed-point iteration directly on truncated pmf arrays:
-starting from G₀ = pmf of X, repeatedly substitute.  The iteration is
-monotone in the truncated total mass and converges geometrically for
-ρ < 1.
+**Cost.**  ``(k·r_k) ⊛ X^{*m}`` vanishes below ``m·min X + δ``, so
+only ``m ≤ ⌊horizon / min X⌋`` terms reach the horizon: one truncated
+convolution with X each.  On Figure 7 the deadline grid scales with M,
+so that is about a dozen convolutions per deadline.
+
+**Truncation.**  ``P(D = n)`` reads r and X only at indices ≤ n, so
+cutting every array at the horizon drops mass above it and changes
+nothing below: the probabilities up to the horizon are exact to
+rounding, and the returned pmf is sub-stochastic by the mass beyond.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import gammaln
 
 from .distributions import LatticePMF
 
 __all__ = ["busy_period_pmf", "delay_busy_period_pmf"]
 
 
-def _compose(
-    initial: np.ndarray, a: float, g: np.ndarray, limit: int
+def _first_passage_pmf(
+    initial: np.ndarray, service: np.ndarray, a: float, limit: int
 ) -> np.ndarray:
-    """PMF of ``Σ_{s=1..T} (1 + A_s·G_s)`` with ``T ~ initial``.
+    """``P(D = n)`` for ``n < limit`` by the hitting-time formula.
 
-    ``initial`` is the pmf of the number of slots T (lattice counts).
-    Computes Σ_t P(T = t) · W^{*t} truncated to ``limit``, where
-    ``W = δ₁ ⊛ ((1 − a)δ₀ + a·G)`` is the per-slot contribution.
+    ``initial`` and ``service`` are lattice pmfs (``service[0] == 0``)
+    and ``a`` is the per-slot arrival probability.
     """
-    # Per-slot kernel W: 1 slot of work plus (with prob a) a sub-busy period.
-    w = np.zeros(min(limit, g.size + 1))
-    w[0] = 0.0
-    w[1:] = a * g[: w.size - 1]
-    if w.size > 1:
-        w[1] += 1.0 - a
-    elif limit > 1:  # pragma: no cover - degenerate truncation
-        pass
-
+    r = initial[:limit]
     out = np.zeros(limit)
-    power = np.zeros(limit)
-    power[0] = 1.0  # W^{*0}
-    max_t = initial.size - 1
-    for t in range(max_t + 1):
-        if t > 0:
-            power = np.convolve(power, w)[:limit]
-        if initial[t] > 0:
-            out += initial[t] * power
+    if a == 0.0:  # no arrivals: the initial work drains slot by slot
+        out[: r.size] = r
+        return out
+    x = service[:limit]
+    n = np.arange(limit)
+    log_fact = gammaln(n + 1.0)
+    log_a, log_1ma = np.log(a), np.log1p(-a)
+    term = np.zeros(limit)  # (k·r_k) ⊛ X^{*m}, truncated at the horizon
+    term[: r.size] = n[: r.size] * r
+    m = 0
+    while term.any():
+        # C(n, m)·aᵐ·(1 − a)ⁿ⁻ᵐ for n ≥ m, in log space so (1 − a)ⁿ
+        # cannot underflow at large n.
+        log_w = (
+            log_fact[m:]
+            - log_fact[m]
+            - log_fact[: limit - m]
+            + m * log_a
+            + n[: limit - m] * log_1ma
+        )
+        out[m:] += np.exp(log_w) * term[m:]
+        term = np.convolve(term, x)[:limit]
+        m += 1
+    out[1:] /= n[1:]
+    out[0] = r[0]
     return out
 
 
 def busy_period_pmf(
-    service: LatticePMF,
-    arrival_rate: float,
-    horizon: float,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
+    service: LatticePMF, arrival_rate: float, horizon: float
 ) -> LatticePMF:
     """Busy-period pmf of the slotted M/G/1 queue, truncated at ``horizon``.
+
+    The busy period is the delay busy period started by one service
+    time (see :func:`delay_busy_period_pmf`).
 
     Parameters
     ----------
@@ -73,32 +91,9 @@ def busy_period_pmf(
         Poisson rate λ; per-slot arrival probability ``a = 1 − e^{−λ·delta}``.
     horizon:
         Truncation horizon: mass beyond it is dropped (the returned pmf is
-        sub-stochastic; probabilities below the horizon are exact up to
-        the iteration tolerance).
+        sub-stochastic; probabilities below the horizon are exact).
     """
-    if service.p[0] > 0:
-        raise ValueError("service times must be at least one lattice slot")
-    delta = service.delta
-    a = 1.0 - np.exp(-arrival_rate * delta)
-    limit = int(np.floor(horizon / delta + 1e-9)) + 1
-    x = service.p[:limit].copy()
-
-    g = x.copy()
-    if g.size < limit:
-        g = np.concatenate([g, np.zeros(limit - g.size)])
-    for _ in range(max_iter):
-        g_next = _compose(service.p, a, g, limit)
-        change = float(np.abs(g_next - g).sum())
-        g = g_next
-        if change < tol:
-            break
-    else:  # pragma: no cover - safeguarded by geometric convergence
-        raise RuntimeError("busy-period iteration did not converge")
-
-    result = LatticePMF.__new__(LatticePMF)
-    result.p = np.clip(g, 0.0, None)
-    result.delta = delta
-    return result
+    return delay_busy_period_pmf(service, service, arrival_rate, horizon)
 
 
 def delay_busy_period_pmf(
@@ -106,7 +101,6 @@ def delay_busy_period_pmf(
     service: LatticePMF,
     arrival_rate: float,
     horizon: float,
-    tol: float = 1e-10,
 ) -> LatticePMF:
     """PMF of a busy period initiated by work drawn from ``initial_delay``.
 
@@ -115,14 +109,11 @@ def delay_busy_period_pmf(
     (as later arrivals do under non-preemptive LCFS).  In pgf form
     ``D(z) = R̃(z·(1 − a + a·G(z)))`` with ``G`` the ordinary busy period.
     """
+    if service.p[0] > 0:
+        raise ValueError("service times must be at least one lattice slot")
     delta = service.delta
     if abs(initial_delay.delta - delta) > 1e-12:
         raise ValueError("initial delay and service must share the lattice step")
     a = 1.0 - np.exp(-arrival_rate * delta)
     limit = int(np.floor(horizon / delta + 1e-9)) + 1
-    g = busy_period_pmf(service, arrival_rate, horizon, tol=tol).p
-    out = _compose(initial_delay.p, a, g, limit)
-    result = LatticePMF.__new__(LatticePMF)
-    result.p = np.clip(out, 0.0, None)
-    result.delta = delta
-    return result
+    return LatticePMF(_first_passage_pmf(initial_delay.p, service.p, a, limit), delta)

@@ -1,5 +1,7 @@
 """Tests for the non-preemptive LCFS waiting-time analysis."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,17 @@ class TestLCFS:
     def test_negative_deadline_rejected(self):
         with pytest.raises(ValueError):
             LCFSQueue(0.05, deterministic_pmf(10.0)).loss_beyond_deadline(-1.0)
+
+    def test_infinite_deadline(self):
+        """Like MG1: nothing is lost without a deadline, unless saturated."""
+        stable = LCFSQueue(0.05, deterministic_pmf(10.0))
+        saturated = LCFSQueue(0.2, deterministic_pmf(10.0))
+        assert stable.loss_beyond_deadline(math.inf) == 0.0
+        assert saturated.loss_beyond_deadline(math.inf) == 1.0
+
+    def test_negative_arrival_rate_rejected(self):
+        with pytest.raises(ValueError, match="negative arrival rate"):
+            LCFSQueue(-0.05, deterministic_pmf(10.0))
 
     def test_survival_monotone_decreasing(self):
         queue = LCFSQueue(0.06, deterministic_pmf(10.0).refine(2))
