@@ -9,7 +9,7 @@ The package implements, from scratch:
 - :mod:`repro.core` — the controlled time-window protocol (policy
   elements 1-4, Theorem 1's optimal choices) and its uncontrolled
   FCFS / LCFS / RANDOM variants;
-- :mod:`repro.des` — a discrete-event simulation engine;
+- :mod:`repro.des` — reproducible random streams;
 - :mod:`repro.mac` — the slotted broadcast channel, stations, the
   window-MAC simulator, plus ALOHA/TDMA baselines;
 - :mod:`repro.crp` — exact collision-resolution analysis (scheduling

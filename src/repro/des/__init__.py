@@ -1,33 +1,12 @@
-"""Discrete-event simulation substrate.
+"""Reproducible random streams.
 
-A small, deterministic, coroutine-based event engine in the style of
-SimPy (which is not available offline), plus reproducible random streams
-and measurement probes.  Used by :mod:`repro.mac` for channel-level
-simulation and by :mod:`repro.queueing.simulation` for queue-level
-validation.
+:class:`RandomStreams` derives one independent named generator per
+stochastic component from a single master seed, and
+:class:`AntitheticGenerator` mirrors a generator's uniforms for
+antithetic lane pairs.  The window-MAC simulator, the sweep executor
+and the CLI take their seeded randomness from these.
 """
 
-from .engine import Simulator, StopSimulation
-from .events import AllOf, AnyOf, Event, Interrupt, ProcessEvent, Timeout
-from .monitor import Counter, Tally, TimeSeries
-from .resources import PriorityResource, Resource, Store
 from .rng import AntitheticGenerator, RandomStreams
 
-__all__ = [
-    "Simulator",
-    "StopSimulation",
-    "Event",
-    "Timeout",
-    "ProcessEvent",
-    "Interrupt",
-    "AllOf",
-    "AnyOf",
-    "Resource",
-    "PriorityResource",
-    "Store",
-    "RandomStreams",
-    "AntitheticGenerator",
-    "Counter",
-    "TimeSeries",
-    "Tally",
-]
+__all__ = ["RandomStreams", "AntitheticGenerator"]

@@ -6,8 +6,8 @@ seed, and (b) changing one component's consumption pattern does not
 perturb the draws seen by the others (common random numbers across
 experiment arms).
 
-Substreams are derived with :class:`numpy.random.SeedSequence` spawning
-keyed by a stable hash of the stream name.
+Each substream is seeded with a :class:`numpy.random.SeedSequence` of
+the master seed and a stable hash of the stream name.
 
 :class:`AntitheticGenerator` mirrors the *uniform* stream of a wrapped
 generator (``u -> 1 - u``) while delegating every other method
@@ -109,31 +109,6 @@ class RandomStreams:
                 generator = AntitheticGenerator(generator)
             self._generators[name] = generator
         return generator
-
-    def spawn(self, index: int) -> "RandomStreams":
-        """A derived family for replication ``index`` (independent seeds)."""
-        if index < 0:
-            raise ValueError(f"replication index must be non-negative, got {index}")
-        child = RandomStreams.__new__(RandomStreams)
-        child.master_seed = self.master_seed
-        child.antithetic = self.antithetic
-        child._generators = {}
-        child._base = (self.master_seed, index)
-
-        def _get(name: str, _child=child) -> np.random.Generator:
-            generator = _child._generators.get(name)
-            if generator is None:
-                seed_seq = np.random.SeedSequence(
-                    [_child._base[0], _child._base[1] + 1, _stable_key(name)]
-                )
-                generator = np.random.default_rng(seed_seq)
-                if _child.antithetic:
-                    generator = AntitheticGenerator(generator)
-                _child._generators[name] = generator
-            return generator
-
-        child.get = _get  # type: ignore[method-assign]
-        return child
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStreams(master_seed={self.master_seed})"

@@ -1,14 +1,16 @@
 """Multiple-access channel substrate.
 
 Slot-level simulation of the broadcast channel: messages, stations, the
-ternary-feedback slotted channel, and the full window-MAC simulator that
-produces Figure 7's simulation points.  Slotted-ALOHA and TDMA baselines
-(not part of the paper's evaluation) live here as extensions.
+ternary-feedback slotted channel, and the window-MAC simulator that
+produces Figure 7's simulation points.  Time advances in τ-slots; the
+simulator's reference loop is the oracle and the fast kernels in
+:mod:`repro.mac.kernels` reproduce it bit for bit.  Slotted-ALOHA and
+TDMA baselines (not part of the paper's evaluation) live here as
+extensions.
 """
 
 from .aloha import AlohaResult, SlottedAlohaSimulator
 from .channel import ChannelStats, SlottedChannel
-from .des_simulator import DESWindowMACSimulator
 from .messages import Message, MessageFate
 from .simulator import MACSimResult, WindowMACSimulator
 from .station import Station, StationRegistry
@@ -22,7 +24,6 @@ __all__ = [
     "SlottedChannel",
     "ChannelStats",
     "WindowMACSimulator",
-    "DESWindowMACSimulator",
     "MACSimResult",
     "SlottedAlohaSimulator",
     "AlohaResult",

@@ -404,8 +404,8 @@ class FlatLane:
             self.iso_np = None
 
     def _observe(self, true_value: float, paper_value: float) -> None:
-        """One Welford update of both wait means (the reference
-        :class:`~repro.des.monitor.Tally` arithmetic)."""
+        """One Welford update of both wait means (the
+        :class:`~repro.mac.kernels.primitives.WaitStats` arithmetic)."""
         count = self.wcount + 1
         self.wcount = count
         delta = true_value - self.wtrue

@@ -118,9 +118,10 @@ def kernel_traits(policy: "ControlPolicy") -> KernelTraits:
 class WaitStats:
     """Streaming means of the two wait definitions.
 
-    Same Welford update (and therefore the same float arithmetic on the
-    mean) as :class:`~repro.des.monitor.Tally.observe`, with the
-    moments the result never reads (m2/min/max) dropped.
+    One Welford update per delivered message.  The reference loop, the
+    faulted kernel and (inlined) the compiled engine all accumulate
+    through this arithmetic, which is what keeps their mean waits
+    bit-identical.
     """
 
     __slots__ = ("count", "true_mean", "paper_mean")

@@ -26,7 +26,6 @@ import numpy as np
 from ..core.controller import ProtocolController
 from ..core.policy import ControlPolicy
 from ..core.window import ChannelFeedback
-from ..des.monitor import Tally
 from ..des.rng import AntitheticGenerator, RandomStreams
 from ..faults import (
     FaultEvent,
@@ -39,6 +38,7 @@ from ..faults import (
 from ..obs.metrics import MetricsRegistry
 from ..resilience.invariants import invariants_enabled, require
 from .channel import ChannelStats, SlottedChannel
+from .kernels.primitives import ObsBuffers, WaitStats
 from .messages import Message, MessageFate
 from .station import StationRegistry
 
@@ -479,8 +479,7 @@ class WindowMACSimulator:
         measured = lambda msg: msg.arrival >= warmup_slots  # noqa: E731
         counts = {fate: 0 for fate in MessageFate}
         n_measured = 0
-        true_wait = Tally()
-        paper_wait = Tally()
+        waits = WaitStats()
         # Hot-loop guards (REPRO_CHECK_INVARIANTS): monotone clock and
         # window non-negativity, checked as state evolves rather than
         # inferred from a corrupt merged table downstream.
@@ -551,9 +550,7 @@ class WindowMACSimulator:
             if transmitted is not None:
                 transmitted.process_start = process_start
                 registry.remove(transmitted)
-                self._score_delivery(
-                    transmitted, counts, true_wait, paper_wait, measured
-                )
+                self._score_delivery(transmitted, counts, waits, measured)
 
         unresolved = sum(
             1 for message in registry.messages_in_span(_everything())
@@ -580,8 +577,8 @@ class WindowMACSimulator:
             delivered_late=counts[MessageFate.DELIVERED_LATE],
             discarded=counts[MessageFate.DISCARDED_AT_SENDER],
             unresolved=unresolved,
-            mean_true_wait=true_wait.mean,
-            mean_paper_wait=paper_wait.mean,
+            mean_true_wait=waits.mean_true,
+            mean_paper_wait=waits.mean_paper,
             channel=channel.stats,
             deadline=self.deadline,
         )
@@ -611,8 +608,6 @@ class WindowMACSimulator:
         single windowing process can deliver several messages, so
         scoring cannot wait for process completion).
         """
-        from .kernels.primitives import ObsBuffers
-
         model = self.feedback_faults
         state = FeedbackFaultState(model, self.registry.n_stations, self._fault_rng)
         telemetry = state.telemetry
@@ -627,8 +622,7 @@ class WindowMACSimulator:
         measured = lambda msg: msg.arrival >= warmup_slots  # noqa: E731
         counts = {fate: 0 for fate in MessageFate}
         n_measured = 0
-        true_wait = Tally()
-        paper_wait = Tally()
+        waits = WaitStats()
         check = invariants_enabled()
         last_now = -math.inf
         obs = self.metrics
@@ -722,9 +716,7 @@ class WindowMACSimulator:
                     if observed is ChannelFeedback.SUCCESS:
                         transmitted.process_start = process_start
                         registry.remove(transmitted)
-                        self._score_delivery(
-                            transmitted, counts, true_wait, paper_wait, measured
-                        )
+                        self._score_delivery(transmitted, counts, waits, measured)
                     elif observed is ChannelFeedback.IDLE:
                         # Faded frame: transmitted but decoded nowhere,
                         # and the span resolves idle — unrecoverable.
@@ -793,8 +785,8 @@ class WindowMACSimulator:
             delivered_late=counts[MessageFate.DELIVERED_LATE],
             discarded=counts[MessageFate.DISCARDED_AT_SENDER],
             unresolved=unresolved,
-            mean_true_wait=true_wait.mean,
-            mean_paper_wait=paper_wait.mean,
+            mean_true_wait=waits.mean_true,
+            mean_paper_wait=waits.mean_paper,
             channel=channel.stats,
             deadline=self.deadline,
             lost_to_faults=counts[MessageFate.LOST_TO_FAULT],
@@ -835,8 +827,7 @@ class WindowMACSimulator:
         measured = lambda msg: msg.arrival >= warmup_slots  # noqa: E731
         counts = {fate: 0 for fate in MessageFate}
         n_measured = 0
-        true_wait = Tally()
-        paper_wait = Tally()
+        waits = WaitStats()
         check = invariants_enabled()
         last_now = -math.inf
 
@@ -923,9 +914,7 @@ class WindowMACSimulator:
                     transmitted.station
                 ).process_start
                 registry.remove(transmitted)
-                self._score_delivery(
-                    transmitted, counts, true_wait, paper_wait, measured
-                )
+                self._score_delivery(transmitted, counts, waits, measured)
             bank.apply_feedback(feedback, now, lose_to_fault)
 
         unresolved = sum(
@@ -952,8 +941,8 @@ class WindowMACSimulator:
             delivered_late=counts[MessageFate.DELIVERED_LATE],
             discarded=counts[MessageFate.DISCARDED_AT_SENDER],
             unresolved=unresolved,
-            mean_true_wait=true_wait.mean,
-            mean_paper_wait=paper_wait.mean,
+            mean_true_wait=waits.mean_true,
+            mean_paper_wait=waits.mean_paper,
             channel=channel.stats,
             deadline=self.deadline,
             lost_to_faults=counts[MessageFate.LOST_TO_FAULT],
@@ -970,7 +959,7 @@ class WindowMACSimulator:
                 flush_fault_metrics(self.metrics, bank.telemetry)
         return result
 
-    def _score_delivery(self, message, counts, true_wait, paper_wait, measured) -> None:
+    def _score_delivery(self, message, counts, waits, measured) -> None:
         wait = message.wait(self.loss_definition)
         if self.deadline is not None and wait > self.deadline:
             message.fate = MessageFate.DELIVERED_LATE
@@ -978,8 +967,7 @@ class WindowMACSimulator:
             message.fate = MessageFate.DELIVERED_ON_TIME
         if measured(message):
             counts[message.fate] += 1
-            true_wait.observe(message.true_wait)
-            paper_wait.observe(message.paper_wait)
+            waits.observe(message.true_wait, message.paper_wait)
 
 
 def _everything():

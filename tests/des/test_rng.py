@@ -46,20 +46,6 @@ def test_negative_seed_rejected():
         RandomStreams(-1)
 
 
-def test_spawn_replications_are_independent_and_reproducible():
-    base = RandomStreams(5)
-    rep0 = base.spawn(0).get("arrivals").random(8)
-    rep1 = base.spawn(1).get("arrivals").random(8)
-    assert not np.array_equal(rep0, rep1)
-    again = RandomStreams(5).spawn(0).get("arrivals").random(8)
-    assert np.array_equal(rep0, again)
-
-
-def test_spawn_negative_index_rejected():
-    with pytest.raises(ValueError):
-        RandomStreams(5).spawn(-1)
-
-
 def test_antithetic_mirrors_random():
     plain = np.random.default_rng(11).random(100)
     mirrored = AntitheticGenerator(np.random.default_rng(11)).random(100)
@@ -115,11 +101,3 @@ def test_streams_antithetic_flag_mirrors_every_stream():
         a = plain.get(name).random(25)
         b = mirrored.get(name).random(25)
         assert np.allclose(a + b, 1.0)
-
-
-def test_streams_spawn_inherits_antithetic_flag():
-    plain = RandomStreams(13).spawn(2).get("arrivals").random(10)
-    mirrored = (
-        RandomStreams(13, antithetic=True).spawn(2).get("arrivals").random(10)
-    )
-    assert np.allclose(plain + mirrored, 1.0)

@@ -5,18 +5,23 @@ loop, the compiled engine and the faulted kernel all *consume the same
 split primitives* — one split implementation, one examination-order
 rule — and the two fast kernels share one primitive layer (epoch
 context, fast-forward, observation buffers), so a protocol-semantics
-change lands in exactly one place.  Also
-holds the large-population startup guarantee:
+change lands in exactly one place.  Checks ``WaitStats``, the wait
+accumulator of the reference loops and the faulted kernel, against a
+direct mean.
+Also holds the large-population startup guarantee:
 simulator construction is O(1) in ``n_stations`` (the lazy
 struct-of-arrays registry), checked under a time/memory budget and by
 the ``REPRO_CHECK_INVARIANTS`` structural guard.
 """
 
+import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core import ControlPolicy
 from repro.core import splits as core_splits
@@ -71,6 +76,50 @@ class TestUnifiedPrimitives:
             ((2.0, 4.0),),
             ((4.0, 6.0),),
         ]
+
+
+class TestWaitStats:
+    # The reference loops' and the faulted kernel's wait accumulator.
+
+    def test_empty_nan(self):
+        waits = primitives.WaitStats()
+        assert waits.count == 0
+        assert math.isnan(waits.mean_true)
+        assert math.isnan(waits.mean_paper)
+
+    def test_means_match_numpy(self):
+        true_values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
+        paper_values = [2.0, 7.0, 1.0, 8.0, 2.0, 8.0, 1.0, 8.0]
+        waits = primitives.WaitStats()
+        for true_value, paper_value in zip(true_values, paper_values):
+            waits.observe(true_value, paper_value)
+        assert waits.count == len(true_values)
+        assert waits.mean_true == pytest.approx(np.mean(true_values))
+        assert waits.mean_paper == pytest.approx(np.mean(paper_values))
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), max_size=200
+        )
+    )
+    @example(pairs=[])
+    def test_welford_matches_numpy_property(self, pairs):
+        # Welford means agree with a direct mean; an empty run reports NaN.
+        waits = primitives.WaitStats()
+        for true_value, paper_value in pairs:
+            waits.observe(true_value, paper_value)
+        assert waits.count == len(pairs)
+        if not pairs:
+            assert math.isnan(waits.mean_true)
+            assert math.isnan(waits.mean_paper)
+            return
+        true_values, paper_values = zip(*pairs)
+        assert waits.mean_true == pytest.approx(
+            np.mean(true_values), rel=1e-9, abs=1e-6
+        )
+        assert waits.mean_paper == pytest.approx(
+            np.mean(paper_values), rel=1e-9, abs=1e-6
+        )
 
 
 class TestLinearStartup:
