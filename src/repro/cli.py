@@ -15,11 +15,6 @@ Commands
                  nonstationary workloads (per-scenario-family drift)
 ``cache``        inspect or purge the on-disk memo cache
 ``report``       render or diff run reports written by ``--metrics``
-``serve``        run the fault-tolerant sweep job daemon
-``submit``       submit a sweep grid to a running daemon
-``status``       show daemon jobs (or one job's progress/results)
-``cancel``       cancel a submitted job
-``drain``        gracefully drain the daemon (see ``docs/service.md``)
 
 Every command accepts ``--seed`` (default 1); stochastic commands feed
 it into a :class:`~repro.des.rng.RandomStreams` family so a run is
@@ -62,8 +57,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import asyncio
-import json
 import sys
 import time
 
@@ -117,10 +110,7 @@ from .obs import (
     render_report,
     write_report,
 )
-from .obs.tracing import current_tracer
 from .resilience import JournalMismatchError, JournalSchemaError
-from .service import ServiceClient, ServiceConfig, ServiceError
-from .service.server import serve as _serve_daemon
 
 __all__ = ["main"]
 
@@ -724,130 +714,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_grid(source: str) -> dict:
-    """A grid argument: inline JSON (starts with ``{``) or a file path."""
-    text = source
-    if not source.lstrip().startswith("{"):
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    try:
-        grid = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ValueError(f"grid is not valid JSON: {error}") from error
-    if not isinstance(grid, dict):
-        raise ValueError("grid must be a JSON object")
-    return grid
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    config = ServiceConfig(
-        state_dir=args.state,
-        host=args.host,
-        port=args.port,
-        max_jobs=args.max_jobs,
-        lease_ttl=args.lease_ttl,
-        shard_size=args.shard_size,
-        backend_slots=args.slots,
-        sweep_workers=args.workers,
-        task_timeout=args.task_timeout,
-        max_retries=args.max_retries if args.max_retries is not None else 2,
-    )
-    print(f"serving sweep jobs from state dir {args.state} "
-          f"(SIGTERM or 'repro drain' to stop)", file=sys.stderr)
-    asyncio.run(_serve_daemon(
-        config, metrics=args.obs_registry, tracer=current_tracer()
-    ))
-    print("drained cleanly", file=sys.stderr)
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.state, timeout=args.rpc_timeout)
-    grid = _load_grid(args.grid)
-    response = client.submit(grid)
-    job_id = response["job_id"]
-    print(f"submitted {job_id}: {response['cells']} cell(s) in "
-          f"{response['shards']} shard(s)")
-    if not args.wait:
-        return 0
-    done = client.wait(job_id, timeout=args.timeout,
-                       results=args.results is not None)
-    job = done["job"]
-    print(f"{job_id}: {job['state']} — {job['cells_done']}/{job['cells']} "
-          f"cells, {job['redispatches']} redispatch(es), "
-          f"{job['holes']} hole(s)")
-    if args.results is not None and "results" in done:
-        with open(args.results, "w", encoding="utf-8") as handle:
-            json.dump(done["results"], handle, indent=2)
-        print(f"results written to {args.results}", file=sys.stderr)
-    if job["state"] != "completed" or job["holes"]:
-        return 1
-    return 0
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.state, timeout=args.rpc_timeout)
-    if args.job_id is None:
-        jobs = client.jobs()["jobs"]
-        if not jobs:
-            print("no jobs")
-            return 0
-        rows = [
-            [j["job_id"], str(j["kind"]), j["state"],
-             f"{j['cells_done']}/{j['cells']}", str(j["redispatches"]),
-             str(j["holes"])]
-            for j in jobs
-        ]
-        print(ascii_table(
-            ["job", "kind", "state", "cells", "redisp", "holes"], rows,
-            title="Sweep service jobs",
-        ))
-        return 0
-    response = client.status(args.job_id, results=args.results is not None)
-    job = response["job"]
-    for key in ("job_id", "kind", "state", "cells", "cells_done", "shards",
-                "shards_done", "redispatches", "holes", "error"):
-        print(f"{key}: {job[key]}")
-    if "results_path" in response:
-        print(f"results_path: {response['results_path']}")
-    if args.results is not None and "results" in response:
-        with open(args.results, "w", encoding="utf-8") as handle:
-            json.dump(response["results"], handle, indent=2)
-        print(f"results written to {args.results}", file=sys.stderr)
-    return 0
-
-
-def _cmd_cancel(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.state, timeout=args.rpc_timeout)
-    response = client.cancel(args.job_id)
-    if response.get("already"):
-        print(f"{args.job_id} already terminal: {response['state']}")
-    else:
-        print(f"{args.job_id} cancelled "
-              f"({response['leases_released']} lease(s) released)")
-    return 0
-
-
-def _cmd_drain(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.state, timeout=args.rpc_timeout)
-    response = client.drain()
-    print(f"draining ({response['active']} active job(s) to finish)")
-    if not args.wait:
-        return 0
-    deadline = time.monotonic() + args.timeout
-    while time.monotonic() < deadline:
-        try:
-            client.ping()
-        except ServiceError as error:
-            if error.code == 0:  # endpoint gone: drain finished
-                print("server exited cleanly")
-                return 0
-            raise
-        time.sleep(0.2)
-    print(f"error: server still up after {args.timeout}s", file=sys.stderr)
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -1043,82 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for uniformity (no randomness)")
     p.set_defaults(func=_cmd_cache)
 
-    def _add_state_flag(sp, required=True):
-        sp.add_argument("--state", required=required, metavar="DIR",
-                        help="service state directory (job table, "
-                             "journals, results, endpoint)")
-        sp.add_argument("--rpc-timeout", type=float, default=30.0,
-                        metavar="SECONDS", help="per-request socket timeout")
-        sp.add_argument("--seed", type=int, default=1,
-                        help="accepted for uniformity (no randomness)")
-
-    p = sub.add_parser("serve",
-                       help="run the sweep job daemon (see docs/service.md)")
-    p.add_argument("--state", required=True, metavar="DIR",
-                   help="durable state directory; restarting with the same "
-                        "DIR recovers in-flight jobs")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="TCP port (default 0 = ephemeral; clients read the "
-                        "bound port from DIR/endpoint.json)")
-    p.add_argument("--max-jobs", type=int, default=8,
-                   help="active-job admission bound (excess submits get 429)")
-    p.add_argument("--lease-ttl", type=float, default=30.0, metavar="SECONDS",
-                   help="shard lease TTL; a shard silent this long is "
-                        "declared dead and re-dispatched")
-    p.add_argument("--shard-size", type=int, default=64,
-                   help="cells per dispatch shard")
-    p.add_argument("--slots", type=int, default=2,
-                   help="concurrent in-flight shards")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes per shard sweep (default inline)")
-    p.add_argument("--task-timeout", type=float, default=None,
-                   metavar="SECONDS", help="wall-clock budget per cell")
-    p.add_argument("--max-retries", type=int, default=None, metavar="N",
-                   help="attempts per cell beyond the first (default 2)")
-    p.add_argument("--seed", type=int, default=1,
-                   help="accepted for uniformity (no randomness)")
-    _add_obs_flags(p)
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser("submit", help="submit a sweep grid to the daemon")
-    _add_state_flag(p)
-    p.add_argument("grid",
-                   help="grid spec: inline JSON object or a path to a JSON "
-                        "file, e.g. '{\"kind\": \"figure7\", \"rho\": 0.5}'")
-    p.add_argument("--wait", action="store_true",
-                   help="poll until the job is terminal (exit 1 on failure "
-                        "or holes)")
-    p.add_argument("--timeout", type=float, default=600.0, metavar="SECONDS",
-                   help="--wait budget")
-    p.add_argument("--results", default=None, metavar="FILE",
-                   help="with --wait: write the completed job's results "
-                        "JSON to FILE")
-    p.set_defaults(func=_cmd_submit)
-
-    p = sub.add_parser("status", help="show daemon jobs (or one job)")
-    _add_state_flag(p)
-    p.add_argument("job_id", nargs="?", default=None,
-                   help="job to show (omit for the full table)")
-    p.add_argument("--results", default=None, metavar="FILE",
-                   help="write a completed job's results JSON to FILE")
-    p.set_defaults(func=_cmd_status)
-
-    p = sub.add_parser("cancel", help="cancel a submitted job")
-    _add_state_flag(p)
-    p.add_argument("job_id")
-    p.set_defaults(func=_cmd_cancel)
-
-    p = sub.add_parser("drain",
-                       help="gracefully drain the daemon (finish admitted "
-                            "jobs, refuse new ones, exit)")
-    _add_state_flag(p)
-    p.add_argument("--wait", action="store_true",
-                   help="block until the server has exited")
-    p.add_argument("--timeout", type=float, default=300.0, metavar="SECONDS",
-                   help="--wait budget")
-    p.set_defaults(func=_cmd_drain)
-
     return parser
 
 
@@ -1154,11 +944,6 @@ def main(argv=None) -> int:
         # distinguish "stale journal" from a bad parameterisation.
         print(f"journal error: {error}", file=sys.stderr)
         return 3
-    except ServiceError as error:
-        # Service refusals (429/503/404) and unreachable servers: their
-        # own exit code so scripts can retry busy vs give up on absent.
-        print(f"service error: {error}", file=sys.stderr)
-        return 4
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         try:

@@ -42,7 +42,6 @@ from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
-    Dict,
     Iterable,
     List,
     Optional,
@@ -78,7 +77,6 @@ __all__ = [
     "derive_seeds",
     "ResilienceOptions",
     "arm_key",
-    "plan_shards",
     "SequentialOptions",
     "SequentialEstimate",
     "run_sequential",
@@ -227,41 +225,9 @@ def derive_seeds(base_seed: int, n: int) -> List[int]:
 def arm_key(spec: MACRunSpec) -> str:
     """Content hash of a spec's *arm* — every field except the seed.
 
-    Keys sequential wave decisions (one arm, many seeds) and the
-    service's shard planner, which groups an arm's seed cohort into one
-    shard.
+    Keys sequential wave decisions: one arm, many seeds.
     """
     return fingerprint(("mac-arm", replace(spec, seed=0)))
-
-
-def plan_shards(
-    specs: Sequence[MACRunSpec], shard_size: int
-) -> List[List[int]]:
-    """Partition a grid into dispatch shards, grouped by arm fingerprint.
-
-    Returns index lists that cover ``range(len(specs))`` exactly once:
-    same-arm seed replications become adjacent (one shard is usually one
-    arm's cohort), and no shard
-    exceeds ``shard_size`` cells.  The plan is a pure function of the
-    spec list and ``shard_size`` — never of worker layout or wall-clock
-    — so a restarted server re-plans a recovered job into *identical*
-    shards and every shard's journal keys still match.
-    """
-    if shard_size < 1:
-        raise ValueError(f"shard size must be >= 1, got {shard_size}")
-    groups: Dict[str, List[int]] = {}
-    order: List[str] = []
-    for index, spec in enumerate(specs):
-        key = arm_key(spec)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(index)
-    ordered = [index for key in order for index in groups[key]]
-    return [
-        ordered[i : i + shard_size]
-        for i in range(0, len(ordered), shard_size)
-    ]
 
 
 class SweepExecutor:
@@ -290,12 +256,6 @@ class SweepExecutor:
         :func:`run_spec_with_metrics` so per-run simulator metrics are
         collected in the workers, merged in submission order, and folded
         in here too.  ``None`` or a disabled registry costs nothing.
-    progress:
-        Optional callable invoked (in this process) with a completed
-        task's cell count each time a task finishes and is journaled.
-        The service backend points this at its lease heartbeat, so a
-        sweep that is making progress keeps its shard's lease alive and
-        a hung sweep lets it expire.
     """
 
     def __init__(
@@ -303,13 +263,11 @@ class SweepExecutor:
         workers: Optional[int] = None,
         resilience: Optional[ResilienceOptions] = None,
         metrics: Optional[MetricsRegistry] = None,
-        progress: Optional[Callable[[int], None]] = None,
     ):
         if workers is not None and workers < 1:
             raise ValueError(f"worker count must be >= 1, got {workers}")
         self.workers = workers
         self.resilience = resilience
-        self.progress = progress
         self.metrics = metrics if metrics is not None and metrics.enabled else None
         #: Outcome of the most recent ``run_specs``/``map`` call.
         self.last_outcome: Optional[SweepOutcome] = None
@@ -351,9 +309,7 @@ class SweepExecutor:
                 ]
             except (AttributeError, TypeError):
                 fingerprints = None  # unfingerprintable: run without replay
-        outcome = self._engine(len(items)).run(
-            fn, items, fingerprints, progress=self.progress
-        )
+        outcome = self._engine(len(items)).run(fn, items, fingerprints)
         self.last_outcome = outcome
         return outcome.results
 
@@ -410,7 +366,6 @@ class SweepExecutor:
                 run_spec_with_metrics if instrumented else run_spec,
                 [specs[k] for k in todo],
                 [fps[k] for k in todo] if fps is not None else None,
-                progress=self.progress,
             )
         for k, value in zip(todo, engine_out.results):
             entries[k] = value

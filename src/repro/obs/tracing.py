@@ -61,9 +61,6 @@ class NullTracer:
     def span(self, name: str, **args: Any) -> _NullSpan:
         return _NULL_SPAN
 
-    def instant(self, name: str, **args: Any) -> None:
-        pass
-
     def close(self) -> None:
         pass
 
@@ -112,21 +109,6 @@ class JsonlTracer:
     def span(self, name: str, **args: Any) -> _Span:
         """Open a span; it is recorded when the ``with`` block exits."""
         return _Span(self, name, args)
-
-    def instant(self, name: str, **args: Any) -> None:
-        """Record a zero-duration marker event."""
-        now = time.perf_counter()
-        self._emit(
-            {
-                "name": name,
-                "ph": "i",
-                "s": "p",
-                "ts": (now - self._epoch) * 1e6,
-                "pid": self._pid,
-                "tid": threading.get_ident() % 2**31,
-                "args": args,
-            }
-        )
 
     def _write_complete(self, name: str, start: float, args: Dict[str, Any]) -> None:
         end = time.perf_counter()

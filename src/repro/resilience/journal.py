@@ -62,9 +62,9 @@ def value_digest(value: Any, length: int = 12) -> str:
     """Short content digest of a journaled (or journalable) value.
 
     Error messages quote it for *both* sides of a replay mismatch so a
-    multi-journal service operator can see at a glance whether two
-    divergent records carry the same payload — without dumping the
-    payloads themselves into a log line.
+    reader can see at a glance whether two divergent records carry the
+    same payload — without dumping the payloads themselves into a log
+    line.
     """
     payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     return hashlib.sha256(payload).hexdigest()[:length]
@@ -147,7 +147,7 @@ class RunJournal:
         """On-disk path of a fingerprint's record (existing or not).
 
         Error messages name it so "which journal file disagreed?" has
-        an immediate answer when a service juggles many journals.
+        an immediate answer.
         """
         return self._records / f"{fp}.pkl"
 

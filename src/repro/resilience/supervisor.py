@@ -272,7 +272,6 @@ class SupervisedExecutor:
         self.strict = options is None
         self.options = options or ResilienceOptions(max_retries=0)
         self.metrics = metrics if metrics is not None and metrics.enabled else None
-        self._progress: Optional[Callable[[int], None]] = None
         self.journal: Optional[RunJournal] = None
         if self.options.checkpoint is not None:
             if self.options.resume and not RunJournal.exists(self.options.checkpoint):
@@ -294,21 +293,13 @@ class SupervisedExecutor:
         fn: Callable[[Any], Any],
         items: Sequence[Any],
         fingerprints: Optional[Sequence[Optional[str]]] = None,
-        progress: Optional[Callable[[int], None]] = None,
     ) -> SweepOutcome:
         """Apply ``fn`` to every item; results index-aligned with ``items``.
 
         ``fingerprints`` (when given) keys the journal: items whose
         fingerprint is already recorded are replayed, the rest executed
         and recorded as they complete.
-
-        ``progress`` (when given) is called in the *parent* with the
-        task's cell count (1) each time a task completes and is journaled —
-        the liveness signal the service layer turns into lease
-        heartbeats.  It is never called for replayed or quarantined
-        tasks.
         """
-        self._progress = progress
         items = list(items)
         if fingerprints is None:
             fingerprints = [None] * len(items)
@@ -378,8 +369,6 @@ class SupervisedExecutor:
         outcome.executed += 1
         if self.journal is not None and task.fingerprint is not None:
             self.journal.record(task.fingerprint, value)
-        if self._progress is not None:
-            self._progress(1)
 
     def _register_failure(
         self,

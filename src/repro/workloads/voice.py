@@ -10,6 +10,7 @@ is tolerable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,16 @@ class VoiceWorkload(Workload):
 
     @property
     def mean_rate(self) -> float:
-        """Aggregate packets per slot across all sources."""
-        return self.n_sources * self.activity_factor / self.packet_interval
+        """Aggregate packets per slot across all sources.
+
+        A talkspurt emits a packet at its start and then one every
+        ``packet_interval`` I, so an exponential spurt of mean T̄ carries
+        ``1 / (1 - exp(-I/T̄))`` packets on average (not T̄/I), once per
+        talk/silence cycle of mean T̄ + S̄.
+        """
+        cycle = self.mean_talkspurt + self.mean_silence
+        per_spurt = 1.0 / -math.expm1(-self.packet_interval / self.mean_talkspurt)
+        return self.n_sources * per_spurt / cycle
 
     def generate(self, horizon, n_stations, rng):
         times = []

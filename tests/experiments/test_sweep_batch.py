@@ -1,12 +1,11 @@
-"""Shard-batched sweep scheduling: chunking, journals, quarantine.
+"""Batched sweep scheduling: chunking, journals, quarantine.
 
-A job on the sweep service is split by :func:`plan_shards` into batches
-of specs (same-arm seed replications grouped, at most ``shard_size``
-each), and every batch is its own ``run_specs`` call against the job's
-one journal.  The contract pinned here: that batching is a *scheduling*
+A grid split into contiguous slices, each its own ``run_specs`` call
+against one journal, must behave like one ``run_specs`` call over the
+whole grid.  The contract pinned here: that batching is a *scheduling*
 decision — results, journal fingerprints and resume semantics are
-identical to one ``run_specs`` call over the whole grid, for any shard
-size and worker count, and a poisoned cell holes only itself.
+identical for any slice size and worker count, and a poisoned cell
+holes only itself.
 """
 
 from repro.core import ControlPolicy
@@ -15,7 +14,6 @@ from repro.experiments import (
     ResilienceOptions,
     SweepExecutor,
     derive_seeds,
-    plan_shards,
 )
 from repro.experiments import sweep as sweep_mod
 
@@ -53,15 +51,14 @@ def _grid():
 
 
 def _run_sharded(specs, shard_size, workers=None, resilience=None):
-    """Run ``specs`` shard by shard, as the service does; grid-ordered
-    results plus each shard's outcome."""
-    results = [None] * len(specs)
+    """Run ``specs`` in contiguous slices of ``shard_size``, one
+    ``run_specs`` call each; grid-ordered results plus each slice's
+    outcome."""
+    results = []
     outcomes = []
-    for shard in plan_shards(specs, shard_size):
+    for start in range(0, len(specs), shard_size):
         executor = SweepExecutor(workers, resilience)
-        shard_results = executor.run_specs([specs[k] for k in shard])
-        for index, result in zip(shard, shard_results):
-            results[index] = result
+        results += executor.run_specs(specs[start:start + shard_size])
         outcomes.append(executor.last_outcome)
     return results, outcomes
 
@@ -85,18 +82,6 @@ class TestSchedulingInvariance:
         assert _run_sharded(specs, 3)[0] == baseline
         assert SweepExecutor(2).run_specs(specs) == baseline
         assert _run_sharded(specs, 4, workers=2)[0] == baseline
-
-    def test_chunks_group_same_arm_replications(self):
-        # Interleaved arms regroup into per-arm seed cohorts (first
-        # appearance order) before slicing into shards.
-        specs = [
-            _spec(1),
-            _spec(1, arm="fcfs"),
-            _spec(2),
-            _spec(2, arm="fcfs"),
-        ]
-        assert plan_shards(specs, 64) == [[0, 2, 1, 3]]
-        assert plan_shards(specs, 2) == [[0, 2], [1, 3]]
 
 
 class TestQuarantine:

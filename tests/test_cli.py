@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import argparse
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -81,22 +85,27 @@ class TestCommands:
 class TestSeedFlag:
     def test_every_subcommand_accepts_seed(self):
         parser = build_parser()
-        for argv in (
+        argvs = (
             ["figure7", "--seed", "5"],
             ["theorem1", "--seed", "5"],
             ["simulate", "--seed", "5"],
             ["capacity", "--seed", "5"],
             ["ablations", "--seed", "5"],
             ["sensitivity", "--seed", "5"],
+            ["validity", "--seed", "5"],
             ["robustness", "--seed", "5"],
+            ["report", "show", "report.json", "--seed", "5"],
             ["cache", "info", "--seed", "5"],
-            ["serve", "--state", "/tmp/s", "--seed", "5"],
-            ["submit", "--state", "/tmp/s", "{}", "--seed", "5"],
-            ["status", "--state", "/tmp/s", "--seed", "5"],
-            ["cancel", "--state", "/tmp/s", "j1", "--seed", "5"],
-            ["drain", "--state", "/tmp/s", "--seed", "5"],
-        ):
+        )
+        for argv in argvs:
             assert parser.parse_args(argv).seed == 5
+        # The list must name every subcommand: adding or deleting one
+        # without updating it fails here.
+        (subparsers,) = (
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert {argv[0] for argv in argvs} == set(subparsers.choices)
 
     def test_capacity_ignores_seed(self, capsys):
         assert main(["capacity", "--m", "25", "--seed", "99"]) == 0
@@ -386,39 +395,18 @@ class TestCacheCommand:
         assert not list(tmp_path.glob("*.pkl"))
 
 
-class TestServiceCommands:
-    def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve", "--state", "/tmp/s"])
-        assert args.port == 0
-        assert args.lease_ttl == 30.0
-        assert args.max_jobs == 8
-
-    def test_submit_accepts_inline_json_and_wait_flags(self):
-        args = build_parser().parse_args([
-            "submit", "--state", "/tmp/s", '{"kind": "figure7"}',
-            "--wait", "--timeout", "60", "--results", "out.json",
-        ])
-        assert args.grid == '{"kind": "figure7"}'
-        assert args.wait and args.timeout == 60.0
-        assert args.results == "out.json"
-
-    def test_status_job_id_is_optional(self):
-        parser = build_parser()
-        assert parser.parse_args(["status", "--state", "/tmp/s"]).job_id is None
-        args = parser.parse_args(["status", "--state", "/tmp/s", "j0001-ab"])
-        assert args.job_id == "j0001-ab"
-
-    def test_cancel_requires_job_id(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["cancel", "--state", "/tmp/s"])
-
-    def test_unreachable_server_exits_4(self, tmp_path, capsys):
-        code = main(["status", "--state", str(tmp_path / "nowhere")])
-        assert code == 4
-        assert "service error" in capsys.readouterr().err
-
-    def test_submit_rejects_bad_json_grid(self, tmp_path, capsys):
-        # Grid validation fails before any connection is attempted.
-        code = main(["submit", "--state", str(tmp_path), "{not json"])
-        assert code == 2
-        assert "not valid JSON" in capsys.readouterr().err
+class TestStartupImports:
+    def test_cli_import_loads_no_asyncio_or_service(self):
+        # A fresh interpreter, so the modules counted are the ones every
+        # CLI start pays for.
+        probe = "import sys, repro.cli; print(*sys.modules)"
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert "repro.cli" in loaded
+        assert "asyncio" not in loaded
+        subpackages = {
+            name.split(".")[1] for name in loaded if name.startswith("repro.")
+        }
+        assert "service" not in subpackages

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.workloads import (
@@ -222,6 +222,7 @@ def test_same_seed_reconstruction_is_bit_identical(workload, seed):
 
 @settings(max_examples=30)
 @given(workload=rate_checkable_workloads, seed=seeds)
+@example(workload=VoiceWorkload(1, 40.0, 40.0, 40.0), seed=138)
 def test_empirical_rate_tracks_mean_rate(workload, seed):
     rate = workload.mean_rate
     assert rate > 0.0

@@ -1,5 +1,7 @@
 """Tests for the packetized-voice workload."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,8 +42,14 @@ class TestStatistics:
         assert w.activity_factor == pytest.approx(0.5)
 
     def test_mean_rate_formula(self):
+        # One packet at each spurt's start, then one per interval: a
+        # spurt of mean T carries 1 / (1 - exp(-I/T)) packets, not T/I.
         w = make(n=4, interval=10.0, talk=1000.0, silence=1000.0)
-        assert w.mean_rate == pytest.approx(4 * 0.5 / 10.0)
+        per_spurt = 1.0 / (1.0 - math.exp(-10.0 / 1000.0))
+        assert w.mean_rate == pytest.approx(4 * per_spurt / 2000.0)
+        # At I = T the start-of-spurt packet dominates: 1.58x T/I.
+        w = make(n=1, interval=40.0, talk=40.0, silence=40.0, jitter=0.0)
+        assert w.mean_rate == pytest.approx(1.0 / (80.0 * (1.0 - math.exp(-1.0))))
 
     def test_generated_rate_matches(self, rng):
         w = make(n=20)
