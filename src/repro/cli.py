@@ -258,6 +258,12 @@ def _sequential_from(args: argparse.Namespace):
     )
 
 
+def _reject_sequential(args: argparse.Namespace, mode: str) -> None:
+    """Refuse ``--sequential`` on a mode that runs no replications."""
+    if args.sequential:
+        raise ValueError(f"--sequential does not apply to {mode}")
+
+
 def _resilience_from(args: argparse.Namespace):
     """Build :class:`ResilienceOptions` from the flags, or ``None``.
 
@@ -287,6 +293,8 @@ def _resilience_from(args: argparse.Namespace):
 
 
 def _cmd_figure7(args: argparse.Namespace) -> int:
+    if not args.simulate:
+        _reject_sequential(args, "the analytic panel (add --simulate)")
     config = PanelConfig(rho_prime=args.rho, message_length=args.m)
     panel = generate_panel(
         config,
@@ -575,6 +583,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 def _cmd_ablations(args: argparse.Namespace) -> int:
     if not args.simulate:
+        _reject_sequential(args, "the analytic ablations (add --simulate)")
         arms = window_length_ablation(simulate=False)
         print(ablation_table(
             arms, "Element 2: loss vs window occupancy (analytic)"))
@@ -616,11 +625,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     if args.scenario == "scheduling":
         # Analytic comparison: exact scheduling-time law vs the paper's
         # geometric approximation — no simulation, no workers.
-        if getattr(args, "sequential", False):
-            raise ValueError(
-                "--sequential does not apply to the analytic "
-                "scheduling-law comparison"
-            )
+        _reject_sequential(args, "the analytic scheduling-law comparison")
         rows = scheduling_model_sensitivity()
         print(ascii_table(
             ["deadline K", "exact loss", "geometric loss", "gap"], rows,

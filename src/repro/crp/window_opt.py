@@ -18,31 +18,22 @@ numerically in the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-from scipy.optimize import minimize_scalar
 
 from .scheduling_time import mean_scheduling_slots
 
 __all__ = ["optimal_window_occupancy", "WindowSizer"]
 
+OPTIMAL_OCCUPANCY = 1.0884437710489236
 
-@lru_cache(maxsize=1)
-def optimal_window_occupancy(
-    lower: float = 1e-3, upper: float = 20.0, tol: float = 1e-10
-) -> float:
+
+def optimal_window_occupancy() -> float:
     """The occupancy μ* minimising the mean scheduling slots per message.
 
-    The value is a universal constant of the binary splitting rule (it
-    does not depend on the arrival rate), so it is cached.
+    A universal constant of the binary splitting rule (it does not depend
+    on the arrival rate), so it is pinned, not optimised on every start;
+    the test suite recomputes it and requires exact equality.
     """
-    result = minimize_scalar(
-        mean_scheduling_slots, bounds=(lower, upper), method="bounded",
-        options={"xatol": tol},
-    )
-    if not result.success:  # pragma: no cover - bounded search always succeeds
-        raise RuntimeError(f"window-occupancy optimisation failed: {result.message}")
-    return float(result.x)
+    return OPTIMAL_OCCUPANCY
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ rounding, and the returned pmf is sub-stochastic by the mass beyond.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import LatticePMF
 
@@ -52,7 +53,7 @@ def _first_passage_pmf(
         return out
     x = service[:limit]
     n = np.arange(limit)
-    log_fact = gammaln(n + 1.0)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(limit)])
     log_a, log_1ma = np.log(a), np.log1p(-a)
     term = np.zeros(limit)  # (k·r_k) ⊛ X^{*m}, truncated at the horizon
     term[: r.size] = n[: r.size] * r

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "ConfidenceInterval",
@@ -73,6 +72,7 @@ def t_interval(observations: Sequence[float], level: float = 0.95) -> Confidence
         raise ValueError(f"need at least two observations, got {data.size}")
     if not 0 < level < 1:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    from scipy import stats as sps  # not at module level: CLI start-up loads no scipy
     mean = float(data.mean())
     sem = float(data.std(ddof=1)) / math.sqrt(data.size)
     critical = float(sps.t.ppf(0.5 + level / 2.0, df=data.size - 1))
@@ -126,8 +126,9 @@ def wilson_interval(
     counts — pooled counts deflated by a cluster design effect — and
     the score formula is continuous in them.
     """
+    from scipy.special import ndtri  # bitwise equal to norm.ppf (docs/statistics.md)
     _check_counts(successes, trials, level)
-    z = float(sps.norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -151,6 +152,7 @@ def jeffreys_interval(
     (design-effect-deflated) counts are accepted, as for
     :func:`wilson_interval`.
     """
+    from scipy import stats as sps
     _check_counts(successes, trials, level)
     alpha = 1.0 - level
     dist = sps.beta(successes + 0.5, trials - successes + 0.5)

@@ -50,8 +50,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from scipy import stats as sps
-
 from .intervals import BINOMIAL_METHODS, ConfidenceInterval, binomial_interval, t_interval
 
 __all__ = [
@@ -67,8 +65,9 @@ __all__ = [
 
 def _obf_spending(alpha: float, t: float) -> float:
     """O'Brien–Fleming-shaped cumulative spend at information fraction t."""
-    z = float(sps.norm.ppf(1.0 - alpha / 2.0))
-    return 2.0 * (1.0 - float(sps.norm.cdf(z / math.sqrt(t))))
+    from scipy.special import ndtr, ndtri  # == norm.cdf/ppf bitwise (docs/statistics.md)
+    z = float(ndtri(1.0 - alpha / 2.0))
+    return 2.0 * (1.0 - float(ndtr(z / math.sqrt(t))))
 
 
 def _pocock_spending(alpha: float, t: float) -> float:

@@ -1,6 +1,7 @@
 """Tests for the window-length heuristic (policy element 2)."""
 
 import pytest
+from scipy.optimize import minimize_scalar
 
 from repro.crp import WindowSizer, mean_scheduling_slots, optimal_window_occupancy
 
@@ -20,6 +21,16 @@ class TestOptimalOccupancy:
 
     def test_cached(self):
         assert optimal_window_occupancy() == optimal_window_occupancy()
+
+    def test_pinned_value_is_the_bounded_minimiser(self):
+        """μ* is a literal in the source; recomputing it must land on
+        exactly the same float."""
+        result = minimize_scalar(
+            mean_scheduling_slots, bounds=(1e-3, 20.0), method="bounded",
+            options={"xatol": 1e-10},
+        )
+        assert result.success
+        assert float(result.x) == optimal_window_occupancy()
 
 
 class TestWindowSizer:

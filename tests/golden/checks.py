@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -46,3 +46,23 @@ def assert_matches_golden(
                 f"(abs err {abs(a - g):.3e}, "
                 f"rel_tol={rel_tol:g}, abs_tol={abs_tol:g})"
             )
+
+
+def assert_matches_golden_exactly(
+    actual: Mapping[str, object], golden: Mapping[str, object], *, label: str
+) -> None:
+    """Field-by-field exact comparison of one pinned record.
+
+    The golden stores every float as ``float.hex``, so a one-ulp drift
+    fails, and ``nan``/``inf`` compare by their spelling.  Other fields
+    (ints, bools, strings) must be equal.
+    """
+    assert set(actual) == set(golden), (
+        f"{label}: fields {sorted(actual)} != golden fields {sorted(golden)}"
+    )
+    for key, pinned in golden.items():
+        value = actual[key]
+        if isinstance(value, float):
+            value = float.hex(value)
+        if value != pinned:
+            raise AssertionError(f"{label}.{key}: {value!r} != golden {pinned!r}")

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import os
 import subprocess
 import sys
 
@@ -199,6 +200,8 @@ class TestResilienceFlags:
         # so the combination must be called out rather than silently
         # doubling lane cost.
         assert main(["figure7", "--rho", "0.5", "--m", "25",
+                     "--simulate", "--horizon", "2000",
+                     "--max-replications", "2",
                      "--sequential", "--antithetic"]) == 0
         err = capsys.readouterr().err
         assert "--antithetic" in err
@@ -206,9 +209,20 @@ class TestResilienceFlags:
 
     def test_antithetic_with_t_backend_is_silent(self, capsys):
         assert main(["figure7", "--rho", "0.5", "--m", "25",
+                     "--simulate", "--horizon", "2000",
+                     "--max-replications", "2",
                      "--sequential", "--antithetic",
                      "--ci-method", "t"]) == 0
         assert "antithetic" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["figure7", "ablations"])
+    def test_sequential_without_simulate_is_a_clean_error(self, command, capsys):
+        # The analytic modes run no replications; --sequential there is
+        # refused, never silently dropped.
+        assert main([command, "--sequential"]) == 2
+        err = capsys.readouterr().err
+        assert "--sequential does not apply" in err
+        assert "--simulate" in err
 
     def test_checkpointed_sweep_resumes_with_a_note(self, tmp_path, capsys):
         argv = [
@@ -395,18 +409,67 @@ class TestCacheCommand:
         assert not list(tmp_path.glob("*.pkl"))
 
 
+#: Runs ``repro <argv>`` with stdout swallowed; a failing command fails
+#: the probe.
+_RUN_CLI = """
+import contextlib, io, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+if code:
+    sys.exit(code)
+"""
+
+
+def _fresh_modules(statement, *argv):
+    """``sys.modules`` after ``statement`` runs in a fresh interpreter.
+
+    The analytic memo is off, so a cached curve cannot hide the import
+    its computation would make.
+    """
+    probe = statement + "\nimport sys\nprint(*sys.modules)"
+    return set(subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "REPRO_NO_CACHE": "1"},
+    ).stdout.split())
+
+
+def _scipy(modules):
+    return {name for name in modules if name.split(".")[0] == "scipy"}
+
+
 class TestStartupImports:
     def test_cli_import_loads_no_asyncio_or_service(self):
         # A fresh interpreter, so the modules counted are the ones every
         # CLI start pays for.
-        probe = "import sys, repro.cli; print(*sys.modules)"
-        loaded = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True, text=True, check=True,
-        ).stdout.split()
+        loaded = _fresh_modules("import repro.cli")
         assert "repro.cli" in loaded
         assert "asyncio" not in loaded
         subpackages = {
             name.split(".")[1] for name in loaded if name.startswith("repro.")
         }
         assert "service" not in subpackages
+
+    @pytest.mark.parametrize(
+        "statement, argv",
+        [
+            ("import repro.cli", []),
+            (_RUN_CLI, ["validity", "--families", "stationary", "--rho",
+                        "0.5", "--m", "25", "--deadline-factors", "3",
+                        "--horizon", "4000"]),
+            (_RUN_CLI, ["figure7", "--rho", "0.5", "--m", "25"]),
+        ],
+        ids=["import", "validity-cell", "figure7-analytic"],
+    )
+    def test_default_paths_load_no_scipy(self, statement, argv):
+        assert not _scipy(_fresh_modules(statement, *argv))
+
+    def test_sequential_looks_load_only_scipy_special(self):
+        loaded = _scipy(_fresh_modules(
+            _RUN_CLI, "figure7", "--rho", "0.5", "--m", "25", "--simulate",
+            "--horizon", "4000", "--sequential", "--ci-target", "0.05",
+            "--max-replications", "8",
+        ))
+        assert "scipy.special" in loaded
+        assert loaded <= _scipy(_fresh_modules("import scipy.special"))
