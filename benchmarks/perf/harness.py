@@ -255,14 +255,14 @@ def measure_instrumentation_overhead(config: PerfConfig, repeats: int = 100) -> 
 
 
 def measure_robustness_faulted(config: PerfConfig, rounds: int = 3) -> dict:
-    """Faulted kernel versus the reference loop.
+    """The compiled engine versus the reference loop under feedback noise.
 
     Times a feedback-noise run (2% misdetection — the midpoint of the
     ``repro robustness --feedback-errors`` degradation axis) on the
-    full-size Figure-7 acceptance cell on the default path (the faulted
-    kernel) against the same cell forced onto the reference loop.
-    Bit-parity — result *and* fault telemetry — is asserted on every
-    timed round.
+    full-size Figure-7 acceptance cell on the default path (the compiled
+    engine's faulted lane) against the same cell forced onto the shared
+    reference loop.  Bit-parity — result *and* fault telemetry — is
+    asserted on every timed round.
     """
     from repro.faults import FeedbackFaultModel
 
@@ -293,7 +293,7 @@ def measure_robustness_faulted(config: PerfConfig, rounds: int = 3) -> dict:
             or fast_result.faults != reference_result.faults
         ):
             raise AssertionError(
-                "faulted kernel diverged from the reference loop "
+                "faulted compiled run diverged from the reference loop "
                 "while being timed"
             )
     fast_s = min(fast_times)
@@ -669,10 +669,10 @@ def render_table(payload: dict) -> str:
             f"{'faulted run (' + noise + '), reference':<34} "
             f"{rob['reference_s']:>9.2f}s "
             f"{rob['reference_slots_per_s']:>12,.0f}",
-            f"{'faulted run, faulted kernel':<34} "
+            f"{'faulted run, compiled':<34} "
             f"{rob['fast_s']:>9.2f}s "
             f"{rob['fast_slots_per_s']:>12,.0f}",
-            f"{'faulted kernel speedup':<34} {rob['speedup']:>9.1f}x",
+            f"{'faulted run speedup':<34} {rob['speedup']:>9.1f}x",
         ]
     if "sequential_figure7" in payload:
         seq = payload["sequential_figure7"]

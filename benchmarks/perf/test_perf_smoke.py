@@ -11,9 +11,9 @@ Asserts:
   carries the same gate, so it is meaningful on the numba-free jobs);
 * the ``stations_1e5`` scaling arm completes inside the perf-smoke
   budget with O(1) simulator construction;
-* the faulted kernel matches the faulted reference loop bit for bit —
-  result and fault telemetry, per timed round — on the full-size
-  Figure-7 arm under 2% feedback noise, and holds its floor over the
+* under 2% feedback noise the compiled engine matches the shared
+  reference loop bit for bit — result and fault telemetry, per timed
+  round — on the full-size Figure-7 arm, and holds its floor over the
   reference loop;
 * the sequential replication engine certifies the Figure-7
   CI target with ≥2.5x fewer lanes than the fixed budget on the
@@ -36,10 +36,10 @@ from .harness import PerfConfig, run_benchmarks, write_artifacts
 
 #: Pinned regression floors, half of what measured runs gave on a
 #: 2-vCPU x86-64 VM on the NumPy fallback (compiled engine 603–690x
-#: over the reference loop on the full Figure-7 cell; faulted kernel
-#: 9.1–10.6x): margin for CI-runner noise that still catches a lost
-#: optimisation (losing the sprint or a closed form costs integer
-#: factors).
+#: over the reference loop on the full Figure-7 cell; the since-retired
+#: faulted kernel 9.1–10.6x under 2% feedback noise): margin for
+#: CI-runner noise that still catches a lost optimisation (losing the
+#: sprint or a closed form costs integer factors).
 KERNEL_SPEEDUP_FLOOR = 300.0
 ROBUSTNESS_FAULTED_SPEEDUP_FLOOR = 4.5
 #: perf-smoke budgets for the 1e5-station scaling arm: the lazy
@@ -82,12 +82,12 @@ def test_kernel_gates():
         f"numba={'yes' if kernel['numba'] else 'no'})"
     )
 
-    # Faulted kernel: parity (result + telemetry) was asserted per
-    # timed round inside measure_robustness_faulted; this is the
-    # ISSUE 8 speed floor on top.
+    # Feedback-faulted compiled runs: parity (result + telemetry) was
+    # asserted per timed round inside measure_robustness_faulted; this
+    # is the speed floor on top.
     rob = payload["robustness_faulted"]
     assert rob["speedup"] >= ROBUSTNESS_FAULTED_SPEEDUP_FLOOR, (
-        f"faulted fast-kernel speedup regressed: {rob['speedup']:.1f}x "
+        f"faulted compiled-run speedup regressed: {rob['speedup']:.1f}x "
         f"over the reference loop at {rob['noise_rate']:g} feedback noise "
         f"(floor {ROBUSTNESS_FAULTED_SPEEDUP_FLOOR:g}x)"
     )

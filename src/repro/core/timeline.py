@@ -21,11 +21,39 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-__all__ = ["Span", "IntervalSet"]
+__all__ = ["Span", "IntervalSet", "split_pieces"]
 
 _EPS = 1e-12
+
+Pieces = Sequence[Tuple[float, float]]
+
+
+def split_pieces(
+    pieces: Pieces, offset: float
+) -> Tuple[List[Tuple[float, float]], List[Tuple[float, float]]]:
+    """Split raw ``(lo, hi)`` pieces into (oldest ``offset`` of measure, the rest).
+
+    The walk behind :meth:`Span.split_at_measure`, on bare tuples, for
+    callers that keep spans in flat form (the compiled engine).  No
+    range check: callers pass an offset inside the pieces' measure.
+    """
+    older: List[Tuple[float, float]] = []
+    newer: List[Tuple[float, float]] = []
+    remaining = offset
+    for lo, hi in pieces:
+        width = hi - lo
+        if remaining >= width - _EPS:
+            older.append((lo, hi))
+            remaining -= width
+        elif remaining <= _EPS:
+            newer.append((lo, hi))
+        else:
+            older.append((lo, lo + remaining))
+            newer.append((lo + remaining, hi))
+            remaining = 0.0
+    return older, newer
 
 
 @dataclass(frozen=True)
@@ -82,9 +110,9 @@ class Span:
         pieces = self.pieces
         if len(pieces) == 1:
             # Single-interval fast path: the overwhelmingly common case
-            # in the slot kernels (contiguous windows).  Reproduces the
-            # generic walk below exactly — same branches, same float
-            # endpoint ``lo + offset`` — so every kernel still produces
+            # in the slot kernels (contiguous windows).  Reproduces
+            # split_pieces exactly — same branches, same float endpoint
+            # ``lo + offset`` — so every kernel still produces
             # bit-identical spans.
             lo, hi = pieces[0]
             width = hi - lo
@@ -102,20 +130,7 @@ class Span:
             raise ValueError(
                 f"split offset {offset} outside span measure {self.measure}"
             )
-        older: List[Tuple[float, float]] = []
-        newer: List[Tuple[float, float]] = []
-        remaining = offset
-        for lo, hi in self.pieces:
-            width = hi - lo
-            if remaining >= width - _EPS:
-                older.append((lo, hi))
-                remaining -= width
-            elif remaining <= _EPS:
-                newer.append((lo, hi))
-            else:
-                older.append((lo, lo + remaining))
-                newer.append((lo + remaining, hi))
-                remaining = 0.0
+        older, newer = split_pieces(pieces, offset)
         return Span(tuple(older)), Span(tuple(newer))
 
     def contains(self, t: float) -> bool:

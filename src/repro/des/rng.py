@@ -46,8 +46,8 @@ class AntitheticGenerator:
     only the contention decisions mirror.
 
     The proxy consumes the underlying bit stream through the identical
-    method calls as an unwrapped generator, which keeps the compiled and
-    faulted kernels' draw-order parity contract intact.
+    method calls as an unwrapped generator, which keeps the engines'
+    draw-order parity contract intact.
     """
 
     __slots__ = ("_base",)

@@ -8,9 +8,9 @@ that assumption.  This module measures what the assumption was worth:
   degradation curve; the protocol should degrade smoothly, not cliff);
 * :func:`protocol_degradation_sweep` — the degradation *figure*:
   fraction-late versus common-mode feedback error rate for all four
-  Figure-7 protocols, running at full kernel speed on the faulted
-  kernel (:mod:`repro.mac.kernels.faults`) with a selectable
-  divergence-recovery policy;
+  Figure-7 protocols, running at full speed on the compiled engine
+  (:class:`~repro.mac.kernels.engine.FlatLane` with the fault hook)
+  with a selectable divergence-recovery policy;
 * :func:`station_failure_scenario` — a crash/restart + deafness soak
   that must run to completion (no deadlock, no permanent divergence)
   and report the resilience telemetry.

@@ -6,7 +6,7 @@ right machinery when stations can *disagree* about what they heard, but
 ineligible for every accelerated backend.  This module models the
 complementary regime: **common-mode** feedback errors, where every
 station observes the *same* (possibly wrong) symbol, so the network
-keeps a single shared protocol state and the faulted kernel can execute
+keeps a single shared protocol state and the compiled engine can execute
 the run directly.
 
 Three fault families, all driven by one :class:`FeedbackFaultModel`:
@@ -57,7 +57,7 @@ Randomness is drawn from the run's dedicated fault stream (the
 ``0xFA17``-keyed derived generator for plain seeds), so every fault
 setting replays the same traffic sample path.  Event scheduling and
 per-slot draws are consumed in a fixed order shared by the reference
-loop and the faulted kernel — the bit-parity contract of
+loop and the compiled engine — the bit-parity contract of
 ``tests/mac/test_faulted_parity.py``.
 """
 
@@ -83,6 +83,11 @@ _PROB_FIELDS = ("p_collision_as_success", "p_success_as_idle", "p_erasure")
 # Event kinds of the injection heap.
 _JAM = 0
 _MISS = 1
+
+# Module-level aliases: observe() runs once per examination slot.
+_IDLE = ChannelFeedback.IDLE
+_SUCCESS = ChannelFeedback.SUCCESS
+_COLLISION = ChannelFeedback.COLLISION
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,7 @@ class FeedbackFaultModel:
 
     @classmethod
     def none(cls) -> "FeedbackFaultModel":
-        """The fault-free configuration (exercises the faulted kernels)."""
+        """The fault-free configuration (exercises the fault hooks)."""
         return cls()
 
     @classmethod
@@ -205,7 +210,7 @@ class FeedbackFaultState:
 
     Owns the event heap (jam bursts, per-station misses), the set of
     currently desynchronized stations, and the per-slot observation
-    rule.  Both the reference loop and the faulted kernel drive one
+    rule.  Both the reference loop and the compiled engine drive one
     instance through the identical call sequence — ``poll`` at every
     decision epoch and examination slot, ``rejoin`` at epoch tops only,
     ``observe`` once per examination slot — so the fault stream's draw
@@ -256,7 +261,7 @@ class FeedbackFaultState:
         self._p_capture = model.p_erasure + model.p_collision_as_success
         self._p_fade = model.p_erasure + model.p_success_as_idle
         # Pre-drawn uniforms (see scan_idle) served to observe() in order.
-        self._stash: Optional[np.ndarray] = None
+        self._stash: Optional[List[float]] = None
         self._stash_pos = 0
 
     def _push(self, when: float, station: int, kind: int) -> None:
@@ -335,12 +340,12 @@ class FeedbackFaultState:
     def scan_idle(self, n: int) -> int:
         """Number of leading *clean* IDLE observations among the next ``n``.
 
-        The faulted kernel's idle fast-forward hook: an idle examination
+        The compiled engine's idle fast-forward hook: an idle examination
         slot consumes exactly one uniform under misdetection noise
         (none otherwise), and only an erasure corrupts a truly idle
         span.  This consumes the draws of up to ``n`` such slots in one
         vectorised block and reports how many read clean — those slots
-        the kernel may jump in closed form.  When a corrupting draw is
+        the engine may jump in closed form.  When a corrupting draw is
         met it stays queued, so the caller's next :meth:`observe` reads
         the COLLISION from exactly the value the reference loop's
         slot-by-slot draw would produce; pre-drawn leftovers are served
@@ -348,8 +353,8 @@ class FeedbackFaultState:
         leave the underlying generator ahead of the reference loop's at
         run end, which is unobservable: every *served* value matches,
         and event-carrying models — whose exponential clocks share this
-        generator — never scan (see ``has_events`` gating in the
-        kernel).
+        generator — never scan (see the ``has_events`` gate in
+        :class:`~repro.mac.kernels.engine.FlatLane`).
         """
         if not self._noise:
             return n
@@ -375,8 +380,9 @@ class FeedbackFaultState:
         if bad.size == 0:
             return n
         first = int(bad[0])
-        self._stash = draws
-        self._stash_pos = first
+        # A list serves the per-slot observations as plain floats.
+        self._stash = draws[first:].tolist()
+        self._stash_pos = 0
         return clean + first
 
     # -- the observation rule -----------------------------------------------
@@ -404,13 +410,11 @@ class FeedbackFaultState:
                 self._stash_pos = pos
         observed = true_feedback
         if u < self._p_erasure:
-            observed = ChannelFeedback.COLLISION
-        elif (
-            true_feedback is ChannelFeedback.COLLISION and u < self._p_capture
-        ):
-            observed = ChannelFeedback.SUCCESS
-        elif true_feedback is ChannelFeedback.SUCCESS and u < self._p_fade:
-            observed = ChannelFeedback.IDLE
+            observed = _COLLISION
+        elif true_feedback is _COLLISION and u < self._p_capture:
+            observed = _SUCCESS
+        elif true_feedback is _SUCCESS and u < self._p_fade:
+            observed = _IDLE
         if observed is not true_feedback:
             self.telemetry.corrupted_observations += 1
         return observed

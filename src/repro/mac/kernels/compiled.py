@@ -23,13 +23,14 @@ except for the epoch-granularity names the idle fast-forward elides
 enable fastmath, so the jitted walk performs the same IEEE-754 double
 operations in the same order as the interpreted one.
 
-**Eligibility** (:func:`compiled_eligible`): no fault model of either
-kind, no §5 window scales, a canonical position rule (the flat window
-selection replicates exactly the three shipped rules), a standard loss
-definition, no sub-slot discard deadline, and invariant-checking off
-(chaos runs keep the reference loop, whose guards are calibrated for
-it).  Ineligible runs fall back to the reference loop with a one-time
-logged notice and a ``kernel.fallbacks`` count.
+**Eligibility** (:func:`compiled_eligible`): no per-station replica
+fault model, no §5 window scales, a canonical position rule (the flat
+window selection replicates exactly the three shipped rules), a
+standard loss definition, and no sub-slot discard deadline.  Feedback
+faults and ``REPRO_CHECK_INVARIANTS`` runs are eligible: the lane
+carries the fault hook and arms the guards itself.  Ineligible runs
+fall back to the reference loop with a one-time logged notice and a
+``kernel.fallbacks`` count.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from ...core.policy import (
     OldestFirstPosition,
     RandomPosition,
 )
+from ...faults.feedback import FeedbackFaultState
 from ...resilience.invariants import invariants_enabled
 from .engine import FlatLane
 
@@ -176,9 +178,6 @@ def compiled_eligible(sim: "WindowMACSimulator") -> bool:
     policy = sim.policy
     return (
         sim.fault_model is None
-        # Feedback-faulted runs are the faulted kernel's business
-        # (repro.mac.kernels.faults): the sprint walk has no fault hooks.
-        and sim.feedback_faults is None
         and not sim.registry.has_scaled_stations
         and sim.loss_definition in ("true", "paper")
         and (
@@ -186,7 +185,6 @@ def compiled_eligible(sim: "WindowMACSimulator") -> bool:
             or policy.discard_deadline > 1e-6
         )
         and type(policy.position) in _POSITION_CODES
-        and not invariants_enabled()
     )
 
 
@@ -202,12 +200,23 @@ def run_compiled(
     execute — the simulator's own generator objects, so seeded *and*
     stream-based runs stay bit-identical.
 
+    Under a feedback fault model the lane gets the run's
+    :class:`~repro.faults.feedback.FeedbackFaultState`, drawing from
+    ``sim._fault_rng`` in the reference loop's order, and the result
+    carries its telemetry.  The ``REPRO_CHECK_INVARIANTS`` flag is read
+    once here.
+
     Per-message records are not materialised: a compiled run leaves
     ``sim.scored_messages`` unset (reading it raises
     ``AttributeError``); run with ``backend="reference"`` for them.
     """
     policy = sim.policy
     rng = sim.rng
+    faults = (
+        FeedbackFaultState(sim.feedback_faults, sim.registry.n_stations, sim._fault_rng)
+        if sim.feedback_faults is not None
+        else None
+    )
 
     # -- arrival generation: identical draws to _generate_arrivals ----------
     arrival_rng = sim._arrival_rng
@@ -235,6 +244,8 @@ def run_compiled(
         registry=sim.metrics,
         pos_code=_POSITION_CODES[type(policy.position)],
         jit_walk=_probe(),
+        faults=faults,
+        check=invariants_enabled(),
     )
     while lane.now < lane.total_time:
         if not lane.advance_round():

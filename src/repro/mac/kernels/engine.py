@@ -22,6 +22,13 @@ selection, the splitting state machine, scoring — runs as straight-line
 Python over those columns.  When the set empties again the lane snaps
 back to VEC.
 
+**Feedback faults** (a :class:`~repro.faults.feedback.FeedbackFaultModel`
+keeps one shared protocol state, so they are branches of the same
+machine): a faulted lane runs every epoch in GEN mode, applying the
+shared reference loop's fault hook at the epoch top and at each
+examination slot, and caps its idle fast-forward at the first
+corrupting fault draw (see :class:`FlatLane`).
+
 **Bit parity.**  Every closed form replicates the reference loop's float
 arithmetic operation for operation (clamp = ``max``, measure = one
 subtraction, the same Welford mean update per event), and every column
@@ -29,17 +36,17 @@ helper here is a literal transcription of the corresponding
 :mod:`repro.core.timeline` method — same epsilon (``1e-12``), same
 bisect bounds, same branch structure, same sequential measure folds.
 The split rules are not transcribed at all: a collision calls the
-canonical :func:`repro.core.splits.split_parts` / ``examination_order``
-on a real :class:`~repro.core.timeline.Span` (collisions are rare; the
-shared code path is worth more than the microseconds).  Two deliberate
-deviations that provably cannot change results:
+canonical :func:`repro.core.splits.split_parts` (in its flat form, on
+the raw pieces) and ``examination_order``.  Two deliberate deviations
+that provably cannot change results:
 
 * resolved sub-spans are subtracted from the unresolved columns *as the
   process resolves them* rather than batched in
   ``complete_process`` — the same subtract calls in the same order on a
   set nothing reads in between;
 * ``advance_time``'s backwards-clock guard is dropped — the lane clock
-  is strictly monotone by construction.
+  is strictly monotone by construction (``REPRO_CHECK_INVARIANTS``
+  re-checks it once per round).
 
 **RNG.**  The lane draws from the simulator's own generator at the same
 two sites as the reference loop: the
@@ -62,16 +69,22 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ...core.splits import examination_order, split_parts
-from ...core.timeline import Span
-from ...core.window import _MAX_SPLIT_DEPTH
+from ...core.timeline import split_pieces
+from ...core.window import _MAX_SPLIT_DEPTH, ChannelFeedback
+from ...faults.feedback import FeedbackFaultState
 from ...obs.metrics import MetricsRegistry
+from ...resilience.invariants import require
 from ..channel import ChannelStats
-from ..simulator import MACSimResult, flush_result_metrics
+from ..simulator import MACSimResult, flush_fault_metrics, flush_result_metrics
 from .primitives import ObsBuffers, kernel_traits
 
 __all__ = ["FlatLane"]
 
 _EPS = 1e-12
+
+_IDLE = ChannelFeedback.IDLE
+_SUCCESS = ChannelFeedback.SUCCESS
+_COLLISION = ChannelFeedback.COLLISION
 
 _SPLIT_DEPTH_MESSAGE = (
     "window splitting exceeded the maximum depth; two arrivals "
@@ -131,32 +144,6 @@ def _iv_clamp_before(lows: List[float], highs: List[float], t: float) -> None:
         del highs[0]
     if lows and lows[0] < t:
         lows[0] = t
-
-
-def _split_pieces(
-    pieces: Tuple[Tuple[float, float], ...], offset: float
-) -> Tuple[List[Tuple[float, float]], List[Tuple[float, float]]]:
-    """``Span.split_at_measure``'s walk on a raw piece sequence.
-
-    Callers clamp ``offset`` into range exactly like the slicing
-    helpers, so the out-of-range guard (which would raise) is
-    unreachable and elided.
-    """
-    older: List[Tuple[float, float]] = []
-    newer: List[Tuple[float, float]] = []
-    remaining = offset
-    for lo, hi in pieces:
-        width = hi - lo
-        if remaining >= width - _EPS:
-            older.append((lo, hi))
-            remaining -= width
-        elif remaining <= _EPS:
-            newer.append((lo, hi))
-        else:
-            older.append((lo, lo + remaining))
-            newer.append((lo + remaining, hi))
-            remaining = 0.0
-    return older, newer
 
 
 def sprint_walk(
@@ -257,6 +244,21 @@ class FlatLane:
     guarantees the rule is one of the three canonical classes before a
     ``FlatLane`` is built.  ``registry`` (when given) receives the run's
     metrics at :meth:`finalize`.
+
+    ``faults`` is the run's feedback fault hook (a
+    :class:`~repro.faults.feedback.FeedbackFaultState`, ``None`` on clean
+    runs).  A faulted lane never enters VEC mode — the closed forms and
+    the sprint draw no fault uniforms — so every epoch is a GEN epoch
+    with the fault branches of :meth:`_gen_epoch`, and the flat idle
+    fast-forward is capped by
+    :meth:`~repro.faults.feedback.FeedbackFaultState.scan_idle` on
+    noise-only models (event models never fast-forward: their clocks
+    are anchored to executed epochs).
+
+    ``check`` arms the ``REPRO_CHECK_INVARIANTS`` guards: a monotone
+    clock once per round, a non-negative unresolved measure at every
+    GEN epoch and flat fast-forward, and message conservation at
+    :meth:`finalize`.
     """
 
     __slots__ = (
@@ -283,6 +285,10 @@ class FlatLane:
         "stuck_i",
         "ob",
         "registry",
+        "faults",
+        "events",
+        "check",
+        "last_now",
         # hot per-round state
         "now",
         "frontier",
@@ -302,12 +308,14 @@ class FlatLane:
         "on_time",
         "late",
         "disc",
+        "lost",
         "n_meas",
         "ptr",
         # flat controller state (GEN mode)
         "u_lo",
         "u_hi",
         "fr",
+        "vec_ok",
         "pos_code",
         # the jitted sprint walk and its NumPy views
         "jit_walk",
@@ -331,6 +339,8 @@ class FlatLane:
         registry: Optional[MetricsRegistry] = None,
         pos_code: int = 0,
         jit_walk=None,
+        faults: Optional[FeedbackFaultState] = None,
+        check: bool = False,
     ):
         self.policy = policy
         traits = kernel_traits(policy)
@@ -358,6 +368,14 @@ class FlatLane:
         self.backlog_t: List[float] = []
         self.backlog_i: List[int] = []
         self.stuck_i: List[int] = []
+        self.faults = faults
+        self.events = faults is not None and faults.model.has_events
+        self.check = check
+        self.last_now = -math.inf
+        # Lanes whose length rule has no closed form, and faulted lanes,
+        # run GEN epochs from slot zero (the flat controller state starts
+        # at (∅, 0)).
+        self.vec_ok = traits.closed_form and faults is None
         self._prepare_sprint(self.total_time, traits)
 
         self.registry = registry
@@ -374,16 +392,15 @@ class FlatLane:
         self.const = traits.const_length
         self.covers = traits.covers_backlog
         self.steady = traits.steady_skippable
-        self.entry_ok = traits.entry_discard_ok
-        # Lanes whose length rule has no closed form run GEN epochs from
-        # slot zero (the flat controller state starts at (∅, 0)).
-        self.vec = traits.closed_form
+        self.entry_ok = traits.entry_discard_ok and not self.events
+        self.vec = self.vec_ok
         self.wcount = 0
         self.wtrue = 0.0
         self.wpaper = 0.0
         self.on_time = 0
         self.late = 0
         self.disc = 0
+        self.lost = 0
         self.n_meas = 0
         self.ptr = 0
 
@@ -441,7 +458,7 @@ class FlatLane:
         m_f = float(self.m_slots)
         kk = self.discard_deadline
         axis = (
-            traits.closed_form
+            self.vec_ok
             and traits.steady_skippable
             and traits.entry_discard_ok
             and self.n_arrivals > 0
@@ -752,13 +769,19 @@ class FlatLane:
             self._observe(true_value, paper_value)
 
     def gen_step(self, now_f: float) -> None:
-        """One post-ingest iteration: flat fast-forward, else flat epoch."""
+        """One post-ingest iteration: flat fast-forward, else flat epoch.
+
+        The fast-forward applies ``begin_process``'s advance and discard
+        (they persist whether or not the jump happens, exactly as the
+        subsequent epoch expects), then jumps every slot until the next
+        arrival (or the horizon) when each would be a full-window idle
+        examination.  On a faulted lane only an erasure can corrupt a
+        truly idle examination, so the jump stops at the first
+        corrupting draw; that slot runs as a real epoch on the same draw.
+        """
         u_lo = self.u_lo
         u_hi = self.u_hi
         if not self.backlog_t and self.entry_ok:
-            # try_fast_forward, flat: the advance/discard mutations
-            # persist whether or not the jump happens, exactly as the
-            # subsequent epoch expects.
             fr = self.fr
             if now_f > fr:
                 _iv_add(u_lo, u_hi, fr, now_f)
@@ -769,6 +792,11 @@ class FlatLane:
             meas = 0.0
             for k in range(len(u_lo)):
                 meas += u_hi[k] - u_lo[k]
+            if self.check:
+                require(
+                    meas >= 0.0,
+                    f"unresolved backlog has negative measure at slot {now_f}",
+                )
             if meas > _EPS:
                 if self.covers:
                     length = meas
@@ -777,26 +805,31 @@ class FlatLane:
                 else:
                     length = self.policy.length.length(meas)
                 if length >= meas:
-                    # Every slot until the next arrival (or the horizon)
-                    # resolves the whole backlog and comes back idle.
                     stop = min(self.upcoming, self.total_time)
                     skipped = (
                         math.ceil(stop - now_f) if self.steady else 1
                     )
-                    del u_lo[:]
-                    del u_hi[:]
-                    self.fr = now_f + skipped - 1.0
-                    self.idle += skipped
-                    self.now = now_f + skipped
-                    self.frontier = self.fr
-                    self.vec = self.traits.closed_form
-                    if self.ob is not None:
-                        self.ob.ff_skips.append(skipped)
-                    return
+                    if self.faults is not None:
+                        skipped = self.faults.scan_idle(skipped)
+                    if skipped:
+                        del u_lo[:]
+                        del u_hi[:]
+                        self.fr = now_f + skipped - 1.0
+                        self.idle += skipped
+                        self.now = now_f + skipped
+                        self.frontier = self.fr
+                        self.vec = self.vec_ok
+                        if self.ob is not None:
+                            self.ob.ff_skips.append(skipped)
+                        return
         ob = self.ob
         if ob is not None:
             ob.epochs += 1
-            ob.backlog_sizes.append(len(self.backlog_t))
+            size = len(self.backlog_t)
+            if self.faults is not None:
+                # The reference registry still holds stranded messages.
+                size += len(self.stuck_i)
+            ob.backlog_sizes.append(size)
         self._gen_epoch(now_f)
 
     def succ_epoch(self, now_f: float, meas: float) -> None:
@@ -846,6 +879,9 @@ class FlatLane:
         reference loop, never reordered.
         """
         now = self.now
+        if self.check:
+            require(now > self.last_now, f"clock stalled at slot {now}")
+            self.last_now = now
         tot = self.total_time
         if self.upcoming <= now:
             self.ingest(now)
@@ -875,9 +911,10 @@ class FlatLane:
                 else:
                     jump = False
             if jump:
-                # Closed form of try_fast_forward: clamp, measure,
-                # full-window test, ceil to the next arrival — identical
-                # arithmetic, no controller objects touched.
+                # Closed form of the idle fast-forward: clamp, measure,
+                # full-window test, ceil to the next arrival — the
+                # reference epoch's arithmetic, no controller objects
+                # touched.
                 stop = min(self.upcoming, tot)
                 skipped = math.ceil(stop - now) if self.steady else 1.0
                 new_now = now + skipped
@@ -929,19 +966,19 @@ class FlatLane:
         pieces = tuple(zip(self.u_lo, self.u_hi))
         code = self.pos_code
         if code == 0:  # oldest-first: slice_oldest(length)
-            window, _ = _split_pieces(pieces, length)
+            window, _ = split_pieces(pieces, length)
             return window
         if code == 1:  # newest-first: slice_youngest(length)
-            _, window = _split_pieces(pieces, meas - length)
+            _, window = split_pieces(pieces, meas - length)
             return window
         # random placement: slice_offset(offset, length)
         slack = max(0.0, meas - length)
         offset = self.rng.uniform(0.0, slack) if slack > 0 else 0.0
-        _, after = _split_pieces(pieces, min(offset, meas))
+        _, after = split_pieces(pieces, min(offset, meas))
         after_meas = 0.0
         for lo, hi in after:
             after_meas += hi - lo
-        window, _ = _split_pieces(tuple(after), min(length, after_meas))
+        window, _ = split_pieces(after, min(length, after_meas))
         return window
 
     def _gen_epoch(self, now_f: float) -> None:
@@ -952,10 +989,26 @@ class FlatLane:
         backlog cut, then the :class:`~repro.core.window.WindowingProcess`
         state machine with resolved spans subtracted eagerly, and finally
         the scoring of the transmitted message.
+
+        With a fault hook the epoch is the shared reference loop's
+        faulted epoch: fault events and rejoins at the top; at every
+        examination slot the events due by then, the participants minus
+        desynced stations, a jam's forced COLLISION and the observed
+        symbol.  Physical truth prices the slot and decides delivery
+        (a faded frame is lost, an erased one stays pending, a captured
+        collision costs every participant its frame); the observed
+        symbol drives the state machine, and a split descent deeper than
+        ``max_split_depth`` is aborted under the recovery policy.
         """
         u_lo = self.u_lo
         u_hi = self.u_hi
         now = now_f
+        faults = self.faults
+        events = self.events
+        if events:
+            for station in faults.poll(now):
+                self._drop_station(station)
+            faults.rejoin(now)
 
         # -- begin_process ---------------------------------------------------
         fr = self.fr
@@ -968,6 +1021,10 @@ class FlatLane:
         meas = 0.0
         for k in range(len(u_lo)):
             meas += u_hi[k] - u_lo[k]
+        if self.check:
+            require(
+                meas >= 0.0, f"unresolved backlog has negative measure at slot {now}"
+            )
         cur: Optional[List[Tuple[float, float]]] = None
         wmeas = 0.0
         if meas > _EPS:
@@ -994,15 +1051,18 @@ class FlatLane:
             return
 
         process_start = now
+        window = cur
         ob = self.ob
         if ob is not None:
             ob.window_sizes.append(wmeas)
 
         # Per-process arrival bins: snapshot the initial window's
-        # messages once; the backlog cannot change until it completes.
+        # participants once.  The backlog only shrinks mid-process, and
+        # only on a faulted lane, which then updates the snapshot too.
         backlog_t = self.backlog_t
         backlog_i = self.backlog_i
         arr_s = self.arr_s
+        desynced = faults.desynced if faults is not None else None
         snap_t: List[float] = []
         snap_s: List[int] = []
         snap_i: List[int] = []
@@ -1010,9 +1070,12 @@ class FlatLane:
             left = bisect_left(backlog_t, lo)
             right = bisect_right(backlog_t, hi)
             for k in range(left, right):
-                snap_t.append(backlog_t[k])
                 index = backlog_i[k]
-                snap_s.append(arr_s[index])
+                station = arr_s[index]
+                if desynced and station in desynced:
+                    continue
+                snap_t.append(backlog_t[k])
+                snap_s.append(station)
                 snap_i.append(index)
 
         # -- the windowing state machine ------------------------------------
@@ -1020,8 +1083,12 @@ class FlatLane:
         split = self.policy.split
         arity = self.policy.split_arity
         rng = self.rng
+        if faults is not None:
+            observe = faults.observe
+            max_depth = faults.model.max_split_depth
         sibs: Optional[List] = None
         depth = 0
+        spent = 0  # WindowingProcess.slots_spent
         idle_d = 0.0
         collision_d = 0.0
         transmission_d = 0.0
@@ -1029,80 +1096,136 @@ class FlatLane:
         tx_instant = 0.0
         stranded: List[int] = []
         while True:
+            if events:
+                # Mid-process fault events; a station that desyncs (or
+                # drops out) sits out the rest of the process.
+                n_desynced = len(desynced)
+                for station in faults.poll(now):
+                    self._drop_station(station)
+                if len(desynced) != n_desynced:
+                    live = [k for k, s in enumerate(snap_s) if s not in desynced]
+                    snap_t = [snap_t[k] for k in live]
+                    snap_s = [snap_s[k] for k in live]
+                    snap_i = [snap_i[k] for k in live]
             # Resolve one slot against the snapshot: distinct enabled
             # stations decide idle/success/collision.
             first = -1
             first_station = -1
             collided = False
-            for lo, hi in cur:
-                left = bisect_left(snap_t, lo)
-                right = bisect_right(snap_t, hi)
-                for k in range(left, right):
-                    if first < 0:
-                        first = k
-                        first_station = snap_s[k]
-                    elif snap_s[k] != first_station:
-                        collided = True
+            if snap_t:
+                for lo, hi in cur:
+                    left = bisect_left(snap_t, lo)
+                    right = bisect_right(snap_t, hi)
+                    for k in range(left, right):
+                        if first < 0:
+                            first = k
+                            first_station = snap_s[k]
+                        elif snap_s[k] != first_station:
+                            collided = True
+                            break
+                    if collided:
                         break
-                if collided:
-                    break
-            if first < 0:
+            # Physical truth prices the slot.
+            if events and now < faults.jam_until:
+                # Adversarial burst: the channel reads COLLISION whatever
+                # happened, and a frame sent into it is destroyed.
+                true = _COLLISION
+                now += 1.0
+                collision_d += 1.0
+                faults.telemetry.jam_slots += 1
+            elif first < 0:
+                true = _IDLE
                 now += 1.0
                 idle_d += 1.0
+            elif collided:
+                true = _COLLISION
+                now += 1.0
+                collision_d += 1.0
+            else:
+                true = _SUCCESS
+                tx_instant = now
+                now += m_slots
+                transmission_d += m_slots
+            observed = true
+            if faults is not None:
+                observed = observe(true)
+                if observed is not true:
+                    if observed is _SUCCESS:
+                        self._capture(cur, snap_t, snap_s, snap_i)
+                    elif true is _SUCCESS and observed is _IDLE:
+                        # Faded frame: decoded nowhere, and the span
+                        # resolves idle, so it can never be resent.
+                        index = snap_i[first]
+                        del snap_t[first]
+                        del snap_s[first]
+                        del snap_i[first]
+                        self._dequeue(index)
+                        self._lose(index)
+                        faults.telemetry.faded_frames += 1
+                    # An erased success stays pending: the split
+                    # descent isolates and resends it.
+            # The observed symbol drives the state machine.
+            if observed is _IDLE:
+                spent += 1
                 # IDLE: the examined span is resolved.
                 for lo, hi in cur:
                     _iv_subtract(u_lo, u_hi, lo, hi)
                 if sibs is None:
                     break  # empty initial window: no transmission
-                if len(sibs) == 1:
-                    # All earlier siblings idle: the last one holds every
-                    # colliding arrival (>= 2) and is split immediately.
-                    cur, sibs, depth = self._split(sibs[0], depth, split, arity, rng)
-                else:
+                if len(sibs) > 1:
                     cur = sibs[0]
                     sibs = sibs[1:]
-            elif collided:
-                now += 1.0
-                collision_d += 1.0
-                cur, sibs, depth = self._split(cur, depth, split, arity, rng)
+                    continue
+                # All earlier siblings idle: the last one holds every
+                # colliding arrival (>= 2) and is split immediately.
+                piece = sibs[0]
+            elif observed is _COLLISION:
+                spent += 1
+                piece = cur
             else:
-                # Single enabled station: SUCCESS; the examined span is
-                # resolved, remaining siblings are abandoned.
-                transmitted = snap_i[first]
-                tx_instant = now
-                if deadline is None:
-                    # Same-station messages sharing the success span are
-                    # stranded: the span is resolved but they are not
-                    # transmitted, and no later window can enable them.
-                    for lo, hi in cur:
-                        left = bisect_left(snap_t, lo)
-                        right = bisect_right(snap_t, hi)
-                        for k in range(left, right):
-                            if k != first:
-                                stranded.append(snap_i[k])
-                now += m_slots
-                transmission_d += m_slots
+                # SUCCESS: the examined span is resolved, remaining
+                # siblings are abandoned.
+                if true is _SUCCESS:
+                    transmitted = snap_i[first]
+                    if deadline is None:
+                        # Same-station messages sharing the success span
+                        # are stranded: the span is resolved but they are
+                        # not transmitted, and no later window can
+                        # enable them.
+                        for lo, hi in cur:
+                            left = bisect_left(snap_t, lo)
+                            right = bisect_right(snap_t, hi)
+                            for k in range(left, right):
+                                if k != first:
+                                    stranded.append(snap_i[k])
                 for lo, hi in cur:
                     _iv_subtract(u_lo, u_hi, lo, hi)
                 break
+            # Split ``piece`` (the canonical primitives, flat form):
+            # examine the first part, stage the rest as siblings.
+            depth += 1
+            if depth > _MAX_SPLIT_DEPTH:
+                raise RuntimeError(_SPLIT_DEPTH_MESSAGE)
+            parts = split_parts(piece, arity)
+            if split != "older":  # "older" order is the identity
+                parts = [parts[i] for i in examination_order(split, arity, rng)]
+            cur = parts[0]
+            sibs = parts[1:]
+            if faults is not None and depth > max_depth:
+                # Divergence abort: a descent this deep cannot occur
+                # under fault-free feedback.  Resolved spans are already
+                # folded back; the unexamined remainder stays unresolved.
+                now = self._abort(now, spent, window)
+                break
 
         # -- scoring ---------------------------------------------------------
-        arr_t = self.arr_t
         if transmitted >= 0:
-            arrival = arr_t[transmitted]
-            position = bisect_left(backlog_t, arrival)
-            while backlog_i[position] != transmitted:
-                position += 1
-            del backlog_t[position]
-            del backlog_i[position]
+            self._dequeue(transmitted)
             stuck_i = self.stuck_i
             for index in stranded:
-                position = bisect_left(backlog_t, arr_t[index])
-                while backlog_i[position] != index:
-                    position += 1
-                del backlog_t[position]
-                del backlog_i[position]
+                self._dequeue(index)
                 stuck_i.append(index)
+            arrival = self.arr_t[transmitted]
             true_value = tx_instant - arrival
             paper_value = max(0.0, process_start - arrival)
             wait = true_value if self.true_definition else paper_value
@@ -1118,27 +1241,80 @@ class FlatLane:
         self.coll += collision_d
         self.tx += transmission_d
         self.now = now
-        if self.traits.closed_form and not u_lo:
+        if self.vec_ok and not u_lo:
             self.vec = True
             self.frontier = self.fr
 
-    @staticmethod
-    def _split(pieces, depth: int, split: str, arity: int, rng):
-        """One split: the canonical primitives on a real span.
+    def _dequeue(self, index: int) -> None:
+        """Remove one message from the sorted backlog columns."""
+        backlog_t = self.backlog_t
+        backlog_i = self.backlog_i
+        position = bisect_left(backlog_t, self.arr_t[index])
+        while backlog_i[position] != index:
+            position += 1
+        del backlog_t[position]
+        del backlog_i[position]
 
-        Collisions are rare (the paper's arms spend well under 1% of
-        epochs here), so this path goes through the shared
-        :func:`~repro.core.splits.split_parts` rather than a private
-        transcription — the one place the flat engine pays an object
-        allocation, in exchange for split semantics that cannot drift.
-        """
-        depth += 1
-        if depth > _MAX_SPLIT_DEPTH:
-            raise RuntimeError(_SPLIT_DEPTH_MESSAGE)
-        parts = split_parts(Span(tuple(pieces)), arity)
-        order = examination_order(split, len(parts), rng)
-        ordered = [parts[i].pieces for i in order]
-        return ordered[0], ordered[1:], depth
+    # -- fault dispositions (faulted lanes only) ----------------------------
+
+    def _lose(self, index: int) -> None:
+        """Count one message destroyed by a fault."""
+        if self.arr_t[index] >= self.warmup:
+            self.lost += 1
+
+    def _capture(self, cur, snap_t, snap_s, snap_i) -> None:
+        """A collision read as SUCCESS: every participating station
+        believes its frame got through and dequeues its oldest in-span
+        message."""
+        captured = {}
+        for lo, hi in cur:
+            for k in range(bisect_left(snap_t, lo), bisect_right(snap_t, hi)):
+                captured.setdefault(snap_s[k], snap_i[k])
+        for index in captured.values():
+            self._dequeue(index)
+            self._lose(index)
+            self.faults.telemetry.phantom_deliveries += 1
+
+    def _drop_station(self, station: int) -> None:
+        """A dropping-out station destroys its pending backlog, stranded
+        messages included."""
+        arr_s = self.arr_s
+        backlog_t = self.backlog_t
+        backlog_i = self.backlog_i
+        for index in backlog_i + self.stuck_i:
+            if arr_s[index] == station:
+                self._lose(index)
+                self.faults.telemetry.dropped_messages += 1
+        keep = [k for k, index in enumerate(backlog_i) if arr_s[index] != station]
+        backlog_t[:] = [backlog_t[k] for k in keep]
+        backlog_i[:] = [backlog_i[k] for k in keep]
+        self.stuck_i[:] = [i for i in self.stuck_i if arr_s[i] != station]
+
+    def _abort(self, now: float, spent: int, window) -> float:
+        """The divergence abort under the recovery policy; returns the clock."""
+        model = self.faults.model
+        telemetry = self.faults.telemetry
+        telemetry.divergence_detections += 1
+        telemetry.diverged_slots += spent
+        telemetry.resyncs += 1
+        if model.recovery == "drop-out":
+            # Every station entangled in the diverged process gives up
+            # its in-window backlog.
+            backlog_t = self.backlog_t
+            backlog_i = self.backlog_i
+            for lo, hi in reversed(window):
+                left = bisect_left(backlog_t, lo)
+                right = bisect_right(backlog_t, hi)
+                for index in backlog_i[left:right]:
+                    self._lose(index)
+                    telemetry.dropped_messages += 1
+                del backlog_t[left:right]
+                del backlog_i[left:right]
+        elif model.recovery == "gated-rejoin":
+            # The network listens before re-engaging.
+            now += model.rejoin_listen_slots
+            self.wait += model.rejoin_listen_slots
+        return now
 
     def finalize(self) -> MACSimResult:
         arr_t = self.arr_t
@@ -1146,6 +1322,15 @@ class FlatLane:
         unresolved_count = sum(
             1 for index in self.backlog_i if arr_t[index] >= warmup
         ) + sum(1 for index in self.stuck_i if arr_t[index] >= warmup)
+        if self.check:
+            accounted = (
+                self.on_time + self.late + self.disc + self.lost + unresolved_count
+            )
+            require(
+                accounted == self.n_meas,
+                f"message conservation violated: {self.n_meas} measured "
+                f"arrivals but {accounted} accounted for",
+            )
         stats = ChannelStats(
             idle_slots=float(self.idle),
             collision_slots=float(self.coll),
@@ -1163,8 +1348,12 @@ class FlatLane:
             mean_paper_wait=float(self.wpaper) if wcount else math.nan,
             channel=stats,
             deadline=self.score_deadline,
+            lost_to_faults=self.lost,
+            faults=None if self.faults is None else self.faults.telemetry,
         )
         if self.registry is not None:
             self.ob.flush(self.registry)
             flush_result_metrics(self.registry, result)
+            if self.faults is not None:
+                flush_fault_metrics(self.registry, self.faults.telemetry)
         return result

@@ -176,9 +176,9 @@ def flush_result_metrics(metrics: MetricsRegistry, result: MACSimResult) -> None
 def flush_fault_metrics(metrics: MetricsRegistry, telemetry: FaultTelemetry) -> None:
     """Record one faulted run's fault-layer activity into ``metrics``.
 
-    Shared by every fault-driven path — the feedback-faulted reference
-    loop, the faulted kernel and the replica bank — so the
-    ``faults.*`` counters are backend-independent (part of the registry
+    Shared by every fault-driven path — the shared reference loop and
+    the compiled engine under feedback faults, and the replica bank — so
+    the ``faults.*`` counters are backend-independent (part of the registry
     parity contract).  The replicated path skips it for a null model,
     keeping null-replica runs registry-identical to shared runs.
     """
@@ -229,10 +229,10 @@ class WindowMACSimulator:
         fallback otherwise), bit-identical to the reference loop — same
         RNG draw order, same float arithmetic.  ``"reference"`` forces
         the reference loop (the oracle and the benchmark baseline).
-        Replica-fault and feedback-fault runs take their own loops (see
-        :meth:`run`); any other run the compiled engine cannot reproduce
-        falls back to the reference loop with a one-time logged notice
-        and a ``kernel.fallbacks`` count.
+        Replica-fault runs take their own loop (see :meth:`run`); any
+        other run the compiled engine cannot reproduce falls back to the
+        reference loop with a one-time logged notice and a
+        ``kernel.fallbacks`` count.
     seed / streams:
         Randomness source.  A :class:`~repro.des.rng.RandomStreams`
         family (when given) supersedes ``seed`` and draws traffic and
@@ -257,9 +257,10 @@ class WindowMACSimulator:
         feedback-error family (misdetection noise, missed feedback,
         adversarial jamming) in which every station still observes the
         same symbol.  Unlike ``fault_model`` this keeps one shared
-        protocol state, so faulted runs execute on the faulted kernel
-        (:mod:`repro.mac.kernels.faults`) bit-identically to the faulted
-        reference loop.  Mutually exclusive with ``fault_model``.
+        protocol state, so faulted runs execute on the compiled engine
+        bit-identically to the shared reference loop, which applies the
+        faults as a branch of each examination slot.  Mutually exclusive
+        with ``fault_model``.
     antithetic:
         Mirror the uniform draws of every generator this run consumes
         (see :class:`~repro.des.rng.AntitheticGenerator`): the run at
@@ -343,7 +344,7 @@ class WindowMACSimulator:
             self.rng = _mirror(self.rng)
             fault_rng = _mirror(fault_rng)
             arrival_rng = _mirror(arrival_rng)
-        # Retained for the feedback-fault paths (both loops draw fault
+        # Retained for feedback-faulted runs (both engines draw fault
         # randomness from this one generator, in identical order).
         self._fault_rng = fault_rng
         # All arrival generation — reference loop and kernels alike —
@@ -405,11 +406,11 @@ class WindowMACSimulator:
 
         Messages arriving during warm-up are simulated but not scored.
         Dispatch, in order: a replica :class:`FaultModel` runs the
-        replicated loop; ``backend="reference"`` runs the reference loop
-        (its feedback-faulted variant under a feedback fault model); a
-        feedback fault model runs the faulted kernel; a run the compiled
-        engine reproduces runs on it; anything else falls back to the
-        reference loop (counted and noted by :meth:`_note_fallback`).
+        replicated loop; ``backend="reference"`` runs the shared
+        reference loop; a run the compiled engine reproduces (feedback
+        faults and invariant guards included) runs on it; anything else
+        falls back to the shared reference loop (counted and noted by
+        :meth:`_note_fallback`).
         """
         if horizon_slots <= 0:
             raise ValueError(f"horizon must be positive, got {horizon_slots}")
@@ -423,13 +424,7 @@ class WindowMACSimulator:
         if self.bank is not None:
             return self._run_replicated(total_time, warmup_slots)
         if self.backend == "reference":
-            if self.feedback_faults is not None:
-                return self._run_shared_faulted(total_time, warmup_slots)
             return self._run_shared(total_time, warmup_slots)
-        if self.feedback_faults is not None:
-            from .kernels.faults import run_fast_faulted
-
-            return run_fast_faulted(self, total_time, warmup_slots)
         # Resolved through the module attribute at call time, so
         # wrappers installed on compiled.run_compiled see every run.
         from .kernels import compiled
@@ -468,7 +463,29 @@ class WindowMACSimulator:
         )
 
     def _run_shared(self, total_time: float, warmup_slots: float) -> MACSimResult:
-        """The classic path: one controller shared by every station (§2)."""
+        """The shared-controller loop: one protocol state for every station (§2).
+
+        Under a feedback fault model the faults stay common-mode — every
+        station observes the same symbol — so the state stays shared and
+        the fault hook is a branch of each slot: events due by then (jam
+        starts, misses, drop-outs) fire, desynced stations sit the slot
+        out, a jam burst forces a physical COLLISION, and the network
+        observes a possibly corrupted symbol.  Physical truth decides
+        delivery; the observed symbol decides what the senders and the
+        windowing process do.  An idle descent deeper than
+        ``max_split_depth`` is aborted under the configured recovery
+        policy.  Without a fault model the hook is ``None`` and none of
+        this runs.
+
+        Deliveries are scored in the slot that makes them: a windowing
+        process transmits at most one message, and that success ends it.
+        """
+        model = self.feedback_faults
+        faults = (
+            FeedbackFaultState(model, self.registry.n_stations, self._fault_rng)
+            if model is not None
+            else None
+        )
         arrivals = self._generate_arrivals(total_time)
         arrival_index = 0
 
@@ -488,10 +505,23 @@ class WindowMACSimulator:
         # Per-epoch instrumentation: one `is not None` test per decision
         # epoch when disabled (never per slot inside a process).
         obs = self.metrics
-        if obs is not None:
-            epoch_counter = obs.counter("mac.epochs")
-            backlog_hist = obs.histogram("mac.backlog.size")
-            window_hist = obs.histogram("mac.window.size", unit="slots")
+        ob = ObsBuffers() if obs is not None else None
+
+        def lose(message: Message) -> None:
+            """Fault-destroy a backlogged message."""
+            registry.remove(message)
+            message.tx_start = None
+            message.fate = MessageFate.LOST_TO_FAULT
+            if measured(message):
+                counts[MessageFate.LOST_TO_FAULT] += 1
+
+        def drop_station(station: int) -> None:
+            """A dropping-out station destroys its pending backlog."""
+            for message in registry.drop_station(station):
+                message.fate = MessageFate.LOST_TO_FAULT
+                faults.telemetry.dropped_messages += 1
+                if measured(message):
+                    counts[MessageFate.LOST_TO_FAULT] += 1
 
         while channel.now < total_time:
             now = channel.now
@@ -506,9 +536,16 @@ class WindowMACSimulator:
                     n_measured += 1
                 arrival_index += 1
 
-            if obs is not None:
-                epoch_counter.inc()
-                backlog_hist.observe(len(registry))
+            if ob is not None:
+                ob.epochs += 1
+                ob.backlog_sizes.append(len(registry))
+
+            if faults is not None:
+                # Fault events due by now, then rejoins (stations
+                # re-engage only at a decision boundary).
+                for station in faults.poll(now):
+                    drop_station(station)
+                faults.rejoin(now)
 
             # begin_process applies element 4 to the time axis; mirror it
             # on the message backlog (stations drop their stale messages).
@@ -525,193 +562,51 @@ class WindowMACSimulator:
                 continue
 
             process_start = now
-            if obs is not None:
-                window_hist.observe(process.current_span.measure)
-            transmitted: Optional[Message] = None
+            initial_span = process.current_span
+            if ob is not None:
+                ob.window_sizes.append(initial_span.measure)
             # §5 priority extension: participation is decided once per
             # windowing process against the initial window.
             eligible = (
-                registry.eligible_for_window(process.current_span)
+                registry.eligible_for_window(initial_span)
                 if registry.has_scaled_stations
                 else None
             )
             while not process.done:
+                span = process.current_span
                 if check:
                     require(
-                        process.current_span.measure >= 0.0,
+                        span.measure >= 0.0,
                         f"window span has negative measure at slot {channel.now}",
                     )
-                feedback, message = channel.examine(process.current_span, eligible)
-                if message is not None:
-                    transmitted = message
-                process.on_feedback(feedback)
-            controller.complete_process(process)
-
-            if transmitted is not None:
-                transmitted.process_start = process_start
-                registry.remove(transmitted)
-                self._score_delivery(transmitted, counts, waits, measured)
-
-        unresolved = sum(
-            1 for message in registry.messages_in_span(_everything())
-            if measured(message)
-        )
-        if check:
-            accounted = (
-                counts[MessageFate.DELIVERED_ON_TIME]
-                + counts[MessageFate.DELIVERED_LATE]
-                + counts[MessageFate.DISCARDED_AT_SENDER]
-                + unresolved
-            )
-            require(
-                accounted == n_measured,
-                f"message conservation violated: {n_measured} measured "
-                f"arrivals but {accounted} accounted for",
-            )
-        # Retain per-message records (measured interval only) so callers
-        # can compute custom breakdowns, e.g. per-station-class loss.
-        self.scored_messages = [m for m in arrivals if measured(m)]
-        result = MACSimResult(
-            arrivals=n_measured,
-            delivered_on_time=counts[MessageFate.DELIVERED_ON_TIME],
-            delivered_late=counts[MessageFate.DELIVERED_LATE],
-            discarded=counts[MessageFate.DISCARDED_AT_SENDER],
-            unresolved=unresolved,
-            mean_true_wait=waits.mean_true,
-            mean_paper_wait=waits.mean_paper,
-            channel=channel.stats,
-            deadline=self.deadline,
-        )
-        if obs is not None:
-            flush_result_metrics(obs, result)
-        return result
-
-    def _run_shared_faulted(
-        self, total_time: float, warmup_slots: float
-    ) -> MACSimResult:
-        """The shared-controller loop under a feedback fault model.
-
-        Structurally :meth:`_run_shared` with fault application at every
-        examination slot: jam bursts force a physical COLLISION, the
-        network-wide observation rule may corrupt the symbol every
-        station (and the windowing process) sees, and the divergence
-        guard aborts idle descents deeper than ``max_split_depth`` under
-        the configured recovery policy.  Faults stay common-mode — one
-        shared protocol state — which is what keeps this loop (unlike
-        :meth:`_run_replicated`) expressible in the faulted kernel:
-        :func:`repro.mac.kernels.faults.run_fast_faulted` reproduces it
-        bit for bit, results, telemetry and metrics registry alike.
-
-        Two deliberate differences from the clean loop, mirrored by the
-        kernel: no idle fast-forward (fault events are anchored to
-        executed slots) and in-slot delivery scoring (under erasures a
-        single windowing process can deliver several messages, so
-        scoring cannot wait for process completion).
-        """
-        model = self.feedback_faults
-        state = FeedbackFaultState(model, self.registry.n_stations, self._fault_rng)
-        telemetry = state.telemetry
-        desynced = state.desynced
-        arrivals = self._generate_arrivals(total_time)
-        arrival_index = 0
-
-        channel = self.channel
-        controller = self.controller
-        registry = self.registry
-
-        measured = lambda msg: msg.arrival >= warmup_slots  # noqa: E731
-        counts = {fate: 0 for fate in MessageFate}
-        n_measured = 0
-        waits = WaitStats()
-        check = invariants_enabled()
-        last_now = -math.inf
-        obs = self.metrics
-        ob = ObsBuffers() if obs is not None else None
-
-        def lose(message: Message) -> None:
-            """Fault-destroy a backlogged message."""
-            registry.remove(message)
-            message.tx_start = None
-            message.fate = MessageFate.LOST_TO_FAULT
-            if measured(message):
-                counts[MessageFate.LOST_TO_FAULT] += 1
-
-        def drop_station(station: int) -> None:
-            """A dropping-out station destroys its pending backlog."""
-            for message in registry.drop_station(station):
-                message.fate = MessageFate.LOST_TO_FAULT
-                telemetry.dropped_messages += 1
-                if measured(message):
-                    counts[MessageFate.LOST_TO_FAULT] += 1
-
-        while channel.now < total_time:
-            now = channel.now
-            if check:
-                require(now > last_now, f"clock stalled at slot {now}")
-                last_now = now
-            while (
-                arrival_index < len(arrivals)
-                and arrivals[arrival_index].arrival <= now
-            ):
-                message = arrivals[arrival_index]
-                registry.ingest(message)
-                if measured(message):
-                    n_measured += 1
-                arrival_index += 1
-
-            if ob is not None:
-                ob.epochs += 1
-                ob.backlog_sizes.append(len(registry))
-
-            # Fault events due by now, then rejoins (stations re-engage
-            # only at a decision boundary).
-            for station in state.poll(now):
-                drop_station(station)
-            state.rejoin(now)
-
-            process = controller.begin_process(now)
-            if self.policy.discard_deadline is not None:
-                horizon = now - self.policy.discard_deadline
-                for message in registry.drop_older_than(horizon):
-                    message.fate = MessageFate.DISCARDED_AT_SENDER
-                    if measured(message):
-                        counts[MessageFate.DISCARDED_AT_SENDER] += 1
-
-            if process is None:
-                channel.wait_slot()
-                continue
-
-            process_start = now
-            initial_span = process.current_span
-            if ob is not None:
-                ob.window_sizes.append(initial_span.measure)
-            while not process.done:
-                now = channel.now
-                # Mid-process fault events (jam starts, misses, drop-outs).
-                for station in state.poll(now):
-                    drop_station(station)
-                span = process.current_span
-                enabled = registry.enabled_stations(span)
-                if desynced:
-                    enabled = {
-                        s: m for s, m in enabled.items() if s not in desynced
-                    }
-                if now < state.jam_until:
-                    # Adversarial burst: the channel reads COLLISION
-                    # whatever happened; a frame sent into it is
-                    # destroyed (the sender aborts after one slot, as on
-                    # a real collision) so nothing is delivered.
-                    true_symbol = ChannelFeedback.COLLISION
-                    transmitted = None
-                    channel.now += 1.0
-                    channel.stats.collision_slots += 1.0
-                    telemetry.jam_slots += 1
+                if faults is None:
+                    true_symbol, transmitted = channel.examine(span, eligible)
+                    observed = true_symbol
                 else:
-                    true_symbol, transmitted = channel.resolve_slot(enabled)
-                observed = state.observe(true_symbol)
+                    # Mid-process fault events (jam starts, misses,
+                    # drop-outs), then the participants.
+                    for station in faults.poll(channel.now):
+                        drop_station(station)
+                    enabled = registry.enabled_stations(span)
+                    if faults.desynced:
+                        enabled = {
+                            s: m for s, m in enabled.items()
+                            if s not in faults.desynced
+                        }
+                    if channel.now < faults.jam_until:
+                        # Adversarial burst: the channel reads COLLISION
+                        # whatever happened; a frame sent into it is
+                        # destroyed (the sender aborts after one slot, as
+                        # on a real collision) so nothing is delivered.
+                        true_symbol = ChannelFeedback.COLLISION
+                        transmitted = None
+                        channel.now += 1.0
+                        channel.stats.collision_slots += 1.0
+                        faults.telemetry.jam_slots += 1
+                    else:
+                        true_symbol, transmitted = channel.resolve_slot(enabled)
+                    observed = faults.observe(true_symbol)
 
-                # Physical truth decides delivery; the observed symbol
-                # decides what the senders and the protocol state do.
                 if true_symbol is ChannelFeedback.SUCCESS:
                     if observed is ChannelFeedback.SUCCESS:
                         transmitted.process_start = process_start
@@ -721,7 +616,7 @@ class WindowMACSimulator:
                         # Faded frame: transmitted but decoded nowhere,
                         # and the span resolves idle — unrecoverable.
                         lose(transmitted)
-                        telemetry.faded_frames += 1
+                        faults.telemetry.faded_frames += 1
                     else:
                         # Erasure: the sender reads COLLISION and keeps
                         # the message pending; the split descent will
@@ -735,14 +630,19 @@ class WindowMACSimulator:
                     # frame got through and dequeues it.
                     for message in list(enabled.values()):
                         lose(message)
-                        telemetry.phantom_deliveries += 1
+                        faults.telemetry.phantom_deliveries += 1
 
                 process.on_feedback(observed)
-                if not process.done and process.depth > model.max_split_depth:
+                if (
+                    faults is not None
+                    and not process.done
+                    and process.depth > model.max_split_depth
+                ):
                     # Divergence abort: a descent this deep cannot occur
                     # under fault-free feedback (FeedbackFaultModel
                     # notes); stop it before the split machinery's own
                     # depth ceiling turns it into a crash.
+                    telemetry = faults.telemetry
                     telemetry.divergence_detections += 1
                     telemetry.diverged_slots += process.slots_spent
                     telemetry.resyncs += 1
@@ -775,9 +675,11 @@ class WindowMACSimulator:
             )
             require(
                 accounted == n_measured,
-                f"message conservation violated (faulted path): "
-                f"{n_measured} measured arrivals but {accounted} accounted for",
+                f"message conservation violated: {n_measured} measured "
+                f"arrivals but {accounted} accounted for",
             )
+        # Retain per-message records (measured interval only) so callers
+        # can compute custom breakdowns, e.g. per-station-class loss.
         self.scored_messages = [m for m in arrivals if measured(m)]
         result = MACSimResult(
             arrivals=n_measured,
@@ -790,12 +692,15 @@ class WindowMACSimulator:
             channel=channel.stats,
             deadline=self.deadline,
             lost_to_faults=counts[MessageFate.LOST_TO_FAULT],
-            faults=telemetry,
+            faults=None if faults is None else faults.telemetry,
         )
         if obs is not None:
-            ob.flush(obs)
             flush_result_metrics(obs, result)
-            flush_fault_metrics(obs, telemetry)
+            if faults is None:
+                ob.replay(obs)
+            else:
+                ob.flush(obs)
+                flush_fault_metrics(obs, faults.telemetry)
         return result
 
     def _run_replicated(self, total_time: float, warmup_slots: float) -> MACSimResult:

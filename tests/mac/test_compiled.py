@@ -2,7 +2,7 @@
 
 The contract under test: running with ``backend="compiled"`` — the
 default — is **field-for-field identical** to the reference loop (and
-to the faulted fast kernel under a null feedback model) for all four
+to its own faulted lane under a null feedback model) for all four
 protocol disciplines, seeded RANDOM included, on stream-seeded runs and
 on randomly drawn arms, with equal metrics registries (up to the
 epoch-granularity names the fast-forward elides) when instrumentation
@@ -83,8 +83,8 @@ class TestBitParity:
     @pytest.mark.parametrize("name", PROTOCOLS)
     @pytest.mark.parametrize("seed", (1, 7, 42))
     def test_compiled_equals_fast_and_reference(self, name, seed):
-        # Both fast kernels against the oracle: compiled == the faulted
-        # fast kernel under a null feedback model (its physics collapse
+        # Both compiled lanes against the oracle: compiled == the faulted
+        # lane under a null feedback model (its physics collapse
         # to the fault-free run) == reference, field for field.
         reference = _run(name, "reference", seed=seed)
         faulted = _run(name, "compiled", seed=seed,
@@ -259,9 +259,10 @@ class TestFallbackAndEligibility:
             transmission_slots=M, deadline=DEADLINE, seed=1,
         )
         assert not compiled.compiled_eligible(tiny)
-        # Invariant-checking runs keep the reference loop's guards.
+        # Invariant-checking runs keep the compiled engine: it arms the
+        # same guards.
         monkeypatch.setenv(invariants.INVARIANTS_ENV, "1")
-        assert not compiled.compiled_eligible(simulator)
+        assert compiled.compiled_eligible(simulator)
 
 
 @pytest.mark.compiled

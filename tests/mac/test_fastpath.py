@@ -90,15 +90,16 @@ def test_fast_equals_slow_under_bursty_workload():
 
 
 def test_scored_messages_identical():
-    # The compiled engine keeps no per-message records; the fast kernel
-    # that does is the faulted one, whose physics collapse to the
-    # fault-free run under a null feedback model.  Its records must
-    # match the reference loop's one for one.
+    # No compiled run keeps per-message records, faulted or not; the
+    # shared reference loop keeps them on every run, and under a null
+    # feedback model its fault hook collapses to the fault-free run.
+    # Its records must match the fault-free run's one for one.
     lam = 0.5 / M
     policy = _policy("controlled", lam, 3.0 * M)
     sim_slow, _ = _run(policy, lam, backend="reference", seed=3)
     sim_fast, _ = _run(
-        policy, lam, seed=3, feedback_faults=FeedbackFaultModel.none()
+        policy, lam, backend="reference", seed=3,
+        feedback_faults=FeedbackFaultModel.none(),
     )
     assert len(sim_fast.scored_messages) == len(sim_slow.scored_messages)
     for a, b in zip(sim_slow.scored_messages, sim_fast.scored_messages):

@@ -1,18 +1,19 @@
-"""Faulted-kernel bit-parity: the fast path under feedback faults.
+"""Compiled-engine bit-parity under feedback faults.
 
-Enforcement arm of the faulted kernel's contract
-(`repro.mac.kernels.faults`): for every common-mode feedback fault
-family — misdetection noise, capture, fade, erasure, per-station missed
-feedback under each divergence-recovery policy, jamming, and their
-combination — a default (faulted-kernel) run must reproduce the faulted reference
-loop field for field: the ``MACSimResult``, the ``FaultTelemetry``
-(excluded from the dataclass ``==``, so compared explicitly), and the
-metrics registry snapshot, across all four Figure-7 protocols.
+Enforcement arm of the compiled engine's fault contract
+(`repro.mac.kernels.engine.FlatLane` with a fault hook): for every
+common-mode feedback fault family — misdetection noise, capture, fade,
+erasure, per-station missed feedback under each divergence-recovery
+policy, jamming, and their combination — a default (compiled) run must
+reproduce the shared reference loop field for field: the
+``MACSimResult``, the ``FaultTelemetry`` (excluded from the dataclass
+``==``, so compared explicitly), and the metrics registry snapshot,
+across all four Figure-7 protocols.
 
 Event-fault families (missed feedback, jamming) never fast-forward, so
 their registries match the reference in full.  Noise-only families ride
 the scan-gated idle fast-forward, which elides idle examination epochs
-exactly as the compiled engine does — the epoch-granularity names
+exactly as on clean runs — the epoch-granularity names
 (``mac.epochs``, ``mac.backlog.size``, ``mac.window.size``) and the
 ``mac.fastforward.*`` accounts are the documented carve-out (see
 ``tests/mac/test_obs_parity.py``); everything else matches in full.
@@ -63,7 +64,7 @@ FAULT_FAMILIES = {
 PROTOCOLS = ["controlled", "fcfs", "lcfs", "random"]
 
 #: Epoch-granularity registry names that legitimately differ between the
-#: faulted kernel and the reference loop whenever the idle fast-forward can
+#: compiled engine and the reference loop whenever the idle fast-forward can
 #: fire (noise-only fault models): elided idle examinations are
 #: accounted under ``mac.fastforward.*`` instead of per-epoch records.
 EPOCH_GRANULARITY = frozenset(
@@ -155,8 +156,8 @@ class TestFaultedParity:
         assert null_ref == clean
 
     def test_zero_fault_dispatch_unchanged(self):
-        """Without a feedback fault model nothing routes through the
-        faulted kernels: the default dispatch reproduces the reference."""
+        """Without a feedback fault model no fault hook runs: the default
+        dispatch reproduces the reference."""
         default = _run("controlled", backend="compiled", seed=9)
         ref = _run("controlled", backend="reference", seed=9)
         assert default == ref
@@ -199,7 +200,7 @@ class TestDispatch:
                 feedback_faults=FeedbackFaultModel.none(),
             )
 
-    def test_compiled_ineligible_under_feedback_faults(self):
+    def test_compiled_eligible_under_feedback_faults(self):
         simulator = WindowMACSimulator(
             _policy("controlled"),
             arrival_rate=LAM,
@@ -208,7 +209,28 @@ class TestDispatch:
             seed=1,
             feedback_faults=FAULT_FAMILIES["noise"],
         )
-        assert not compiled_eligible(simulator)
+        assert compiled_eligible(simulator)
+
+    @pytest.mark.parametrize("guarded", [False, True], ids=["plain", "guarded"])
+    @pytest.mark.parametrize("family", sorted(FAULT_FAMILIES))
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_parity_is_not_vacuous(self, monkeypatch, protocol, family, guarded):
+        """Every parity pair above compares two engines: the compiled
+        engine takes every family and protocol, armed invariant guards
+        included, without a downgrade to the reference loop."""
+        from repro.resilience.invariants import INVARIANTS_ENV
+
+        if guarded:
+            monkeypatch.setenv(INVARIANTS_ENV, "1")
+        else:
+            monkeypatch.delenv(INVARIANTS_ENV, raising=False)
+        metrics = MetricsRegistry()
+        simulator = _simulator(protocol, backend="compiled",
+                               faults=FAULT_FAMILIES[family], seed=1,
+                               metrics=metrics)
+        assert compiled_eligible(simulator)
+        simulator.run(500.0, warmup_slots=100.0)
+        assert metrics.value("kernel.fallbacks", default=0) == 0
 
     def test_spec_rejects_both_fault_layers(self):
         from repro.experiments.sweep import MACRunSpec
@@ -255,6 +277,36 @@ class TestDispatch:
         assert downgraded_metrics.value("kernel.fallbacks") == 1
         assert ref_metrics.value("kernel.fallbacks", default=0) == 0
 
+    def test_faulted_request_the_lane_cannot_run_downgrades_and_counts(self):
+        """Feedback faults add no eligibility rule: a faulted run with a
+        custom position rule falls back to the shared reference loop and
+        counts one downgrade, as the clean run does."""
+        from dataclasses import replace
+
+        from repro.core.policy import OldestFirstPosition
+
+        class Oldest(OldestFirstPosition):
+            """Same placement, but not one of the canonical rule types."""
+
+        policy = replace(_policy("controlled"), position=Oldest())
+        faults = FAULT_FAMILIES["combined"]
+
+        def run(backend, metrics):
+            simulator = WindowMACSimulator(
+                policy, arrival_rate=LAM, transmission_slots=M,
+                n_stations=25, deadline=DEADLINE, seed=5, backend=backend,
+                metrics=metrics, feedback_faults=faults,
+            )
+            assert not compiled_eligible(simulator)
+            return simulator.run(HORIZON, warmup_slots=WARMUP)
+
+        downgraded_metrics = MetricsRegistry()
+        downgraded = run("compiled", downgraded_metrics)
+        ref = run("reference", None)
+        assert downgraded == ref
+        assert downgraded.faults == ref.faults
+        assert downgraded_metrics.value("kernel.fallbacks") == 1
+
     def test_default_scaled_station_run_counts_one_fallback(self):
         metrics = MetricsRegistry()
         simulator = _simulator("controlled", backend="compiled", seed=5,
@@ -264,7 +316,7 @@ class TestDispatch:
         assert metrics.value("kernel.fallbacks") == 1
 
     def test_default_feedback_faulted_run_counts_no_fallback(self):
-        """The faulted kernel is the default path for feedback faults,
+        """The compiled engine is the default path for feedback faults,
         not a downgrade."""
         metrics = MetricsRegistry()
         faulted = _run("controlled", backend="compiled",

@@ -1,13 +1,12 @@
 """The shared split primitives and the large-population startup budget.
 
 Pins the structural claim behind the kernel unification: the reference
-loop, the compiled engine and the faulted kernel all *consume the same
-split primitives* — one split implementation, one examination-order
-rule — and the two fast kernels share one primitive layer (epoch
-context, fast-forward, observation buffers), so a protocol-semantics
-change lands in exactly one place.  Checks ``WaitStats``, the wait
-accumulator of the reference loops and the faulted kernel, against a
-direct mean.
+loop and the compiled engine both *consume the same split primitives* —
+one split implementation, one examination-order rule — and the engine
+takes its observation buffers and policy traits from the shared
+primitive layer, so a protocol-semantics change lands in exactly one
+place.  Checks ``WaitStats``, the wait accumulator of the reference
+loops, against a direct mean.
 Also holds the large-population startup guarantee:
 simulator construction is O(1) in ``n_stations`` (the lazy
 struct-of-arrays registry), checked under a time/memory budget and by
@@ -27,7 +26,7 @@ from repro.core import ControlPolicy
 from repro.core import splits as core_splits
 from repro.core import window as core_window
 from repro.core.timeline import Span
-from repro.mac.kernels import engine, faults, primitives
+from repro.mac.kernels import engine, primitives
 from repro.mac.simulator import WindowMACSimulator
 from repro.mac.station import StationRegistry
 from repro.resilience import invariants
@@ -43,20 +42,14 @@ class TestUnifiedPrimitives:
         assert core_window._split_parts is core_splits.split_parts
 
     def test_fast_kernels_split_via_shared_primitives(self):
-        # The compiled engine and the faulted kernel import the
-        # canonical split rules — not copies.
+        # The compiled engine imports the canonical split rules — not
+        # copies.
         assert engine.split_parts is core_splits.split_parts
         assert engine.examination_order is core_splits.examination_order
-        assert faults.examination_order is core_splits.examination_order
 
     def test_fast_kernel_reuses_primitive_layer(self):
-        # The faulted kernel's epoch context, fast-forward and buffers,
-        # and the compiled engine's buffers and traits, are imports from
+        # The compiled engine's buffers and traits are imports from
         # repro.mac.kernels.primitives — not copies.
-        assert faults.EpochContext is primitives.EpochContext
-        assert faults.try_fast_forward is primitives.try_fast_forward
-        assert faults.ObsBuffers is primitives.ObsBuffers
-        assert faults.kernel_traits is primitives.kernel_traits
         assert engine.ObsBuffers is primitives.ObsBuffers
         assert engine.kernel_traits is primitives.kernel_traits
 
@@ -79,7 +72,7 @@ class TestUnifiedPrimitives:
 
 
 class TestWaitStats:
-    # The reference loops' and the faulted kernel's wait accumulator.
+    # The reference loops' wait accumulator.
 
     def test_empty_nan(self):
         waits = primitives.WaitStats()

@@ -106,7 +106,7 @@ def test_killed_and_resumed_sweep_is_bit_identical(tmp_path):
 
 def test_killed_and_resumed_faulted_sweep_is_bit_identical(tmp_path):
     """The kill-and-resume guarantee extends to feedback-faulted cells:
-    faulted runs ride the faulted fast kernel, and their journaled
+    faulted runs ride the compiled engine, and their journaled
     results replay bit-identically too."""
     faults = FeedbackFaultModel.noise(0.02, recovery="gated-rejoin")
     baseline = SweepExecutor(None).run_specs(_grid(faults))
