@@ -46,7 +46,6 @@ from repro.experiments import (
 )
 from repro.experiments.sweep import (
     MACRunSpec,
-    SequentialOptions,
     SweepExecutor,
     derive_seeds,
     run_sequential,
@@ -55,7 +54,7 @@ from repro.mac import WindowMACSimulator
 from repro.mac.kernels.compiled import numba_available
 from repro.obs.metrics import MetricsRegistry
 from repro.queueing import LCFSQueue
-from repro.stats import t_interval
+from repro.stats import SequentialConfig, t_interval
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 BENCH_JSON = RESULTS_DIR / "BENCH_mac.json"
@@ -471,12 +470,9 @@ def measure_sequential_figure7(config: PerfConfig) -> dict:
     independent_var = _var(controlled) + _var(fcfs)
 
     # -- sequential: stop each arm at its own convergence --------------
-    options = SequentialOptions(
+    rule = SequentialConfig(
         ci_target=SEQUENTIAL_CI_TARGET,
         max_replications=2 * SEQUENTIAL_FIXED_LANES,
-        method="wilson",
-        spending="obf",
-        crn=True,
     )
     executor = SweepExecutor(None)
     sequential_s, estimates = _timed(
@@ -485,7 +481,7 @@ def measure_sequential_figure7(config: PerfConfig) -> dict:
                 ("controlled", spec(policy_controlled, config.seed)),
                 ("fcfs", spec(policy_fcfs, config.seed)),
             ],
-            options,
+            rule,
             executor,
             base_seed=config.seed,
         )
@@ -503,8 +499,6 @@ def measure_sequential_figure7(config: PerfConfig) -> dict:
         )
     return {
         "ci_target": SEQUENTIAL_CI_TARGET,
-        "method": options.method,
-        "spending": options.spending,
         "fixed_lanes_per_arm": SEQUENTIAL_FIXED_LANES,
         "fixed_s": fixed_s,
         "fixed_half_width": fixed_ci.half_width,
@@ -683,7 +677,7 @@ def render_table(payload: dict) -> str:
         lines += [
             "",
             f"{fixed_label:<34} {seq['fixed_s']:>9.2f}s",
-            f"{'sequential (' + seq['method'] + '+crn)':<34} "
+            f"{'sequential (wilson+crn)':<34} "
             f"{seq['sequential_s']:>9.2f}s",
             f"{'acceptance-arm lane reduction':<34} "
             f"{seq['lane_reduction']:>9.1f}x",

@@ -92,7 +92,6 @@ from .experiments import (
 )
 from .experiments.sweep import (
     MACRunSpec,
-    SequentialOptions,
     SweepExecutor,
     derive_seeds,
 )
@@ -111,6 +110,7 @@ from .obs import (
     write_report,
 )
 from .resilience import JournalMismatchError, JournalSchemaError
+from .stats import SequentialConfig
 
 __all__ = ["main"]
 
@@ -208,53 +208,22 @@ def _add_sequential_flags(p: argparse.ArgumentParser) -> None:
                    help="hard per-arm lane budget; an arm that has not "
                         "converged stops here and reports its realized "
                         "half-width (default %(default)s)")
-    g.add_argument("--crn", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="common random numbers: share the unit seed list "
-                        "across arms so arm deltas are paired contrasts "
-                        "(default on)")
-    g.add_argument("--antithetic", action="store_true",
-                   help="antithetic lane pairs: each unit runs a plain "
-                        "lane and its mirrored twin on 1-U uniforms")
-    g.add_argument("--ci-method", choices=("wilson", "jeffreys", "t"),
-                   default="wilson",
-                   help="interval backend for the stopping rule "
-                        "(default %(default)s; wilson/jeffreys pool "
-                        "lost/resolved counts, t uses per-lane fractions)")
-    g.add_argument("--spending", choices=("obf", "pocock"), default="obf",
-                   help="alpha-spending shape across looks "
-                        "(default %(default)s)")
 
 
 def _sequential_from(args: argparse.Namespace):
-    """Build :class:`SequentialOptions` from the flags, or ``None``.
+    """Build the :class:`SequentialConfig` the flags ask for, or ``None``.
 
     ``None`` (no ``--sequential``) keeps the historical fixed-replication
     sweeps bit for bit.
     """
     if not getattr(args, "sequential", False):
         return None
-    if args.antithetic and args.ci_method != "t":
-        # Mirrored twin lanes are negatively correlated with their
-        # partners; a pooled-count interval sees them only as more
-        # trials, so the pairing doubles lane cost for no width benefit.
-        print(
-            f"warning: --antithetic pairs only help --ci-method t; the "
-            f"pooled {args.ci_method!r} backend counts mirrored lanes as "
-            "plain extra trials, doubling lane cost for no variance "
-            "benefit — use --ci-method t (see docs/statistics.md)",
-            file=sys.stderr,
-        )
-    return SequentialOptions(
+    return SequentialConfig(
         ci_target=args.ci_target,
         # A tight --max-replications (smoke grids) lowers the opening
         # ramp with it instead of tripping the min<=max validation.
         min_replications=min(8, max(2, args.max_replications)),
         max_replications=args.max_replications,
-        crn=args.crn,
-        antithetic=args.antithetic,
-        method=args.ci_method,
-        spending=args.spending,
     )
 
 

@@ -27,8 +27,9 @@ from ..crp.twopoint import fit_two_point
 from ..mac.simulator import MACSimResult
 from ..obs import tracing as trace
 from ..queueing.impatient import ImpatientMG1
+from ..stats.sequential import SequentialConfig
 from .records import ascii_table
-from .sweep import MACRunSpec, SequentialOptions, SweepExecutor, run_sequential
+from .sweep import MACRunSpec, SweepExecutor, run_sequential
 
 __all__ = [
     "AblationArm",
@@ -68,7 +69,7 @@ def _spec(
 
 def _arms_from(
     labels, specs, workers, resilience=None, metrics=None,
-    sequential: Optional[SequentialOptions] = None,
+    sequential: Optional[SequentialConfig] = None,
 ) -> "List[AblationArm]":
     """Run the arm specs through the sweep executor and wrap the losses.
 
@@ -76,9 +77,9 @@ def _arms_from(
     as an explicit ``NaN`` arm labelled ``[quarantined]`` — the table
     keeps its shape and the hole is visible, never silently dropped.
 
-    With ``sequential`` options, each spec becomes an adaptive-
-    replication arm (the spec's own seed roots the unit seed
-    derivation; CRN pairs the arms unit-for-unit) and the arm's stderr
+    With a ``sequential`` config, each spec becomes an adaptive-
+    replication arm (the spec's own seed roots the lane seed
+    derivation; CRN pairs the arms lane for lane) and the arm's stderr
     renders the realized CI half-width.
     """
     executor = SweepExecutor(workers, resilience, metrics=metrics)
@@ -123,7 +124,7 @@ def element4_ablation(
     resilience=None,
     metrics=None,
     backend: str = "compiled",
-    sequential: Optional[SequentialOptions] = None,
+    sequential: Optional[SequentialConfig] = None,
 ) -> List[AblationArm]:
     """Controlled protocol with and without the sender discard (A-EL4)."""
     lam = rho_prime / message_length
@@ -157,7 +158,7 @@ def window_length_ablation(
     resilience=None,
     metrics=None,
     backend: str = "compiled",
-    sequential: Optional[SequentialOptions] = None,
+    sequential: Optional[SequentialConfig] = None,
 ) -> List[AblationArm]:
     """Loss versus window occupancy around the heuristic optimum (A-WIN).
 
@@ -206,7 +207,7 @@ def split_rule_ablation(
     resilience=None,
     metrics=None,
     backend: str = "compiled",
-    sequential: Optional[SequentialOptions] = None,
+    sequential: Optional[SequentialConfig] = None,
 ) -> List[AblationArm]:
     """Split-order comparison under the controlled protocol (A-SPLIT)."""
     lam = rho_prime / message_length
@@ -241,7 +242,7 @@ def arity_ablation(
     resilience=None,
     metrics=None,
     backend: str = "compiled",
-    sequential: Optional[SequentialOptions] = None,
+    sequential: Optional[SequentialConfig] = None,
 ) -> List[AblationArm]:
     """Binary versus k-ary window splitting (§5 extension, A-ARITY)."""
     lam = rho_prime / message_length

@@ -29,8 +29,9 @@ from ..queueing.distributions import LatticePMF
 from ..queueing.impatient import loss_curve
 from ..queueing.lcfs import LCFSQueue
 from ..queueing.mg1 import MG1
+from ..stats.sequential import SequentialConfig
 from .records import PanelResult, Series
-from .sweep import MACRunSpec, SequentialOptions, SweepExecutor, run_sequential
+from .sweep import MACRunSpec, SweepExecutor, run_sequential, sequential_note
 
 __all__ = ["PanelConfig", "PAPER_PANELS", "default_deadlines", "generate_panel"]
 
@@ -132,7 +133,7 @@ def generate_panel(
     sim_backend: str = "compiled",
     resilience=None,
     metrics=None,
-    sequential: Optional[SequentialOptions] = None,
+    sequential: Optional[SequentialConfig] = None,
 ) -> PanelResult:
     """Produce every curve of one Figure 7 panel.
 
@@ -164,11 +165,11 @@ def generate_panel(
         per-run simulator metrics and sweep telemetry (see
         ``docs/observability.md``); ``None`` costs nothing.
     sequential:
-        A :class:`~repro.experiments.sweep.SequentialOptions` switches
-        the simulation arms to adaptive replication: each (protocol,
+        A :class:`~repro.stats.SequentialConfig` switches the
+        simulation arms to adaptive replication: each (protocol,
         deadline) cell runs lane waves until its loss CI half-width
-        meets the target (``sim_seed`` roots the unit seed derivation,
-        with CRN pairing protocol arms when enabled), and each point's
+        meets the target (``sim_seed`` roots the lane seed derivation,
+        shared by every protocol arm), and each point's
         stderr renders the realized half-width (±2·stderr band = the
         interval).  See ``docs/statistics.md``.
     """
@@ -257,8 +258,8 @@ def generate_panel(
         executor = SweepExecutor(workers, resilience, metrics=metrics)
         if sequential is not None:
             # Adaptive replication: every (arm, deadline) cell becomes a
-            # sequential arm; the flat template list keeps CRN unit
-            # seeds shared across protocol arms at every deadline.
+            # sequential arm; every arm runs lane i at the same derived
+            # seed, so protocol arms are paired at every deadline.
             cells = [
                 (f"{name}.k{deadline:g}", specs[arm_index * len(sim_points) + point_index])
                 for arm_index, (name, _) in enumerate(arms)
@@ -273,12 +274,10 @@ def generate_panel(
                 estimates = run_sequential(
                     cells, sequential, executor, base_seed=sim_seed
                 )
-            lanes_total = 0
             for arm_index, (name, _) in enumerate(arms):
                 series = Series(name)
                 for point_index, deadline in enumerate(sim_points):
                     est = estimates[arm_index * len(sim_points) + point_index]
-                    lanes_total += est.lanes
                     if est.units == 0:
                         result.notes.append(
                             f"{name} @ K={deadline:g}: every lane quarantined "
@@ -287,14 +286,7 @@ def generate_panel(
                         continue
                     series.add(deadline, est.mean, stderr=est.stderr())
                 result.add_series(series)
-            result.notes.append(
-                f"sequential replication: {lanes_total} lanes across "
-                f"{len(cells)} cells (ci_target={sequential.ci_target:g}, "
-                f"{sequential.method}/{sequential.spending}"
-                + (", crn" if sequential.crn else "")
-                + (", antithetic" if sequential.antithetic else "")
-                + ")"
-            )
+            result.notes.append(sequential_note(estimates, sequential))
             return result
         with trace.span(
             "figure7.sweep",

@@ -30,13 +30,13 @@ from ..core import ControlPolicy
 from ..faults import RECOVERY_POLICIES, FaultModel, FeedbackFaultModel
 from ..mac import MACSimResult
 from ..obs import tracing as trace
+from ..stats.sequential import SequentialConfig
 from .records import ascii_table
 from .sweep import (
     MACRunSpec,
-    SequentialEstimate,
-    SequentialOptions,
     SweepExecutor,
     run_sequential,
+    sequential_note,
 )
 
 __all__ = [
@@ -237,22 +237,6 @@ def _aggregate(
     )
 
 
-def _sequential_note(
-    notes: List[str], estimates: Sequence[SequentialEstimate],
-    options: SequentialOptions,
-) -> None:
-    """Append the sweep-wide sequential-replication summary note."""
-    lanes_total = sum(est.lanes for est in estimates)
-    notes.append(
-        f"sequential replication: {lanes_total} lanes across "
-        f"{len(estimates)} cells (ci_target={options.ci_target:g}, "
-        f"{options.method}/{options.spending}"
-        + (", crn" if options.crn else "")
-        + (", antithetic" if options.antithetic else "")
-        + "); fault telemetry columns not tracked in this mode"
-    )
-
-
 def feedback_error_sweep(
     config: Optional[RobustnessConfig] = None,
     error_rates: Sequence[float] = DEFAULT_ERROR_RATES,
@@ -260,7 +244,7 @@ def feedback_error_sweep(
     resilience=None,
     metrics=None,
     backend: str = "compiled",
-    sequential: Optional[SequentialOptions] = None,
+    sequential: Optional[SequentialConfig] = None,
 ) -> RobustnessReport:
     """Loss versus symmetric feedback-error rate (the degradation curve).
 
@@ -276,7 +260,7 @@ def feedback_error_sweep(
     report = RobustnessReport(config)
     if sequential is not None:
         # Adaptive replication: one sequential arm per error rate; the
-        # unit seed derivation roots at base_seed so CRN replays the
+        # lane seed derivation roots at base_seed so CRN replays the
         # same traffic paths at every fault setting.  The pooled loss
         # estimator does not carry per-run fault telemetry, so those
         # columns render as NaN and the summary note says why.
@@ -320,7 +304,10 @@ def feedback_error_sweep(
                     saturated=False,
                 )
             )
-        _sequential_note(report.notes, estimates, sequential)
+        report.notes.append(
+            sequential_note(estimates, sequential)
+            + "; fault telemetry columns not tracked in this mode"
+        )
         return report
     # Flat (error rate × replication) grid: one executor pass covers the
     # whole sweep, and the seeds stay pinned per replication index.
@@ -486,7 +473,7 @@ def protocol_degradation_sweep(
     resilience=None,
     metrics=None,
     backend: str = "compiled",
-    sequential: Optional[SequentialOptions] = None,
+    sequential: Optional[SequentialConfig] = None,
 ) -> DegradationReport:
     """Fraction-late vs feedback error rate, per Figure-7 protocol.
 
@@ -519,7 +506,7 @@ def protocol_degradation_sweep(
     )
     if sequential is not None:
         # Adaptive replication: one sequential arm per (protocol, error
-        # rate) cell.  CRN shares unit seeds across every cell, so the
+        # rate) cell.  CRN shares lane seeds across every cell, so the
         # protocol gap at each rate — the quantity the figure exists to
         # show — is a paired contrast on common sample paths.
         cells = [
@@ -573,7 +560,10 @@ def protocol_degradation_sweep(
                         saturated=False,
                     )
                 )
-        _sequential_note(report.notes, estimates, sequential)
+        report.notes.append(
+            sequential_note(estimates, sequential)
+            + "; fault telemetry columns not tracked in this mode"
+        )
         return report
     # Flat (protocol × error rate × replication) grid, one executor pass.
     specs = [

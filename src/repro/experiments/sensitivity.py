@@ -27,10 +27,10 @@ from ..crp.window_opt import optimal_window_occupancy
 from ..queueing.impatient import ImpatientMG1
 from ..workloads.arrivals import MMPPWorkload
 from ..obs import tracing as trace
+from ..stats.sequential import SequentialConfig
 from .ablations import AblationArm
 from .sweep import (
     MACRunSpec,
-    SequentialOptions,
     SweepExecutor,
     run_sequential,
 )
@@ -94,7 +94,7 @@ def station_count_sensitivity(
     resilience=None,
     metrics=None,
     backend: str = "compiled",
-    sequential: Optional[SequentialOptions] = None,
+    sequential: Optional[SequentialConfig] = None,
 ) -> List[AblationArm]:
     """Loss of the controlled protocol across population sizes."""
     lam = rho_prime / message_length
@@ -136,7 +136,7 @@ def burstiness_sensitivity(
     resilience=None,
     metrics=None,
     backend: str = "compiled",
-    sequential: Optional[SequentialOptions] = None,
+    sequential: Optional[SequentialConfig] = None,
 ) -> List[AblationArm]:
     """Loss under MMPP traffic of fixed mean rate, varying peak/mean.
 

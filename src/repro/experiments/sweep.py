@@ -77,10 +77,10 @@ __all__ = [
     "derive_seeds",
     "ResilienceOptions",
     "arm_key",
-    "SequentialOptions",
     "SequentialEstimate",
     "run_sequential",
     "sequential_decision_fingerprint",
+    "sequential_note",
 ]
 
 T = TypeVar("T")
@@ -115,7 +115,6 @@ class MACRunSpec:
     fault_model: Optional[FaultModel] = None
     backend: str = "compiled"
     feedback_faults: Optional[FeedbackFaultModel] = None
-    antithetic: bool = False
 
     def __post_init__(self):
         # Bad grid parameters must fail here, at spec construction, with
@@ -179,7 +178,6 @@ def _build_simulator(
         feedback_faults=spec.feedback_faults,
         backend=spec.backend,
         metrics=metrics,
-        antithetic=spec.antithetic,
     )
     if spec.stream_seed is not None:
         kwargs["streams"] = RandomStreams(spec.stream_seed)
@@ -405,66 +403,14 @@ class SweepExecutor:
 
 
 @dataclass(frozen=True)
-class SequentialOptions:
-    """Configuration for :func:`run_sequential`.
-
-    The stopping-rule fields mirror
-    :class:`~repro.stats.sequential.SequentialConfig` (and are validated
-    by constructing one); the remaining fields steer seed derivation:
-
-    Attributes
-    ----------
-    crn:
-        Common random numbers — every arm reuses the *same*
-        SeedSequence-derived seed for the same unit index, so arm deltas
-        at equal index are paired and their variance drops by the
-        (positive) covariance the shared draws induce.  ``False``
-        derives one long seed list and slices it per arm (independent
-        seeding).
-    antithetic:
-        Each observation unit becomes a *pair* of lanes at the same
-        seed — one plain, one with the uniform stream mirrored
-        (:class:`~repro.des.rng.AntitheticGenerator`) — and the unit's
-        observation is the pair mean.  Halves the variance the t
-        backend sees per unit when loss is monotone in the mirrored
-        uniforms; the pooled-count backends see the extra lanes as
-        extra trials.
-    """
-
-    ci_target: float
-    level: float = 0.95
-    wave_size: int = 4
-    min_replications: int = 8
-    max_replications: int = 64
-    spending: str = "obf"
-    method: str = "wilson"
-    crn: bool = True
-    antithetic: bool = False
-
-    def __post_init__(self) -> None:
-        self.config()  # delegate range validation to SequentialConfig
-
-    def config(self) -> SequentialConfig:
-        """The pure stopping rule this options bundle implies."""
-        return SequentialConfig(
-            ci_target=self.ci_target,
-            level=self.level,
-            wave_size=self.wave_size,
-            min_replications=self.min_replications,
-            max_replications=self.max_replications,
-            spending=self.spending,
-            method=self.method,
-        )
-
-
-@dataclass(frozen=True)
 class SequentialEstimate:
     """Final per-arm estimate of a sequential sweep.
 
     ``half_width`` is the last look's half-width at its spending-
     corrected level; drivers that historically rendered ``loss ±
     2·stderr`` should pass ``stderr()`` so the rendered band *is* the
-    realized interval.
+    realized interval.  ``units`` counts the lanes that contributed an
+    observation: ``lanes`` minus the ``quarantined`` ones.
     """
 
     label: str
@@ -485,92 +431,61 @@ class SequentialEstimate:
 
 def sequential_decision_fingerprint(
     template: MACRunSpec,
-    options: SequentialOptions,
+    config: SequentialConfig,
     wave: int,
     base_seed: int = 1,
 ) -> str:
     """Journal key of one arm's wave decision.
 
-    Content-addressed over the arm (seed-independent), the full stopping
-    configuration (which carries the ``crn``/``antithetic`` derivation
-    regime), the seed-derivation root, and the wave index: resuming with
-    a different ``--ci-target``, spending shape, or ``--seed`` misses
-    cleanly and re-decides instead of colliding with decisions taken
-    under another rule or seeding regime.  ``base_seed`` defaults to 1,
-    matching :func:`run_sequential`.
+    Content-addressed over the arm (seed-independent), the stopping
+    configuration, the seed-derivation root, and the wave index:
+    resuming with a different ``--ci-target``, lane budget or
+    ``--seed`` misses cleanly and re-decides instead of colliding with
+    decisions taken under another rule or seeding.  ``base_seed``
+    defaults to 1, matching :func:`run_sequential`.
     """
     return fingerprint(
-        ("sequential-decision", arm_key(template), options, base_seed, wave)
+        ("sequential-decision", arm_key(template), config, base_seed, wave)
     )
 
 
-def _unit_seeds(
-    options: SequentialOptions, n_arms: int, base_seed: int
-) -> List[List[int]]:
-    """Per-arm unit seed lists (CRN: shared; independent: sliced)."""
-    n = options.max_replications
-    if options.crn:
-        shared = derive_seeds(base_seed, n)
-        return [list(shared) for _ in range(n_arms)]
-    flat = derive_seeds(base_seed, n_arms * n)
-    return [flat[i * n : (i + 1) * n] for i in range(n_arms)]
-
-
-def _unit_specs(
-    template: MACRunSpec, seed: int, antithetic: bool
-) -> List[MACRunSpec]:
-    """The lane specs of one observation unit.
+def _lane_spec(template: MACRunSpec, seed: int) -> MACRunSpec:
+    """One lane of an arm at one derived seed.
 
     Templates carrying ``stream_seed`` (the robustness construction) get
-    the unit seed there; plain templates get it as ``seed``.  With
-    antithetic pairing the unit is two lanes at the same seed, mirrored
-    and unmirrored.
+    the lane seed there; plain templates get it as ``seed``.
     """
     if template.stream_seed is not None:
-        plain = replace(template, stream_seed=seed, antithetic=False)
-    else:
-        plain = replace(template, seed=seed, antithetic=False)
-    if not antithetic:
-        return [plain]
-    return [plain, replace(plain, antithetic=True)]
+        return replace(template, stream_seed=seed)
+    return replace(template, seed=seed)
 
 
 class _SequentialArm:
     """Mutable per-arm accumulation state for :func:`run_sequential`."""
 
-    def __init__(self, index: int, label: str, template: MACRunSpec, seeds: List[int]):
-        self.index = index
+    def __init__(self, label: str, template: MACRunSpec):
         self.label = label
         self.template = template
-        self.seeds = seeds
         self.fractions: List[float] = []
         self.lost = 0
         self.resolved = 0
-        self.units = 0          # units consumed (incl. quarantined)
-        self.lanes = 0
+        self.lanes = 0          # lanes spent (incl. quarantined)
         self.quarantined = 0
-        self.previous_n = 0     # units at the previous look
+        self.previous_n = 0     # usable lanes at the previous look
         self.decisions: List[WaveDecision] = []
         self.stopped = False
 
-    def absorb(self, unit_results: List[Optional[MACSimResult]]) -> None:
-        """Fold one unit's lane results into the accumulated observations."""
-        self.units += 1
-        self.lanes += len(unit_results)
-        usable = [r for r in unit_results if r is not None and r.resolved > 0]
-        if len(usable) < len(unit_results):
-            # A quarantined (or fully unresolved) lane poisons its whole
-            # unit: an antithetic pair with one member missing is no
-            # longer a pair, and a half-counted unit would bias the CRN
-            # pairing across arms.  The lanes still count as spent.
+    def absorb(self, result: Optional[MACSimResult]) -> None:
+        """Fold one lane's result into the accumulated observations."""
+        self.lanes += 1
+        if result is None or result.resolved <= 0:
+            # A quarantined (or fully unresolved) lane still counts as
+            # spent, but adds no observation.
             self.quarantined += 1
             return
-        self.fractions.append(
-            sum(r.loss_fraction for r in usable) / len(usable)
-        )
-        for r in usable:
-            self.lost += r.delivered_late + r.discarded + r.lost_to_faults
-            self.resolved += r.resolved
+        self.fractions.append(result.loss_fraction)
+        self.lost += result.delivered_late + result.discarded + result.lost_to_faults
+        self.resolved += result.resolved
 
 
 def _metric_label(label: str) -> str:
@@ -586,7 +501,7 @@ def _metric_label(label: str) -> str:
 def _record_decision(
     journal: Optional[RunJournal],
     template: MACRunSpec,
-    options: SequentialOptions,
+    config: SequentialConfig,
     decision: WaveDecision,
     verify: bool,
     base_seed: int,
@@ -594,13 +509,13 @@ def _record_decision(
     """Journal one wave decision; verify against an existing record.
 
     A decision is a pure function of the journaled lane results and the
-    options, so a resumed run recomputes it bit-identically — a mismatch
+    config, so a resumed run recomputes it bit-identically — a mismatch
     means the stopping rule (or the code behind it) changed under the
     journal, which must fail loudly rather than mix stopping regimes.
     """
     if journal is None:
         return
-    fp = sequential_decision_fingerprint(template, options, decision.wave, base_seed)
+    fp = sequential_decision_fingerprint(template, config, decision.wave, base_seed)
     hit, recorded = journal.get(fp)
     payload = decision.to_dict()
     if hit:
@@ -617,16 +532,19 @@ def _record_decision(
 
 def run_sequential(
     arms: Sequence[Tuple[str, MACRunSpec]],
-    options: SequentialOptions,
+    config: SequentialConfig,
     executor: SweepExecutor,
     base_seed: int = 1,
 ) -> List[SequentialEstimate]:
     """Run labelled arms in waves until each meets the CI target.
 
-    Each wave flattens every *unstopped* arm's next observation units
-    into one :meth:`SweepExecutor.run_specs` call, so the wave's lanes
-    share the worker pool exactly as fixed grids do — and journal/resume
-    is inherited per lane.  After the wave, each arm takes a group-sequential look
+    Each wave flattens every *unstopped* arm's next lanes into one
+    :meth:`SweepExecutor.run_specs` call, so the wave's lanes share the
+    worker pool exactly as fixed grids do — and journal/resume is
+    inherited per lane.  Lane ``i`` of every arm runs at the ``i``-th
+    seed derived from ``base_seed``: common random numbers, so arm
+    deltas at equal index are paired contrasts on shared draws.  After
+    the wave, each arm takes a group-sequential look
     (:func:`repro.stats.sequential.decide_wave`); the decision is
     journaled under a content-addressed key so a resumed run provably
     stops at the identical wave.
@@ -636,12 +554,8 @@ def run_sequential(
     arms = list(arms)
     if not arms:
         return []
-    config = options.config()
-    seed_lists = _unit_seeds(options, len(arms), base_seed)
-    states = [
-        _SequentialArm(i, label, template, seed_lists[i])
-        for i, (label, template) in enumerate(arms)
-    ]
+    seeds = derive_seeds(base_seed, config.max_replications)
+    states = [_SequentialArm(label, template) for label, template in arms]
 
     journal: Optional[RunJournal] = None
     verify = False
@@ -660,28 +574,18 @@ def run_sequential(
             target = (
                 config.min_replications
                 if wave == 1
-                else min(state.units + config.wave_size, config.max_replications)
+                else min(state.lanes + config.wave_size, config.max_replications)
             )
-            for unit in range(state.units, target):
-                pending.append((state, unit))
+            for lane in range(state.lanes, target):
+                pending.append((state, lane))
         if not pending:
             break
 
-        specs: List[MACRunSpec] = []
-        owners: List[Tuple[_SequentialArm, int, int]] = []  # (arm, unit, lanes)
-        for state, unit in pending:
-            unit_specs = _unit_specs(
-                state.template, state.seeds[unit], options.antithetic
-            )
-            owners.append((state, unit, len(unit_specs)))
-            specs.extend(unit_specs)
-
-        results = executor.run_specs(specs)
-
-        cursor = 0
-        for state, _unit, n_lanes in owners:
-            state.absorb(results[cursor : cursor + n_lanes])
-            cursor += n_lanes
+        results = executor.run_specs(
+            [_lane_spec(state.template, seeds[lane]) for state, lane in pending]
+        )
+        for (state, _lane), result in zip(pending, results):
+            state.absorb(result)
 
         for state in live:
             decision = decide_wave(
@@ -691,7 +595,7 @@ def run_sequential(
                 counts=(state.lost, state.resolved),
                 previous_n=state.previous_n,
             )
-            if not decision.stop and state.units >= config.max_replications:
+            if not decision.stop and state.lanes >= config.max_replications:
                 # Every seed consumed but quarantine holes kept the
                 # usable count below max_replications: the arm stops
                 # here, and the journaled decision must carry the real
@@ -702,7 +606,7 @@ def run_sequential(
             state.previous_n = decision.n
             state.decisions.append(decision)
             _record_decision(
-                journal, state.template, options, decision, verify, base_seed
+                journal, state.template, config, decision, verify, base_seed
             )
             if decision.stop:
                 state.stopped = True
@@ -717,7 +621,7 @@ def run_sequential(
             mean=last.mean if last else float("nan"),
             half_width=last.half_width if last else float("inf"),
             level=config.level,
-            units=state.units - state.quarantined,
+            units=state.lanes - state.quarantined,
             lanes=state.lanes,
             waves=len(state.decisions),
             reason=last.reason if last else "no-data",
@@ -741,3 +645,14 @@ def run_sequential(
         metrics.counter("stats.lanes_spent", volatile=True).inc(total_lanes)
         metrics.counter("stats.sequential_arms", volatile=True).inc(len(states))
     return estimates
+
+
+def sequential_note(
+    estimates: Sequence[SequentialEstimate], config: SequentialConfig
+) -> str:
+    """The sweep-wide lane-spend note every sequential driver appends."""
+    lanes = sum(est.lanes for est in estimates)
+    return (
+        f"sequential replication: {lanes} lanes across {len(estimates)} "
+        f"cells (ci_target={config.ci_target:g}, wilson/obf, crn)"
+    )

@@ -30,6 +30,7 @@ from ..core.policy import ControlPolicy
 from ..obs import tracing as trace
 from ..obs.metrics import MetricsRegistry
 from ..queueing.impatient import loss_curve
+from ..stats.sequential import SequentialConfig
 from ..workloads import (
     AdversarialWorkload,
     DiurnalWorkload,
@@ -41,9 +42,9 @@ from .figure7 import PanelConfig
 from .records import ascii_table
 from .sweep import (
     MACRunSpec,
-    SequentialOptions,
     SweepExecutor,
     run_sequential,
+    sequential_note,
 )
 
 __all__ = [
@@ -359,7 +360,7 @@ def run_validity(
     resilience=None,
     metrics: Optional[MetricsRegistry] = None,
     backend: str = "compiled",
-    sequential: Optional[SequentialOptions] = None,
+    sequential: Optional[SequentialConfig] = None,
 ) -> ValidityReport:
     """Sweep every (family, ρ′, M, K) cell and build the divergence map.
 
@@ -368,10 +369,10 @@ def run_validity(
     and quarantine semantics.
     Quarantined cells become explicit notes, never silent holes.
 
-    With ``sequential`` options each grid cell becomes an adaptive-
+    With a ``sequential`` config each grid cell becomes an adaptive-
     replication arm: lane waves run until the cell's fraction-late CI
     half-width meets the target, and the cell's stderr renders the
-    realized half-width.  CRN shares unit seeds across every cell, so
+    realized half-width.  CRN shares lane seeds across every cell, so
     the per-family deltas against the stationary control are paired
     contrasts on common sample paths.
     """
@@ -418,9 +419,7 @@ def run_validity(
                 cells, sequential, executor, base_seed=config.seed
             )
         report = ValidityReport(config=config)
-        lanes_total = 0
         for (family, rho, m, deadline), est in zip(grid, estimates):
-            lanes_total += est.lanes
             if est.units == 0:
                 report.notes.append(
                     f"{family} @ rho'={rho:g}, M={m}, K={deadline:g}: every "
@@ -441,14 +440,7 @@ def run_validity(
                     saturated=False,
                 )
             )
-        report.notes.append(
-            f"sequential replication: {lanes_total} lanes across "
-            f"{len(cells)} cells (ci_target={sequential.ci_target:g}, "
-            f"{sequential.method}/{sequential.spending}"
-            + (", crn" if sequential.crn else "")
-            + (", antithetic" if sequential.antithetic else "")
-            + ")"
-        )
+        report.notes.append(sequential_note(estimates, sequential))
         report.flush_metrics(metrics)
         return report
     with trace.span("validity.sweep", cells=len(specs)):

@@ -26,7 +26,7 @@ import numpy as np
 from ..core.controller import ProtocolController
 from ..core.policy import ControlPolicy
 from ..core.window import ChannelFeedback
-from ..des.rng import AntitheticGenerator, RandomStreams
+from ..des.rng import RandomStreams
 from ..faults import (
     FaultEvent,
     FaultModel,
@@ -261,13 +261,6 @@ class WindowMACSimulator:
         bit-identically to the shared reference loop, which applies the
         faults as a branch of each examination slot.  Mutually exclusive
         with ``fault_model``.
-    antithetic:
-        Mirror the uniform draws of every generator this run consumes
-        (see :class:`~repro.des.rng.AntitheticGenerator`): the run at
-        the same seed with ``antithetic=True`` is the variance-reduction
-        twin of the plain run.  Applied identically on every backend —
-        the kernels consume randomness through the same generator
-        methods — so antithetic runs keep the bit-parity contract.
     """
 
     def __init__(
@@ -285,7 +278,6 @@ class WindowMACSimulator:
         metrics: Optional[MetricsRegistry] = None,
         backend: str = "compiled",
         feedback_faults: Optional[FeedbackFaultModel] = None,
-        antithetic: bool = False,
     ):
         if arrival_rate <= 0:
             raise ValueError(f"arrival rate must be positive, got {arrival_rate}")
@@ -327,23 +319,6 @@ class WindowMACSimulator:
             # Plain-seed runs keep the historical shared generator so
             # every pinned result stands.
             arrival_rng = self.rng
-        self.antithetic = bool(antithetic)
-        if self.antithetic:
-            # Mirror each *distinct* generator exactly once, keyed by
-            # identity so the plain-seed aliasing (arrival_rng is rng)
-            # survives the wrap and the draw order stays unchanged.
-            wrapped: dict = {}
-
-            def _mirror(generator):
-                twin = wrapped.get(id(generator))
-                if twin is None:
-                    twin = AntitheticGenerator(generator)
-                    wrapped[id(generator)] = twin
-                return twin
-
-            self.rng = _mirror(self.rng)
-            fault_rng = _mirror(fault_rng)
-            arrival_rng = _mirror(arrival_rng)
         # Retained for feedback-faulted runs (both engines draw fault
         # randomness from this one generator, in identical order).
         self._fault_rng = fault_rng

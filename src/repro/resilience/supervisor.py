@@ -453,10 +453,15 @@ class SupervisedExecutor:
         try:
             while pending or inflight:
                 now = time.monotonic()
-                self._submit_eligible(
+                healthy = self._submit_eligible(
                     fn, pool, pending, inflight, started, now,
                     queue_hist=queue_hist, queue_origin=queue_origin,
                 )
+                if not healthy and not inflight:
+                    # Broken with nothing in flight to charge (a worker
+                    # killed while idle): just start a fresh pool.
+                    pool = self._respawn(pool, pending, inflight, started, outcome)
+                    continue
                 if not inflight:
                     # Everything pending is in a backoff window.
                     wakeup = min(task.not_before for task in pending)
@@ -528,12 +533,13 @@ class SupervisedExecutor:
     def _submit_eligible(
         self, fn, pool, pending, inflight, started, now,
         queue_hist=None, queue_origin=0.0,
-    ) -> None:
+    ) -> bool:
         """Fill the pool with backoff-eligible tasks, up to the worker count.
 
         In-flight submissions are capped at ``workers`` so every
         submitted task starts (almost) immediately — which is what makes
         submission time an honest proxy for start time in the watchdog.
+        Returns ``False`` if the pool turned out to be broken.
         """
         for _ in range(len(pending)):
             if len(inflight) >= (self.workers or 1):
@@ -542,11 +548,20 @@ class SupervisedExecutor:
             if task.not_before > now:
                 pending.append(task)  # rotate: try the next one
                 continue
-            future = pool.submit(fn, task.item)
+            try:
+                future = pool.submit(fn, task.item)
+            except BrokenProcessPool:
+                # A worker died after the last wait returned.  Its
+                # futures surface the breakage on the next wait, which
+                # charges them and respawns the pool; this task never
+                # ran, so it goes back un-charged.
+                pending.appendleft(task)
+                return False
             inflight[future] = task
             started[future] = time.monotonic()
             if queue_hist is not None:
                 queue_hist.observe(started[future] - queue_origin)
+        return True
 
     def _overdue(self, inflight, started) -> List[Any]:
         budget = self.options.task_timeout

@@ -1,17 +1,12 @@
 """Output-analysis substrate: confidence intervals and summaries."""
 
 from .intervals import (
-    BINOMIAL_METHODS,
     ConfidenceInterval,
     batch_means,
-    binomial_interval,
-    jeffreys_interval,
-    proportion_interval,
     t_interval,
     wilson_interval,
 )
 from .sequential import (
-    SPENDING_FUNCTIONS,
     SequentialConfig,
     WaveDecision,
     cumulative_alpha,
@@ -25,14 +20,9 @@ __all__ = [
     "ConfidenceInterval",
     "t_interval",
     "batch_means",
-    "proportion_interval",
     "wilson_interval",
-    "jeffreys_interval",
-    "binomial_interval",
-    "BINOMIAL_METHODS",
     "SequentialConfig",
     "WaveDecision",
-    "SPENDING_FUNCTIONS",
     "cumulative_alpha",
     "design_effect",
     "look_level",

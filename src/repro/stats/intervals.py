@@ -3,7 +3,8 @@
 Steady-state simulation estimates need honest uncertainty: independent
 replications (each with its own warm-up) or batch means over one long
 run.  Both are provided, together with a plain t-interval for iid
-observations (used on per-replication loss fractions).
+observations (used on per-replication loss fractions) and the Wilson
+score interval the sequential stopping rule forms on pooled loss counts.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ __all__ = [
     "ConfidenceInterval",
     "t_interval",
     "batch_means",
-    "proportion_interval",
     "wilson_interval",
-    "jeffreys_interval",
-    "binomial_interval",
-    "BINOMIAL_METHODS",
 ]
 
 
@@ -101,15 +98,6 @@ def batch_means(
     return t_interval(means, level=level)
 
 
-def _check_counts(successes: float, trials: float, level: float) -> None:
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if not 0 <= successes <= trials:
-        raise ValueError(f"successes {successes} outside [0, {trials}]")
-    if not 0 < level < 1:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
-
-
 def wilson_interval(
     successes: float, trials: float, level: float = 0.95
 ) -> ConfidenceInterval:
@@ -127,7 +115,12 @@ def wilson_interval(
     the score formula is continuous in them.
     """
     from scipy.special import ndtri  # bitwise equal to norm.ppf (docs/statistics.md)
-    _check_counts(successes, trials, level)
+    if trials <= 0:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes {successes} outside [0, {trials}]")
+    if not 0 < level < 1:
+        raise ValueError(f"confidence level must be in (0, 1), got {level}")
     z = float(ndtri(0.5 + level / 2.0))
     p = successes / trials
     denom = 1.0 + z * z / trials
@@ -135,73 +128,11 @@ def wilson_interval(
     half = (
         z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
     )
-    return _clamped_unit_interval(center, half, level, trials)
-
-
-def jeffreys_interval(
-    successes: float, trials: float, level: float = 0.95
-) -> ConfidenceInterval:
-    """Jeffreys (Beta(s+½, n−s+½) equal-tailed) binomial interval.
-
-    The Bayesian counterpart of Wilson under the Jeffreys prior; like
-    Wilson it keeps a strictly positive width at 0/1 boundaries.  The
-    conventional boundary adjustment applies: at ``successes == 0`` the
-    lower bound is exactly 0, at ``successes == trials`` the upper bound
-    is exactly 1.  Returned as the (midpoint, half-width) form of the
-    equal-tailed credible interval, clamped to [0, 1].  Fractional
-    (design-effect-deflated) counts are accepted, as for
-    :func:`wilson_interval`.
-    """
-    from scipy import stats as sps
-    _check_counts(successes, trials, level)
-    alpha = 1.0 - level
-    dist = sps.beta(successes + 0.5, trials - successes + 0.5)
-    low = 0.0 if successes == 0 else float(dist.ppf(alpha / 2.0))
-    high = 1.0 if successes == trials else float(dist.ppf(1.0 - alpha / 2.0))
-    center = (low + high) / 2.0
-    half = (high - low) / 2.0
-    return _clamped_unit_interval(center, half, level, trials)
-
-
-def _clamped_unit_interval(
-    center: float, half: float, level: float, n: float
-) -> ConfidenceInterval:
-    """Clamp a symmetric interval on a proportion into [0, 1]."""
     low = max(0.0, center - half)
     high = min(1.0, center + half)
     return ConfidenceInterval(
         mean=(low + high) / 2.0,
         half_width=(high - low) / 2.0,
         level=level,
-        n=int(n),
+        n=int(trials),
     )
-
-
-#: Binomial interval backends selectable by name (the ``--ci-method``
-#: axis of the sequential engine; ``"t"`` is handled separately because
-#: it consumes per-observation fractions, not pooled counts).
-BINOMIAL_METHODS = {
-    "wilson": wilson_interval,
-    "jeffreys": jeffreys_interval,
-}
-
-
-def binomial_interval(
-    successes: float, trials: float, level: float = 0.95, method: str = "wilson"
-) -> ConfidenceInterval:
-    """Dispatch to a named binomial interval backend."""
-    try:
-        backend = BINOMIAL_METHODS[method]
-    except KeyError:
-        raise ValueError(
-            f"unknown binomial interval method {method!r}; "
-            f"expected one of {sorted(BINOMIAL_METHODS)}"
-        ) from None
-    return backend(successes, trials, level=level)
-
-
-def proportion_interval(
-    successes: int, trials: int, level: float = 0.95
-) -> ConfidenceInterval:
-    """Wilson score interval for a binomial proportion (robust near 0/1)."""
-    return wilson_interval(successes, trials, level=level)

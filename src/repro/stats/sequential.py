@@ -15,28 +15,27 @@ is only allowed to spend :math:`\\alpha(t_k) - \\alpha(t_{k-1})`.  Each
 look's interval is therefore computed at level
 :math:`1 - (\\alpha(t_k) - \\alpha(t_{k-1}))`, which keeps simultaneous
 coverage at :math:`\\ge 1 - \\alpha` by the union bound no matter how
-many waves actually run.  Two standard spending shapes are provided:
+many waves actually run.  The spending shape is O'Brien–Fleming's,
+:math:`2(1 - \\Phi(z_{\\alpha/2} / \\sqrt{t}))`: it spends almost nothing
+early, so early stops require overwhelmingly tight intervals and the
+final look runs near the nominal level.
 
-* ``"obf"`` — O'Brien–Fleming-shaped, :math:`2(1 - \\Phi(z_{\\alpha/2}
-  / \\sqrt{t}))`: spends almost nothing early, so early stops require
-  overwhelmingly tight intervals and the final look runs near the
-  nominal level.
-* ``"pocock"`` — Pocock-shaped, :math:`\\alpha \\ln(1 + (e-1)t)`:
-  spends more evenly, stopping earlier at the price of a wider final
-  look.
-
-The pooled binomial backends carry one further correction.  Messages
-inside one simulation run are **not** independent Bernoulli trials —
-losses cluster under contention, so the between-replication variance of
-the loss fraction can sit far above what pooled counts suggest.  Every
-pooled-count look therefore estimates a cluster **design effect**
+Each look forms a **Wilson** score interval on the pooled
+``(lost, resolved)`` message counts, with one further correction.
+Messages inside one simulation run are **not** independent Bernoulli
+trials — losses cluster under contention, so the between-replication
+variance of the loss fraction can sit far above what pooled counts
+suggest.  Every look therefore estimates a cluster **design effect**
 (:func:`design_effect`: the ratio of the measured between-unit variance
 of the mean to the binomial variance the pooled interval assumes) and
 deflates the pooled counts to Kish's effective sample size
 ``n_eff = n / deff`` before forming the interval.  The factor is
-clamped at 1, which keeps the plain Wilson/Jeffreys width as the
-*floor* — exactly the boundary guard those backends exist for at
-p̂ ∈ {0, 1}, where the between-unit variance degenerates to zero.
+clamped at 1, which keeps the plain Wilson width as the *floor* —
+exactly the boundary guard Wilson exists for at p̂ ∈ {0, 1}, where the
+between-unit variance degenerates to zero.
+
+This is the only rule; ``docs/statistics.md`` records the coverage
+audit that chose it over the alternatives.
 
 Every decision here is a **pure function** of the accumulated
 observations and the configuration — no clocks, no hidden state — so a
@@ -50,10 +49,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .intervals import BINOMIAL_METHODS, ConfidenceInterval, binomial_interval, t_interval
+from .intervals import ConfidenceInterval, wilson_interval
 
 __all__ = [
-    "SPENDING_FUNCTIONS",
     "SequentialConfig",
     "WaveDecision",
     "cumulative_alpha",
@@ -63,41 +61,18 @@ __all__ = [
 ]
 
 
-def _obf_spending(alpha: float, t: float) -> float:
-    """O'Brien–Fleming-shaped cumulative spend at information fraction t."""
-    from scipy.special import ndtr, ndtri  # == norm.cdf/ppf bitwise (docs/statistics.md)
-    z = float(ndtri(1.0 - alpha / 2.0))
-    return 2.0 * (1.0 - float(ndtr(z / math.sqrt(t))))
-
-
-def _pocock_spending(alpha: float, t: float) -> float:
-    """Pocock-shaped cumulative spend at information fraction t."""
-    return alpha * math.log(1.0 + (math.e - 1.0) * t)
-
-
-SPENDING_FUNCTIONS = {
-    "obf": _obf_spending,
-    "pocock": _pocock_spending,
-}
-
-
-def cumulative_alpha(spending: str, alpha: float, t: float) -> float:
-    """Cumulative error budget spent by information fraction ``t``.
+def cumulative_alpha(alpha: float, t: float) -> float:
+    """O'Brien–Fleming cumulative error budget spent by fraction ``t``.
 
     ``t`` is clamped into (0, 1]; ``alpha`` is the total two-sided
     budget (e.g. 0.05 for 95% simultaneous coverage).
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    try:
-        shape = SPENDING_FUNCTIONS[spending]
-    except KeyError:
-        raise ValueError(
-            f"unknown spending function {spending!r}; "
-            f"expected one of {sorted(SPENDING_FUNCTIONS)}"
-        ) from None
+    from scipy.special import ndtr, ndtri  # == norm.cdf/ppf bitwise (docs/statistics.md)
     t = min(1.0, max(1e-12, t))
-    return shape(alpha, t)
+    z = float(ndtri(1.0 - alpha / 2.0))
+    return 2.0 * (1.0 - float(ndtr(z / math.sqrt(t))))
 
 
 @dataclass(frozen=True)
@@ -111,22 +86,13 @@ class SequentialConfig:
     level:
         Simultaneous confidence level across all looks (default 0.95).
     wave_size:
-        Observation units added per wave (antithetic pairs count as one
-        unit each — two lanes).
+        Lanes added per wave.
     min_replications:
-        Units required before the first look; no stopping decision is
+        Lanes required before the first look; no stopping decision is
         taken on fewer.
     max_replications:
         Hard cap per arm; the information-fraction denominator of the
         spending function.
-    spending:
-        ``"obf"`` or ``"pocock"`` (see module docstring).
-    method:
-        Interval backend: ``"wilson"`` / ``"jeffreys"`` pool per-run
-        loss counts, deflated by the cluster :func:`design_effect`
-        (robust at 0/1, honest under within-run loss clustering);
-        ``"t"`` forms a Student-t interval over per-unit loss
-        fractions, which captures the clustering directly.
     """
 
     ci_target: float
@@ -134,8 +100,6 @@ class SequentialConfig:
     wave_size: int = 4
     min_replications: int = 8
     max_replications: int = 64
-    spending: str = "obf"
-    method: str = "wilson"
 
     def __post_init__(self) -> None:
         if not self.ci_target > 0:
@@ -153,16 +117,6 @@ class SequentialConfig:
                 f"max_replications {self.max_replications} below "
                 f"min_replications {self.min_replications}"
             )
-        if self.spending not in SPENDING_FUNCTIONS:
-            raise ValueError(
-                f"unknown spending function {self.spending!r}; "
-                f"expected one of {sorted(SPENDING_FUNCTIONS)}"
-            )
-        if self.method not in ("t",) + tuple(sorted(BINOMIAL_METHODS)):
-            raise ValueError(
-                f"unknown interval method {self.method!r}; expected 't', "
-                + " or ".join(repr(m) for m in sorted(BINOMIAL_METHODS))
-            )
 
 
 @dataclass(frozen=True)
@@ -172,8 +126,7 @@ class WaveDecision:
     A decision is a deterministic function of ``(config, wave,
     accumulated observations)``; resumed runs recompute it and must land
     on a bit-identical record.  ``design_effect`` is the cluster
-    variance-inflation factor the pooled-count backends applied at this
-    look (1.0 for the t backend, which needs no correction).
+    variance-inflation factor the pooled Wilson look applied.
     """
 
     wave: int
@@ -199,7 +152,7 @@ class WaveDecision:
 
 
 def look_level(config: SequentialConfig, n: int, previous_n: int) -> float:
-    """Per-look confidence level after accumulating ``n`` of ``max`` units.
+    """Per-look confidence level after accumulating ``n`` of ``max`` lanes.
 
     The look spends only the *increment* of the cumulative spending
     function between the previous look's information fraction and this
@@ -207,10 +160,10 @@ def look_level(config: SequentialConfig, n: int, previous_n: int) -> float:
     """
     alpha = 1.0 - config.level
     t_now = n / config.max_replications
-    spent_now = cumulative_alpha(config.spending, alpha, t_now)
+    spent_now = cumulative_alpha(alpha, t_now)
     if previous_n > 0:
         t_prev = previous_n / config.max_replications
-        spent_prev = cumulative_alpha(config.spending, alpha, t_prev)
+        spent_prev = cumulative_alpha(alpha, t_prev)
     else:
         spent_prev = 0.0
     increment = max(spent_now - spent_prev, alpha * 1e-6)
@@ -226,16 +179,15 @@ def design_effect(fractions: Sequence[float], counts: Tuple[int, int]) -> float:
     Bernoulli trials understates the sampling variance of the arm mean.
     The survey-sampling correction is the **design effect**: the ratio
     of the measured between-replication variance of the estimator
-    (``s²/k`` over the per-unit loss fractions) to the binomial
+    (``s²/k`` over the per-lane loss fractions) to the binomial
     variance the pooled interval assumes (``p̂(1−p̂)/N`` over the ``N``
     pooled messages).  Dividing the pooled counts by this factor yields
     Kish's effective sample size — the number of genuinely independent
     trials the data carries.
 
-    Clamped to ≥ 1: with fewer than two units, or at a degenerate
+    Clamped to ≥ 1: with fewer than two lanes, or at a degenerate
     p̂ ∈ {0, 1} where the between-unit variance collapses, the pooled
-    interval is used as-is — the boundary regime Wilson/Jeffreys exist
-    to guard.
+    interval is used as-is — the boundary regime Wilson exists to guard.
     """
     lost, resolved = counts
     k = len(fractions)
@@ -251,22 +203,14 @@ def design_effect(fractions: Sequence[float], counts: Tuple[int, int]) -> float:
 
 
 def _interval(
-    config: SequentialConfig,
-    fractions: Sequence[float],
-    counts: Tuple[int, int],
-    level: float,
-    deff: float = 1.0,
+    counts: Tuple[int, int], level: float, deff: float
 ) -> ConfidenceInterval:
-    if config.method == "t":
-        return t_interval(fractions, level=level)
     lost, resolved = counts
     if resolved <= 0:
-        raise ValueError("binomial interval backends need at least one resolved message")
+        raise ValueError("the Wilson look needs at least one resolved message")
     # Deflate pooled counts to the effective independent-trial count;
     # p-hat is unchanged, the width widens by ~sqrt(deff).
-    return binomial_interval(
-        lost / deff, resolved / deff, level=level, method=config.method
-    )
+    return wilson_interval(lost / deff, resolved / deff, level=level)
 
 
 def decide_wave(
@@ -285,19 +229,20 @@ def decide_wave(
     wave:
         1-based wave index (for the journal record only).
     fractions:
-        Per-observation-unit loss fractions accumulated so far.
+        Per-lane loss fractions accumulated so far (they set the
+        design effect).
     counts:
         Pooled ``(lost, resolved)`` message counts across the same
-        units — the binomial backends consume these.
+        lanes — the Wilson interval is formed on these.
     previous_n:
-        Units held at the previous *look* (0 before the first look);
+        Lanes held at the previous *look* (0 before the first look);
         sets the spending increment.
     """
     n = len(fractions)
-    deff = 1.0 if config.method == "t" else design_effect(fractions, counts)
+    deff = design_effect(fractions, counts)
+    level = look_level(config, n, previous_n)
     if n < config.min_replications:
-        level = look_level(config, n, previous_n)
-        ci = _interval(config, fractions, counts, level, deff) if n >= 2 else None
+        ci = _interval(counts, level, deff) if n >= 2 else None
         return WaveDecision(
             wave=wave,
             n=n,
@@ -308,37 +253,20 @@ def decide_wave(
             reason="below-min-replications",
             design_effect=deff,
         )
-    level = look_level(config, n, previous_n)
-    ci = _interval(config, fractions, counts, level, deff)
+    ci = _interval(counts, level, deff)
     if ci.half_width <= config.ci_target:
-        return WaveDecision(
-            wave=wave,
-            n=n,
-            mean=ci.mean,
-            half_width=ci.half_width,
-            look_level=level,
-            stop=True,
-            reason="ci-target",
-            design_effect=deff,
-        )
-    if n >= config.max_replications:
-        return WaveDecision(
-            wave=wave,
-            n=n,
-            mean=ci.mean,
-            half_width=ci.half_width,
-            look_level=level,
-            stop=True,
-            reason="max-replications",
-            design_effect=deff,
-        )
+        stop, reason = True, "ci-target"
+    elif n >= config.max_replications:
+        stop, reason = True, "max-replications"
+    else:
+        stop, reason = False, "continue"
     return WaveDecision(
         wave=wave,
         n=n,
         mean=ci.mean,
         half_width=ci.half_width,
         look_level=level,
-        stop=False,
-        reason="continue",
+        stop=stop,
+        reason=reason,
         design_effect=deff,
     )

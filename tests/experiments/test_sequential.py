@@ -3,7 +3,7 @@
 :func:`run_sequential` is a scheduling layer over the executor: lanes
 run in waves until the group-sequential look says stop.  The
 properties pinned here are exact — worker-count invariance, CRN seed
-sharing, journaled stopping decisions, quarantine unit-poisoning —
+sharing, journaled stopping decisions, quarantine holes —
 because the stopping decision is a pure function of the journaled lane
 results and must replay bit-identically.
 """
@@ -18,13 +18,13 @@ from repro.experiments import (
     MACRunSpec,
     ResilienceOptions,
     SequentialEstimate,
-    SequentialOptions,
     SweepExecutor,
     run_sequential,
     sequential_decision_fingerprint,
 )
 from repro.obs import MetricsRegistry
 from repro.resilience import RunJournal
+from repro.stats import SequentialConfig
 
 M = 25
 LAM = 0.5 / M
@@ -49,7 +49,7 @@ def _template(name="optimal", **overrides) -> MACRunSpec:
     return MACRunSpec(**kwargs)
 
 
-def _options(**overrides) -> SequentialOptions:
+def _config(**overrides) -> SequentialConfig:
     kwargs = dict(
         ci_target=0.02,
         wave_size=2,
@@ -57,7 +57,7 @@ def _options(**overrides) -> SequentialOptions:
         max_replications=12,
     )
     kwargs.update(overrides)
-    return SequentialOptions(**kwargs)
+    return SequentialConfig(**kwargs)
 
 
 def _arms():
@@ -69,8 +69,8 @@ def _arms():
 
 class TestDeterminism:
     def test_worker_count_invariant(self):
-        inline = run_sequential(_arms(), _options(), SweepExecutor(None))
-        fanned = run_sequential(_arms(), _options(), SweepExecutor(2))
+        inline = run_sequential(_arms(), _config(), SweepExecutor(None))
+        fanned = run_sequential(_arms(), _config(), SweepExecutor(2))
         assert inline == fanned
 
     def test_backend_invariant(self):
@@ -78,15 +78,15 @@ class TestDeterminism:
             (label, replace(template, backend="reference"))
             for label, template in _arms()
         ]
-        compiled = run_sequential(_arms(), _options(), SweepExecutor(None))
+        compiled = run_sequential(_arms(), _config(), SweepExecutor(None))
         reference = run_sequential(
-            reference_arms, _options(), SweepExecutor(None)
+            reference_arms, _config(), SweepExecutor(None)
         )
         assert compiled == reference
 
     def test_rerun_is_bit_identical(self):
-        a = run_sequential(_arms(), _options(), SweepExecutor(None))
-        b = run_sequential(_arms(), _options(), SweepExecutor(None))
+        a = run_sequential(_arms(), _config(), SweepExecutor(None))
+        b = run_sequential(_arms(), _config(), SweepExecutor(None))
         assert a == b
 
     def test_arms_stop_independently(self):
@@ -94,12 +94,12 @@ class TestDeterminism:
         # drives every arm to the seed budget.  Estimates stay in input
         # order regardless of stopping order.
         loose = run_sequential(
-            _arms(), _options(ci_target=0.5), SweepExecutor(None)
+            _arms(), _config(ci_target=0.5), SweepExecutor(None)
         )
         assert [e.label for e in loose] == ["controlled", "fcfs"]
         assert all(e.reason == "ci-target" for e in loose)
         tight = run_sequential(
-            _arms(), _options(ci_target=1e-9), SweepExecutor(None)
+            _arms(), _config(ci_target=1e-9), SweepExecutor(None)
         )
         assert all(e.reason == "max-replications" for e in tight)
         assert all(e.units == 12 for e in tight)
@@ -108,52 +108,27 @@ class TestDeterminism:
 class TestSeeding:
     def test_crn_shares_unit_seeds_across_arms(self):
         # Two arms with the *same* template under CRN see the same
-        # sample paths: their per-unit observations are identical, so
+        # sample paths: their per-lane observations are identical, so
         # the paired arm delta is exactly zero.
         arms = [("a", _template()), ("b", _template())]
-        a, b = run_sequential(arms, _options(crn=True), SweepExecutor(None))
+        a, b = run_sequential(arms, _config(), SweepExecutor(None))
         assert a.mean == b.mean
         assert a.half_width == b.half_width
-
-    def test_independent_seeding_differs(self):
-        arms = [("a", _template()), ("b", _template())]
-        a, b = run_sequential(arms, _options(crn=False), SweepExecutor(None))
-        assert a.mean != b.mean
-
-    def test_antithetic_pairs_double_the_lanes(self):
-        plain, = run_sequential(
-            [("arm", _template())], _options(), SweepExecutor(None)
-        )
-        paired, = run_sequential(
-            [("arm", _template())],
-            _options(antithetic=True),
-            SweepExecutor(None),
-        )
-        assert plain.lanes == plain.units
-        assert paired.lanes == 2 * paired.units
-
-    def test_antithetic_is_reproducible(self):
-        run = lambda: run_sequential(
-            [("arm", _template())],
-            _options(antithetic=True),
-            SweepExecutor(None),
-        )
-        assert run() == run()
 
 
 class TestJournalReplay:
     def test_resume_replays_identical_decisions(self, tmp_path):
-        opts = _options()
+        config = _config()
         first = run_sequential(
             _arms(),
-            opts,
+            config,
             SweepExecutor(
                 None, ResilienceOptions(checkpoint=str(tmp_path / "j"))
             ),
         )
         resumed = run_sequential(
             _arms(),
-            opts,
+            config,
             SweepExecutor(
                 None,
                 ResilienceOptions(
@@ -167,10 +142,10 @@ class TestJournalReplay:
         assert all(e.decisions for e in resumed)
 
     def test_decisions_are_journaled_per_wave(self, tmp_path):
-        opts = _options()
+        config = _config()
         estimates = run_sequential(
             _arms(),
-            opts,
+            config,
             SweepExecutor(
                 None, ResilienceOptions(checkpoint=str(tmp_path / "j"))
             ),
@@ -179,7 +154,7 @@ class TestJournalReplay:
         for (label, template), estimate in zip(_arms(), estimates):
             for decision in estimate.decisions:
                 fp = sequential_decision_fingerprint(
-                    template, opts, decision.wave
+                    template, config, decision.wave
                 )
                 hit, recorded = journal.get(fp)
                 assert hit, f"wave {decision.wave} of {label} not journaled"
@@ -188,28 +163,23 @@ class TestJournalReplay:
     def test_fingerprint_is_config_sensitive(self):
         template = _template()
         assert sequential_decision_fingerprint(
-            template, _options(), 1
+            template, _config(), 1
         ) != sequential_decision_fingerprint(
-            template, _options(ci_target=0.05), 1
+            template, _config(ci_target=0.05), 1
         )
         assert sequential_decision_fingerprint(
-            template, _options(), 1
-        ) != sequential_decision_fingerprint(template, _options(), 2)
+            template, _config(), 1
+        ) != sequential_decision_fingerprint(template, _config(), 2)
 
     def test_fingerprint_is_seed_sensitive(self):
-        # A different --seed derives a different unit seed list, so its
+        # A different --seed derives a different lane seed list, so its
         # decisions must land on different journal keys — colliding
         # would silently retain stale stopping records.
         template = _template()
         assert sequential_decision_fingerprint(
-            template, _options(), 1, base_seed=1
+            template, _config(), 1, base_seed=1
         ) != sequential_decision_fingerprint(
-            template, _options(), 1, base_seed=2
-        )
-        assert sequential_decision_fingerprint(
-            template, _options(crn=True), 1
-        ) != sequential_decision_fingerprint(
-            template, _options(crn=False), 1
+            template, _config(), 1, base_seed=2
         )
 
     def test_resume_with_different_seed_re_decides_cleanly(self, tmp_path):
@@ -218,10 +188,10 @@ class TestJournalReplay:
         audit stays silent, and the run equals a fresh one at the new
         seed (the contract docs/statistics.md promises for config
         changes)."""
-        opts = _options()
+        config = _config()
         run_sequential(
             _arms(),
-            opts,
+            config,
             SweepExecutor(
                 None, ResilienceOptions(checkpoint=str(tmp_path / "j"))
             ),
@@ -229,7 +199,7 @@ class TestJournalReplay:
         )
         resumed = run_sequential(
             _arms(),
-            opts,
+            config,
             SweepExecutor(
                 None,
                 ResilienceOptions(
@@ -241,21 +211,21 @@ class TestJournalReplay:
             base_seed=2,
         )
         fresh = run_sequential(
-            _arms(), opts, SweepExecutor(None), base_seed=2
+            _arms(), config, SweepExecutor(None), base_seed=2
         )
         assert resumed == fresh
 
 
 class TestQuarantineAndEdges:
     def test_unresolved_lanes_poison_their_units(self):
-        # A horizon short enough that nothing resolves: every unit is
+        # A horizon short enough that nothing resolves: every lane is
         # quarantined, no observation lands, and the arm stops at the
         # seed budget instead of looping forever.
         dead = _template(
             arrival_rate=1e-9, horizon=50.0, warmup=0.0
         )
         estimate, = run_sequential(
-            [("dead", dead)], _options(), SweepExecutor(None)
+            [("dead", dead)], _config(), SweepExecutor(None)
         )
         assert estimate.units == 0
         assert estimate.quarantined == 12
@@ -267,7 +237,7 @@ class TestQuarantineAndEdges:
         assert estimate.decisions[-1].stop
 
     def test_empty_arm_list(self):
-        assert run_sequential([], _options(), SweepExecutor(None)) == []
+        assert run_sequential([], _config(), SweepExecutor(None)) == []
 
     def test_stderr_is_half_the_half_width(self):
         estimate = SequentialEstimate(
@@ -288,7 +258,7 @@ class TestMetrics:
         registry = MetricsRegistry(enabled=True)
         run_sequential(
             _arms(),
-            _options(),
+            _config(),
             SweepExecutor(None, metrics=registry),
         )
         names = registry.names()

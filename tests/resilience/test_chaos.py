@@ -25,7 +25,6 @@ from repro.core import ControlPolicy
 from repro.experiments import (
     MACRunSpec,
     ResilienceOptions,
-    SequentialOptions,
     SweepExecutor,
     derive_seeds,
     run_sequential,
@@ -181,7 +180,8 @@ def test_strict_sweep_still_fails_fast(monkeypatch):
 _SEQ_SETUP = textwrap.dedent(
     """
     from repro.core import ControlPolicy
-    from repro.experiments import MACRunSpec, SequentialOptions
+    from repro.experiments import MACRunSpec
+    from repro.stats import SequentialConfig
 
     M = 25
     LAM = 0.5 / M
@@ -203,7 +203,7 @@ _SEQ_SETUP = textwrap.dedent(
             ("fcfs", template(ControlPolicy.uncontrolled_fcfs(LAM))),
         ]
 
-    SEQ_OPTIONS = SequentialOptions(
+    SEQ_CONFIG = SequentialConfig(
         ci_target=1e-9,
         wave_size=2,
         min_replications=4,
@@ -237,7 +237,7 @@ _SEQ_CHILD = _SEQ_SETUP + textwrap.dedent(
     executor = KillMidWave(
         None, ResilienceOptions(checkpoint=sys.argv[1], backoff_base=0.0)
     )
-    run_sequential(_seq_arms(), SEQ_OPTIONS, executor)
+    run_sequential(_seq_arms(), SEQ_CONFIG, executor)
     raise SystemExit("unreachable: the kill must fire during wave 2")
     """
 )
@@ -249,9 +249,9 @@ def test_sequential_killed_mid_wave_resumes_to_identical_report(tmp_path):
     final per-arm report as an uninterrupted run — bit for bit."""
     namespace = {}
     exec(compile(_SEQ_SETUP, "<seq-setup>", "exec"), namespace)
-    arms, options = namespace["_seq_arms"](), namespace["SEQ_OPTIONS"]
+    arms, config = namespace["_seq_arms"](), namespace["SEQ_CONFIG"]
 
-    baseline = run_sequential(arms, options, SweepExecutor(None))
+    baseline = run_sequential(arms, config, SweepExecutor(None))
     assert all(e.waves > 1 for e in baseline), "need multiple looks to kill"
 
     journal = _journal_dir(tmp_path)
@@ -291,7 +291,7 @@ def test_sequential_killed_mid_wave_resumes_to_identical_report(tmp_path):
             checkpoint=str(journal), resume=True, verify_replay=True
         ),
     )
-    resumed = run_sequential(arms, options, resumer)
+    resumed = run_sequential(arms, config, resumer)
     assert resumed == baseline
     assert [e.decisions for e in resumed] == [e.decisions for e in baseline]
     # verify_replay recomputes journal hits instead of reusing them, so
@@ -302,7 +302,7 @@ def test_sequential_killed_mid_wave_resumes_to_identical_report(tmp_path):
     replayer = Recording(
         None, ResilienceOptions(checkpoint=str(journal), resume=True)
     )
-    replayed_run = run_sequential(arms, options, replayer)
+    replayed_run = run_sequential(arms, config, replayer)
     assert replayed_run == baseline
     assert sum(o.executed for o in wave_outcomes) == 0
     assert sum(o.replayed for o in wave_outcomes) == sum(

@@ -6,6 +6,10 @@ cannot.  Horizontal scale stays tiny (a handful of integer tasks) so
 the whole file runs in seconds.
 """
 
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.resilience import (
@@ -16,6 +20,7 @@ from repro.resilience import (
     backoff_delay,
     value_digest,
 )
+from repro.resilience import supervisor as supervisor_mod
 from repro.resilience.supervisor import _backoff_key, _Task
 
 from . import _workers
@@ -303,3 +308,43 @@ class TestParallel:
         journal = RunJournal(tmp_path / "j")
         assert len(journal) == 6
         assert journal.get("fp-3") == (True, 9)
+
+
+class _BrokenPool:
+    """Stands in for a pool whose worker died after the last wait."""
+
+    def submit(self, fn, *args):
+        raise BrokenProcessPool("a worker died")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestBrokenOnSubmit:
+    def test_submit_to_broken_pool_requeues_task_uncharged(self):
+        executor = SupervisedExecutor(2, _opts())
+        tasks = [_Task(index=i, item=i, fingerprint=None) for i in range(3)]
+        pending, inflight = deque(tasks), {}
+        healthy = executor._submit_eligible(
+            _workers.square, _BrokenPool(), pending, inflight, {}, 0.0
+        )
+        assert healthy is False
+        assert list(pending) == tasks
+        assert inflight == {}
+        assert all(task.attempts == 0 for task in tasks)
+
+    def test_pool_broken_while_idle_is_respawned(self, monkeypatch):
+        # A worker killed between tasks leaves a broken pool with no
+        # future to report it: the next submit is the only witness.
+        broken = iter([_BrokenPool()])
+
+        def make_pool(max_workers):
+            return next(broken, None) or ProcessPoolExecutor(max_workers)
+
+        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", make_pool)
+        outcome = SupervisedExecutor(2, _opts()).run(
+            _workers.square, list(range(4))
+        )
+        assert outcome.results == [0, 1, 4, 9]
+        assert outcome.pool_restarts == 1
+        assert outcome.retries == 0

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats import (
-    BINOMIAL_METHODS,
-    batch_means,
-    binomial_interval,
-    jeffreys_interval,
-    proportion_interval,
-    t_interval,
-    wilson_interval,
-)
+from repro.stats import batch_means, t_interval, wilson_interval
 
 
 class TestTInterval:
@@ -82,100 +74,34 @@ class TestBatchMeans:
 
 
 class TestProportionInterval:
+    """The Wilson score interval the sequential stopping rule uses."""
+
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
-            proportion_interval(5, 0)
+            wilson_interval(5, 0)
         with pytest.raises(ValueError):
-            proportion_interval(11, 10)
+            wilson_interval(11, 10)
+
+    def test_negative_successes_rejected(self):
+        with pytest.raises(ValueError):
+            wilson_interval(-1, 10)
 
     def test_centre_near_p_hat(self):
-        ci = proportion_interval(30, 100)
+        ci = wilson_interval(30, 100)
         assert ci.mean == pytest.approx(0.3, abs=0.02)
 
     def test_zero_successes_positive_upper(self):
         """Wilson handles the boundary gracefully (no zero-width at p=0)."""
-        ci = proportion_interval(0, 50)
+        ci = wilson_interval(0, 50)
         assert ci.low >= 0.0
         assert ci.high > 0.0
 
     def test_width_shrinks_with_n(self):
-        small = proportion_interval(5, 50)
-        large = proportion_interval(500, 5000)
+        small = wilson_interval(5, 50)
+        large = wilson_interval(500, 5000)
         assert large.half_width < small.half_width
 
-    def test_delegates_to_wilson(self):
-        a = proportion_interval(7, 40, level=0.9)
-        b = wilson_interval(7, 40, level=0.9)
-        assert a.mean == b.mean and a.half_width == b.half_width
-
-
-class TestBoundaryBehaviour:
-    """The ISSUE 10 satellite: nonzero, clamped intervals at p̂ ∈ {0, 1}.
-
-    A degenerate t interval over identical lane fractions has zero
-    width, which would stop a sequential arm after one wave on pure
-    luck; the binomial backends must keep honest width at the
-    boundaries instead.
-    """
-
-    @pytest.mark.parametrize("method", sorted(BINOMIAL_METHODS))
-    def test_zero_losses_nonzero_width(self, method):
-        ci = binomial_interval(0, 200, method=method)
-        assert ci.half_width > 0.0
-        assert ci.low >= 0.0
-        assert ci.contains(0.0) or ci.low == 0.0
-
-    @pytest.mark.parametrize("method", sorted(BINOMIAL_METHODS))
-    def test_all_losses_nonzero_width(self, method):
-        ci = binomial_interval(200, 200, method=method)
-        assert ci.half_width > 0.0
-        assert ci.high <= 1.0
-
-    @pytest.mark.parametrize("method", sorted(BINOMIAL_METHODS))
-    def test_clamped_to_unit_interval(self, method):
-        for s, n in [(0, 3), (3, 3), (1, 3), (0, 10000), (9999, 10000)]:
-            ci = binomial_interval(s, n, method=method)
-            assert 0.0 <= ci.low <= ci.high <= 1.0
-
-    def test_t_interval_zero_width_at_boundary_is_why(self):
-        # The degenerate behaviour the satellite exists to work around.
-        assert t_interval([0.0, 0.0, 0.0, 0.0]).half_width == 0.0
-
-    def test_jeffreys_boundary_convention(self):
-        lo = jeffreys_interval(0, 50)
-        hi = jeffreys_interval(50, 50)
-        assert lo.low == 0.0 and lo.high > 0.0
-        assert hi.high == 1.0 and hi.low < 1.0
-
-
-class TestBinomialDispatch:
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            binomial_interval(1, 10, method="exact")
-
-    def test_known_methods(self):
-        assert set(BINOMIAL_METHODS) == {"wilson", "jeffreys"}
-        for method in BINOMIAL_METHODS:
-            ci = binomial_interval(25, 100, method=method)
-            assert ci.mean == pytest.approx(0.25, abs=0.03)
-            assert ci.n == 100
-
-    def test_invalid_counts(self):
-        for method in BINOMIAL_METHODS:
-            with pytest.raises(ValueError):
-                binomial_interval(-1, 10, method=method)
-            with pytest.raises(ValueError):
-                binomial_interval(11, 10, method=method)
-            with pytest.raises(ValueError):
-                binomial_interval(1, 0, method=method)
-
-    def test_agree_away_from_boundary(self):
-        w = wilson_interval(300, 1000)
-        j = jeffreys_interval(300, 1000)
-        assert w.mean == pytest.approx(j.mean, abs=0.005)
-        assert w.half_width == pytest.approx(j.half_width, rel=0.1)
-
-    def test_wilson_coverage_calibration(self, rng):
+    def test_coverage_calibration(self, rng):
         """~95% of 95% Wilson intervals should cover the true p."""
         p, covered, trials = 0.04, 0, 400
         for _ in range(trials):
@@ -184,13 +110,42 @@ class TestBinomialDispatch:
                 covered += 1
         assert covered / trials == pytest.approx(0.95, abs=0.05)
 
-    @pytest.mark.parametrize("method", sorted(BINOMIAL_METHODS))
-    def test_fractional_effective_counts(self, method):
+    def test_fractional_effective_counts(self):
         """The sequential engine deflates pooled counts by a cluster
-        design effect, so the backends must accept fractional counts:
+        design effect, so the interval must accept fractional counts:
         same p-hat, fewer effective trials, wider interval."""
-        full = binomial_interval(160, 800, method=method)
-        deflated = binomial_interval(160 / 28.5, 800 / 28.5, method=method)
+        full = wilson_interval(160, 800)
+        deflated = wilson_interval(160 / 28.5, 800 / 28.5)
         assert deflated.mean == pytest.approx(full.mean, abs=0.08)
         assert deflated.half_width > 2.0 * full.half_width
         assert 0.0 <= deflated.low <= deflated.high <= 1.0
+
+
+class TestBoundaryBehaviour:
+    """Nonzero, clamped intervals at p̂ ∈ {0, 1}.
+
+    A degenerate t interval over identical lane fractions has zero
+    width, which would stop a sequential arm after one wave on pure
+    luck; the Wilson interval must keep honest width at the boundaries
+    instead.
+    """
+
+    def test_zero_losses_nonzero_width(self):
+        ci = wilson_interval(0, 200)
+        assert ci.half_width > 0.0
+        assert ci.low >= 0.0
+        assert ci.contains(0.0) or ci.low == 0.0
+
+    def test_all_losses_nonzero_width(self):
+        ci = wilson_interval(200, 200)
+        assert ci.half_width > 0.0
+        assert ci.high <= 1.0
+
+    def test_clamped_to_unit_interval(self):
+        for s, n in [(0, 3), (3, 3), (1, 3), (0, 10000), (9999, 10000)]:
+            ci = wilson_interval(s, n)
+            assert 0.0 <= ci.low <= ci.high <= 1.0
+
+    def test_t_interval_zero_width_at_boundary_is_why(self):
+        # The degenerate behaviour the Wilson look exists to avoid.
+        assert t_interval([0.0, 0.0, 0.0, 0.0]).half_width == 0.0

@@ -194,27 +194,6 @@ class TestResilienceFlags:
         assert code == 2
         assert "no journal at" in capsys.readouterr().err
 
-    def test_antithetic_with_pooled_backend_warns(self, capsys):
-        # Mirrored twins only pay off under the t backend; pooled-count
-        # backends see them as plain extra trials (docs/statistics.md),
-        # so the combination must be called out rather than silently
-        # doubling lane cost.
-        assert main(["figure7", "--rho", "0.5", "--m", "25",
-                     "--simulate", "--horizon", "2000",
-                     "--max-replications", "2",
-                     "--sequential", "--antithetic"]) == 0
-        err = capsys.readouterr().err
-        assert "--antithetic" in err
-        assert "--ci-method t" in err
-
-    def test_antithetic_with_t_backend_is_silent(self, capsys):
-        assert main(["figure7", "--rho", "0.5", "--m", "25",
-                     "--simulate", "--horizon", "2000",
-                     "--max-replications", "2",
-                     "--sequential", "--antithetic",
-                     "--ci-method", "t"]) == 0
-        assert "antithetic" not in capsys.readouterr().err
-
     @pytest.mark.parametrize("command", ["figure7", "ablations"])
     def test_sequential_without_simulate_is_a_clean_error(self, command, capsys):
         # The analytic modes run no replications; --sequential there is
