@@ -51,7 +51,6 @@ from repro.experiments.sweep import (
     run_sequential,
 )
 from repro.mac import WindowMACSimulator
-from repro.mac.kernels.compiled import numba_available
 from repro.obs.metrics import MetricsRegistry
 from repro.queueing import LCFSQueue
 from repro.stats import SequentialConfig, t_interval
@@ -131,7 +130,6 @@ def measure_kernel(
     reference run and ``compiled_repeats`` compiled runs, since a ~3 ms
     compiled run needs many samples for its minimum to settle.
     Bit-parity with the reference is asserted on **every** timed run.
-    ``numba`` records which flavour of the compiled engine ran.
     """
     policy = ControlPolicy.optimal(config.deadline, config.arrival_rate)
 
@@ -167,7 +165,6 @@ def measure_kernel(
         "rounds": rounds,
         "compiled_repeats": compiled_repeats,
         "slots": slots,
-        "numba": numba_available(),
         "reference_s": reference_s,
         "compiled_s": compiled_s,
         "reference_slots_per_s": slots / reference_s,
@@ -192,9 +189,8 @@ def measure_instrumentation_overhead(config: PerfConfig, repeats: int = 100) -> 
     simulator — the "disabled is free" contract, held to a ≤3% noise
     allowance by the smoke test), and an *enabled* registry (per-epoch
     histograms have a real cost: the instrumented sprint leaves the
-    jitted/tight walk for a per-event loop).  All three arms must return
-    the same result bit-for-bit — instrumentation may never change
-    physics.  ``numba`` records which flavour of the engine ran.
+    tight walk for a per-event loop).  All three arms must return the
+    same result bit-for-bit — instrumentation may never change physics.
 
     Timed in **CPU seconds** (``time.process_time``), not wall-clock:
     the question is whether the code path does extra work, and CPU time
@@ -244,7 +240,6 @@ def measure_instrumentation_overhead(config: PerfConfig, repeats: int = 100) -> 
         )
     return {
         "repeats": repeats,
-        "numba": numba_available(),
         "uninstrumented_s": plain_s,
         "disabled_registry_s": disabled_s,
         "enabled_registry_s": enabled_s,
@@ -628,7 +623,6 @@ def render_table(payload: dict) -> str:
     """The human-readable summary written next to the JSON."""
     cell = payload["cell"]
     kernel = payload["kernel"]
-    flavour = "numba jit" if kernel["numba"] else "numpy fallback"
     lines = [
         f"Perf benchmark ({payload['mode']}) — rho'={cell['rho_prime']:g}, "
         f"M={cell['message_length']}, K={cell['deadline']:g}, "
@@ -639,7 +633,7 @@ def render_table(payload: dict) -> str:
         f"{'kernel, reference loop':<34} "
         f"{kernel['reference_s']:>9.2f}s "
         f"{kernel['reference_slots_per_s']:>12,.0f}",
-        f"{'kernel, compiled (' + flavour + ')':<34} "
+        f"{'kernel, compiled':<34} "
         f"{kernel['compiled_s']:>9.3f}s "
         f"{kernel['compiled_slots_per_s']:>12,.0f}",
         f"{'kernel speedup':<34} {kernel['speedup']:>9.1f}x",

@@ -7,8 +7,7 @@ Asserts:
   every timed round — and its speedup stays above a pinned floor (the
   regression gate: a change that quietly loses the sprint, the
   fast-forward or a closed form fails CI, not just a local benchmark
-  run).  The floor holds with or without numba (the pure-NumPy fallback
-  carries the same gate, so it is meaningful on the numba-free jobs);
+  run);
 * the ``stations_1e5`` scaling arm completes inside the perf-smoke
   budget with O(1) simulator construction;
 * under 2% feedback noise the compiled engine matches the shared
@@ -20,9 +19,8 @@ Asserts:
   acceptance arm, and CRN keeps paired arm-delta variance measurably
   below independent seeding;
 * the observability contracts hold on the compiled engine: a disabled
-  registry is free (≤3%, pure noise allowance) and, on the NumPy
-  fallback, an enabled one costs at most +150% (reported, not gated,
-  under numba);
+  registry is free (≤3%, pure noise allowance) and an enabled one costs
+  at most +150%;
 * the analytic LCFS baseline of all six Figure-7 panels (54 deadline
   points) stays inside a 1 s budget.
 
@@ -35,9 +33,9 @@ only).
 from .harness import PerfConfig, run_benchmarks, write_artifacts
 
 #: Pinned regression floors, half of what measured runs gave on a
-#: 2-vCPU x86-64 VM on the NumPy fallback (compiled engine 603–690x
-#: over the reference loop on the full Figure-7 cell; the since-retired
-#: faulted kernel 9.1–10.6x under 2% feedback noise): margin for
+#: 2-vCPU x86-64 VM (compiled engine 603–690x over the reference loop
+#: on the full Figure-7 cell; the since-retired faulted kernel
+#: 9.1–10.6x under 2% feedback noise): margin for
 #: CI-runner noise that still catches a lost optimisation (losing the
 #: sprint or a closed form costs integer factors).
 KERNEL_SPEEDUP_FLOOR = 300.0
@@ -53,7 +51,7 @@ STATIONS_1E5_RUN_BUDGET_S = 2.0
 #: smoke floor (lane counts are deterministic given the seed, but the
 #: floor leaves room for retuning wave sizes without breaking CI).
 SEQUENTIAL_LANE_REDUCTION_FLOOR = 2.5
-#: Enabled-registry budget on the compiled engine's NumPy fallback:
+#: Enabled-registry budget on the compiled engine:
 #: measured +43–74% across runs (~2.5–3.5 ms → ~3.6–6.1 ms CPU on the
 #: 150k-slot cell).
 ENABLED_OVERHEAD_CEILING = 1.5
@@ -78,8 +76,7 @@ def test_kernel_gates():
     kernel = payload["kernel"]
     assert kernel["speedup"] >= KERNEL_SPEEDUP_FLOOR, (
         f"compiled-engine speedup regressed: {kernel['speedup']:.1f}x "
-        f"over the reference loop (floor {KERNEL_SPEEDUP_FLOOR:g}x, "
-        f"numba={'yes' if kernel['numba'] else 'no'})"
+        f"over the reference loop (floor {KERNEL_SPEEDUP_FLOOR:g}x)"
     )
 
     # Feedback-faulted compiled runs: parity (result + telemetry) was
@@ -126,19 +123,17 @@ def test_kernel_gates():
     # the uninstrumented path (the simulator normalises it to None), so
     # its limit is pure timer-noise allowance on the ratio of per-arm
     # minima.  The enabled arm leaves the tight sprint walk for a
-    # per-event loop that records every epoch; its budget is gated on
-    # the NumPy fallback only (unmeasured under numba).
+    # per-event loop that records every epoch.
     obs = payload["instrumentation"]
     assert obs["disabled_overhead"] <= 0.03, (
         f"disabled metrics registry costs "
         f"{obs['disabled_overhead']:.1%} on the compiled engine (limit 3%)"
     )
-    if not obs["numba"]:
-        assert obs["enabled_overhead"] <= ENABLED_OVERHEAD_CEILING, (
-            f"enabled metrics registry costs "
-            f"{obs['enabled_overhead']:.1%} on the compiled engine "
-            f"(limit {ENABLED_OVERHEAD_CEILING:.0%})"
-        )
+    assert obs["enabled_overhead"] <= ENABLED_OVERHEAD_CEILING, (
+        f"enabled metrics registry costs "
+        f"{obs['enabled_overhead']:.1%} on the compiled engine "
+        f"(limit {ENABLED_OVERHEAD_CEILING:.0%})"
+    )
 
     lcfs = payload["lcfs_figure7"]
     assert lcfs["lcfs_s"] <= LCFS_FIGURE7_BUDGET_S, (

@@ -184,9 +184,8 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
     """Attach ``--backend`` (the engine selector of simulating commands)."""
     p.add_argument("--backend", choices=BACKENDS, default="compiled",
                    help="simulation engine: compiled (default; the "
-                        "struct-of-arrays engine, jitted when numba is "
-                        "installed) or the reference loop — results are "
-                        "bit-identical (see docs/performance.md)")
+                        "struct-of-arrays engine) or the reference loop — "
+                        "results are bit-identical (see docs/performance.md)")
 
 
 def _add_sequential_flags(p: argparse.ArgumentParser) -> None:
@@ -451,6 +450,14 @@ def _simulate_replicated(args, policy, fault_model) -> int:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
+    # Flags the selected sweep would not read are refused, never dropped.
+    if args.feedback_errors and args.scenario == "failures":
+        raise ValueError(
+            "--feedback-errors runs the degradation sweep, not the "
+            "--scenario failures soak; drop one of them"
+        )
+    if args.recovery is not None and not args.feedback_errors:
+        raise ValueError("--recovery applies only to --feedback-errors")
     config = RobustnessConfig(
         rho_prime=args.rho,
         message_length=args.m,
@@ -465,7 +472,8 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     sequential = _sequential_from(args)
     if args.feedback_errors:
         report = protocol_degradation_sweep(
-            config, error_rates=tuple(args.errors), recovery=args.recovery,
+            config, error_rates=tuple(args.errors),
+            recovery=args.recovery or "reset-to-epoch",
             workers=args.workers, resilience=resilience, metrics=metrics,
             backend=args.backend, sequential=sequential,
         )
@@ -835,10 +843,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "late vs feedback error rate for all four window "
                         "protocols on the Figure-7 grid) instead of the "
                         "single-protocol scenario sweeps")
-    p.add_argument("--recovery", choices=RECOVERY_POLICIES,
-                   default="reset-to-epoch",
+    p.add_argument("--recovery", choices=RECOVERY_POLICIES, default=None,
                    help="divergence-recovery policy of the degradation "
-                        "sweep (with --feedback-errors)")
+                        "sweep (with --feedback-errors only; default "
+                        "reset-to-epoch)")
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--m", type=int, default=25)
     p.add_argument("--deadline-factor", type=float, default=3.0,

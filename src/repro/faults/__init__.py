@@ -4,9 +4,11 @@ The paper's protocol assumes error-free ternary feedback and therefore
 perfectly replicated protocol state.  This package quantifies and
 hardens the reproduction against that assumption breaking:
 
-- :mod:`~repro.faults.model` — the fault taxonomy
-  (:class:`FaultModel`): slot-feedback confusion, station crashes,
-  deaf periods, plus the re-synchronization parameters;
+- :mod:`~repro.faults.model` — the per-station fault taxonomy
+  (:class:`FaultModel`): slot-feedback confusion, station crashes and
+  deaf periods;
+- :mod:`~repro.faults.feedback` — :class:`FeedbackFaultModel`, the
+  common-mode feedback errors that keep one shared protocol state;
 - :mod:`~repro.faults.injector` — :class:`FaultInjector`, the
   event-driven fault source;
 - :mod:`~repro.faults.replicas` — :class:`ReplicatedControllerBank`,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -168,11 +168,3 @@ class FaultInjector:
                     break
             observed.append(symbol)
         return observed
-
-    def observe_broadcast(self, feedback: ChannelFeedback) -> ChannelFeedback:
-        """One shared (possibly corrupted) observation for all stations."""
-        return self.model.corrupt(feedback, self.rng)
-
-    def hearing(self, stations: Iterable[int]) -> List[int]:
-        """The subset of ``stations`` currently able to hear feedback."""
-        return [s for s in stations if self.health[s] is StationHealth.UP]

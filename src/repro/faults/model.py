@@ -1,13 +1,15 @@
-"""Fault taxonomy for the multiple-access channel (see docs/robustness.md).
+"""Per-station fault taxonomy for the multiple-access channel (see
+docs/robustness.md).
 
 The paper's protocol (§2) rests on one strong assumption: every station
 observes an *error-free* ternary feedback signal and therefore maintains
 an identical replica of the shared protocol state.  :class:`FaultModel`
-describes the ways that assumption breaks in a real deployment:
+describes the ways that assumption breaks *per station*, so that
+stations can disagree about what they heard (common-mode errors, where
+everyone mis-hears alike, are :class:`~repro.faults.FeedbackFaultModel`'s):
 
 **Slot-level channel impairments** — each examination slot's feedback
-symbol may be mis-observed, independently per station (the default) or
-identically by everyone (``observation="broadcast"``):
+symbol may be mis-observed, independently at each station:
 
 * ``p_idle_as_collision`` — noise on an empty slot is read as energy;
 * ``p_collision_as_idle`` — colliding signals cancel below the carrier
@@ -26,19 +28,13 @@ identically by everyone (``observation="broadcast"``):
   hazard ``deaf_rate``); unlike corruption it *knows* it lost symbols
   and must re-synchronize when it recovers.
 
-**Resilience parameters** — the bounded re-synchronization mechanism of
-:mod:`repro.faults.replicas`: a replica that detects divergence resets
-its unresolved set to ``[now − K, now]`` (policy element 4 discards
-anything older anyway, so the reset is safe) and listens without
-transmitting for ``resync_listen_slots`` before rejoining.
+The bounded re-synchronization that repairs the damage has fixed
+parameters, the constants of :mod:`repro.faults.replicas`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from ..core.window import ChannelFeedback
 
@@ -54,7 +50,7 @@ _PROB_FIELDS = (
 
 @dataclass(frozen=True)
 class FaultModel:
-    """Slot- and station-level fault configuration (see module docstring).
+    """Per-station slot- and station-level faults (see module docstring).
 
     ``FaultModel.none()`` — the all-zero configuration — still routes the
     simulation through the per-station replica machinery, which is how
@@ -65,28 +61,10 @@ class FaultModel:
     p_collision_as_idle: float = 0.0
     p_success_as_collision: float = 0.0
     p_collision_as_success: float = 0.0
-    observation: str = "per-station"  # or "broadcast"
     crash_rate: float = 0.0
     mean_downtime: float = 200.0
     deaf_rate: float = 0.0
     mean_deaf_slots: float = 50.0
-    resync_horizon: Optional[float] = None
-    resync_listen_slots: float = 4.0
-    resync_timeout_slots: Optional[float] = None
-    #: Divergence-recovery policy applied when a replica resyncs:
-    #: ``"gated-rejoin"`` (the historical behavior — listen without
-    #: transmitting for ``resync_listen_slots`` before rejoining),
-    #: ``"reset-to-epoch"`` (rejoin immediately with the conservatively
-    #: reset state), or ``"drop-out"`` (additionally destroy the
-    #: station's pending backlog before rejoining).
-    recovery: str = "gated-rejoin"
-    #: Split depth beyond which a replica declares itself diverged.  A
-    #: fault-free split needs >= 2 arrivals in the span, so depth d means
-    #: two arrivals within (window / 2^d) of each other — at 40 that is
-    #: astronomically unlikely, while a corrupted idle-descent marches
-    #: past it quickly (and must be stopped before float resolution
-    #: degenerates the span, around depth ~48 for realistic horizons).
-    max_split_depth: int = 40
 
     def __post_init__(self):
         for name in _PROB_FIELDS:
@@ -97,31 +75,9 @@ class FaultModel:
             raise ValueError(
                 "collision confusion probabilities must sum to at most 1"
             )
-        if self.observation not in ("per-station", "broadcast"):
-            raise ValueError(f"unknown observation mode: {self.observation!r}")
-        for name in ("crash_rate", "deaf_rate"):
+        for name in ("crash_rate", "deaf_rate", "mean_downtime", "mean_deaf_slots"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("mean_downtime", "mean_deaf_slots", "resync_listen_slots"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.resync_horizon is not None and self.resync_horizon <= 0:
-            raise ValueError(
-                f"resync horizon must be positive, got {self.resync_horizon}"
-            )
-        if self.resync_timeout_slots is not None and self.resync_timeout_slots <= 0:
-            raise ValueError(
-                f"resync timeout must be positive, got {self.resync_timeout_slots}"
-            )
-        if self.max_split_depth < 1:
-            raise ValueError(
-                f"max split depth must be at least 1, got {self.max_split_depth}"
-            )
-        if self.recovery not in ("reset-to-epoch", "gated-rejoin", "drop-out"):
-            raise ValueError(
-                "recovery must be one of ('reset-to-epoch', 'gated-rejoin', "
-                f"'drop-out'), got {self.recovery!r}"
-            )
 
     # -- factories -----------------------------------------------------------
 
@@ -131,9 +87,7 @@ class FaultModel:
         return cls()
 
     @classmethod
-    def feedback_noise(
-        cls, error_rate: float, observation: str = "per-station"
-    ) -> "FaultModel":
+    def feedback_noise(cls, error_rate: float) -> "FaultModel":
         """Symmetric feedback noise: every confusion occurs at ``error_rate``.
 
         The single knob used by the degradation sweep
@@ -149,7 +103,6 @@ class FaultModel:
             p_collision_as_idle=error_rate,
             p_success_as_collision=error_rate,
             p_collision_as_success=error_rate,
-            observation=observation,
         )
 
     # -- queries -------------------------------------------------------------
@@ -181,26 +134,6 @@ class FaultModel:
             (self.p_collision_as_idle, ChannelFeedback.IDLE),
             (self.p_collision_as_success, ChannelFeedback.SUCCESS),
         )
-
-    def corrupt(
-        self, feedback: ChannelFeedback, rng: np.random.Generator
-    ) -> ChannelFeedback:
-        """One observer's (possibly corrupted) reading of a true symbol.
-
-        Draws from ``rng`` only when a confusion applicable to
-        ``feedback`` has positive probability, so a null model consumes
-        no randomness.
-        """
-        pairs = self.confusion_for(feedback)
-        if all(p == 0.0 for p, _ in pairs):
-            return feedback
-        u = rng.random()
-        threshold = 0.0
-        for p, symbol in pairs:
-            threshold += p
-            if u < threshold:
-                return symbol
-        return feedback
 
 
 @dataclass

@@ -27,20 +27,23 @@ state, but three local symptoms expose divergence:
 * *unheard own transmission* — a station transmitted in this slot yet
   observes IDLE;
 * *runaway splitting* — the windowing process descends past
-  ``max_split_depth`` (a span the replica believes occupied keeps
-  examining idle, which fault-free feedback cannot produce), or exceeds
-  the per-process ``resync_timeout_slots`` wall-clock bound.
+  :data:`MAX_SPLIT_DEPTH` (a span the replica believes occupied keeps
+  examining idle, which fault-free feedback cannot produce), or runs
+  longer than the per-process timeout of
+  ``8 · (RESYNC_TIMEOUT_BASE_SLOTS + M)`` slots.
 
 **Bounded re-synchronization.**  A replica that detects divergence (or
 returns from a crash/deaf period, where divergence is certain) resets
 its unresolved set to ``[now − K, now]`` via
 :meth:`~repro.core.controller.ProtocolController.resynchronize` and
-listens without transmitting for ``resync_listen_slots``.  The reset is
-safe: element 4 discards anything older than ``K`` regardless, and
-re-declaring resolved time unresolved only costs idle re-examinations —
-it can never orphan a pending message.  Degradation is therefore
-graceful (wasted slots, higher loss) rather than catastrophic
-(deadlock or permanent divergence).
+listens without transmitting for :data:`RESYNC_LISTEN_SLOTS` before it
+rejoins.  ``K`` is the policy's discard deadline, or
+:data:`RESYNC_HORIZON_MESSAGES` message lengths for a policy without
+element 4.  The reset is safe: element 4 discards anything older than
+``K`` regardless, and re-declaring resolved time unresolved only costs
+idle re-examinations — it can never orphan a pending message.
+Degradation is therefore graceful (wasted slots, higher loss) rather
+than catastrophic (deadlock or permanent divergence).
 """
 
 from __future__ import annotations
@@ -57,6 +60,25 @@ from .injector import FaultInjector
 from .model import FaultModel, FaultTelemetry
 
 __all__ = ["ReplicaCohort", "ReplicatedControllerBank"]
+
+#: Listen-only slots a resyncing replica waits before it rejoins.
+RESYNC_LISTEN_SLOTS = 4.0
+
+#: Split depth beyond which a replica declares itself diverged.  A
+#: fault-free split needs >= 2 arrivals in the span, so depth d means
+#: two arrivals within (window / 2^d) of each other — at 40 that is
+#: astronomically unlikely, while a corrupted idle-descent marches past
+#: it quickly (and must be stopped before float resolution degenerates
+#: the span, around depth ~48 for realistic horizons).
+MAX_SPLIT_DEPTH = 40
+
+#: Resync horizon, in message lengths M, of a policy without element 4
+#: (a policy with one resyncs over its discard deadline K).
+RESYNC_HORIZON_MESSAGES = 16.0
+
+#: A windowing process older than ``8 · (RESYNC_TIMEOUT_BASE_SLOTS + M)``
+#: slots is declared diverged.
+RESYNC_TIMEOUT_BASE_SLOTS = 120.0
 
 _SYMBOL_ORDER = (
     ChannelFeedback.IDLE,
@@ -116,7 +138,8 @@ class ReplicatedControllerBank:
     fault_model / fault_rng:
         The fault configuration and its dedicated generator.
     transmission_slots:
-        Message length M, used to scale the default process timeout.
+        Message length M, which scales the resync horizon of a policy
+        without element 4 and the process timeout.
     """
 
     def __init__(
@@ -130,7 +153,6 @@ class ReplicatedControllerBank:
     ):
         self.policy = policy
         self.n_stations = n_stations
-        self.model = fault_model
         self.injector = FaultInjector(fault_model, n_stations, fault_rng)
         self.telemetry = FaultTelemetry()
         root = ReplicaCohort(0, set(range(n_stations)), root_controller)
@@ -139,10 +161,6 @@ class ReplicatedControllerBank:
             s: root for s in range(n_stations)
         }
         self._next_uid = 1
-        #: Optional ``station -> dropped message count`` callback, set by
-        #: the simulator when ``fault_model.recovery == "drop-out"``: a
-        #: resyncing station destroys its pending backlog through it.
-        self.on_drop_out: Optional[Callable[[int], int]] = None
         # Divergence detection is pointless (and must stay inert for
         # bit-identical regression) when no fault can ever fire.
         self._detect = not fault_model.is_null
@@ -151,14 +169,9 @@ class ReplicatedControllerBank:
         )
         if policy.discard_deadline is not None:
             self._resync_horizon = policy.discard_deadline
-        elif fault_model.resync_horizon is not None:
-            self._resync_horizon = fault_model.resync_horizon
         else:
-            self._resync_horizon = 16.0 * transmission_slots
-        if fault_model.resync_timeout_slots is not None:
-            self._resync_timeout = fault_model.resync_timeout_slots
-        else:
-            self._resync_timeout = 8.0 * (120.0 + transmission_slots)
+            self._resync_horizon = RESYNC_HORIZON_MESSAGES * transmission_slots
+        self._resync_timeout = 8.0 * (RESYNC_TIMEOUT_BASE_SLOTS + transmission_slots)
 
     # -- queries -----------------------------------------------------------------
 
@@ -270,19 +283,11 @@ class ReplicatedControllerBank:
         sender dequeues after observing a (corrupted) SUCCESS that never
         happened — the silent-loss mode of the capture effect.
         """
-        model = self.model
         if not self._detect:
             # Fault-free fast path: exactly one cohort, true symbol.
             cohort = self.cohorts[0]
             if cohort.process is not None:
                 self._deliver(cohort, true_feedback, true_feedback, now, None)
-            return
-        if model.observation == "broadcast":
-            symbol = self.injector.observe_broadcast(true_feedback)
-            if symbol is not true_feedback:
-                self.telemetry.corrupted_observations += len(self._station_cohort)
-            for cohort in list(self.cohorts):
-                self._deliver(cohort, symbol, true_feedback, now, on_phantom_delivery)
             return
         for cohort in list(self.cohorts):
             ids = sorted(cohort.stations)
@@ -323,8 +328,7 @@ class ReplicatedControllerBank:
         controller.resynchronize(now, self._resync_horizon)
         cohort = ReplicaCohort(self._next_uid, {station}, controller)
         self._next_uid += 1
-        cohort.listen_until = now + self._recovery_listen()
-        self._apply_drop_out((station,))
+        cohort.listen_until = now + RESYNC_LISTEN_SLOTS
         self.cohorts.append(cohort)
         self._station_cohort[station] = cohort
         self.telemetry.resyncs += 1
@@ -423,41 +427,21 @@ class ReplicatedControllerBank:
             cohort.controller.complete_process(process)
             cohort._clear_process()
             return
-        if self._detect and process.depth > self.model.max_split_depth:
+        if self._detect and process.depth > MAX_SPLIT_DEPTH:
             self._resync(cohort, now)
         elif self._detect and now - cohort.process_start > self._resync_timeout:
             self._resync(cohort, now)
 
     def _resync(self, cohort: ReplicaCohort, now: float) -> None:
-        """Run the bounded re-synchronization epoch on one cohort.
-
-        The divergence-recovery policy decides the rejoin gate:
-        ``gated-rejoin`` (historical default) listens for
-        ``resync_listen_slots`` first; ``reset-to-epoch`` rejoins at the
-        next decision boundary with the conservatively reset state;
-        ``drop-out`` additionally destroys the cohort's pending
-        backlogs through :attr:`on_drop_out`.
-        """
+        """Run the bounded re-synchronization epoch on one cohort: reset
+        its state and listen for :data:`RESYNC_LISTEN_SLOTS` before it
+        rejoins."""
         cohort._clear_process()
         cohort.expects_idle = False
         cohort.controller.resynchronize(now, self._resync_horizon)
-        cohort.listen_until = now + self._recovery_listen()
-        self._apply_drop_out(sorted(cohort.stations))
+        cohort.listen_until = now + RESYNC_LISTEN_SLOTS
         self.telemetry.divergence_detections += 1
         self.telemetry.resyncs += 1
-
-    def _recovery_listen(self) -> float:
-        """Listen-only slots a resyncing replica waits before rejoining."""
-        if self.model.recovery == "gated-rejoin":
-            return self.model.resync_listen_slots
-        return 0.0
-
-    def _apply_drop_out(self, stations) -> None:
-        """Destroy the pending backlogs of resyncing stations (drop-out)."""
-        if self.model.recovery != "drop-out" or self.on_drop_out is None:
-            return
-        for station in stations:
-            self.telemetry.dropped_messages += self.on_drop_out(station)
 
     def _fingerprint(self, cohort: ReplicaCohort):
         controller = cohort.controller

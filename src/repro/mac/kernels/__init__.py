@@ -20,9 +20,9 @@ Two engines execute the window protocol:
     to :mod:`repro.core.timeline`) otherwise, feedback faults as
     branches of the GEN epoch.
 ``compiled``
-    Backend selection: ``numba``-compiled sprint walk when numba is
-    importable, the pure-NumPy fallback otherwise, plus the eligibility
-    gate and the one-time fallback notice.
+    The backend entry point: the eligibility gate and
+    :func:`~repro.mac.kernels.compiled.run_compiled`, which builds one
+    lane per run.
 
 Every quantity these produce is bound by the same bit-parity contract:
 field-for-field equality with the reference loop, seeded RANDOM

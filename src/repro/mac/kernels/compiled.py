@@ -1,27 +1,18 @@
-"""The compiled backend: the default fast engine, jitted when possible.
+"""The compiled backend: the default fast engine.
 
 ``backend="compiled"`` (the default on
 :class:`~repro.mac.simulator.WindowMACSimulator`, ``MACRunSpec`` and
 ``--backend``) drives a single :class:`~repro.mac.kernels.engine.FlatLane`
 — the struct-of-arrays engine whose GEN epochs run on flat float columns
-— and, when ``numba`` is importable, swaps the steady-state sprint walk
-for an ``@njit`` twin operating on NumPy views of the same precomputed
-tables.
+and whose steady-state sprint walks tables precomputed with NumPy on the
+arrival axis.  ``backend="compiled"`` needs no optional dependency; it
+requires only eligibility.
 
-**Fallback.**  ``numba`` is an optional extra (``pip install
-repro[compiled]``).  When it is missing, or its compilation fails, the
-backend logs a one-time notice and runs the identical walk in pure
-Python over the same NumPy-precomputed tables — same operation
-sequence, same results, just slower.  ``backend="compiled"`` therefore
-never *requires* numba; it requires only eligibility.
-
-**Bit parity.**  Both flavours are bound by the kernel contract:
+**Bit parity.**  The lane is bound by the kernel contract:
 field-for-field equality with the reference loop (seeded RANDOM
 included) and equal metrics registries when instrumentation is on,
 except for the epoch-granularity names the idle fast-forward elides
-(see ``docs/observability.md``).  numba's default configuration does not
-enable fastmath, so the jitted walk performs the same IEEE-754 double
-operations in the same order as the interpreted one.
+(see ``docs/observability.md``).
 
 **Eligibility** (:func:`compiled_eligible`): no per-station replica
 fault model, no §5 window scales, a canonical position rule (the flat
@@ -35,7 +26,6 @@ fall back to the reference loop with a one-time logged notice and a
 
 from __future__ import annotations
 
-import logging
 from typing import TYPE_CHECKING, List
 
 import numpy as np
@@ -52,121 +42,13 @@ from .engine import FlatLane
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..simulator import MACSimResult, WindowMACSimulator
 
-__all__ = [
-    "compiled_eligible",
-    "numba_available",
-    "run_compiled",
-]
-
-logger = logging.getLogger(__name__)
+__all__ = ["compiled_eligible", "run_compiled"]
 
 _POSITION_CODES = {
     OldestFirstPosition: 0,
     NewestFirstPosition: 1,
     RandomPosition: 2,
 }
-
-# Lazy one-time probe state: the jitted sprint walk (or None when numba
-# is unavailable) and whether the probe has run.
-_JIT_WALK = None
-_PROBED = False
-
-
-def _probe():
-    """Compile the jitted sprint walk once, or record its absence.
-
-    Returns the jitted walk callable or ``None``.  The fallback notice
-    is logged exactly once per process; parity is unaffected either way.
-    """
-    global _JIT_WALK, _PROBED
-    if _PROBED:
-        return _JIT_WALK
-    _PROBED = True
-    try:
-        import numba
-    except ImportError:
-        logger.info(
-            "numba is not installed; the compiled backend runs its "
-            "pure-NumPy struct-of-arrays fallback (identical results; "
-            "install repro[compiled] for the jitted sprint walk)"
-        )
-        return None
-    try:
-        @numba.njit(cache=False)
-        def _walk(arr, cl, tl, iso, p, n, prev_now, last_fr,
-                  warmup, sdl_f, m, kf, tot, wc, wt, wp):
-            # Twin of engine.sprint_walk: same operation sequence
-            # on the NumPy views of the same tables (numba's default
-            # config keeps strict IEEE-754 — no fastmath).
-            ot = 0
-            lt = 0
-            nm = 0
-            idle_acc = 0.0
-            tx_acc = 0.0
-            while p < n:
-                u = arr[p]
-                if u > prev_now:
-                    if not iso[p]:
-                        break
-                    c = cl[p]
-                    idle_acc += c - prev_now
-                    tv = tl[p]
-                    if u >= warmup:
-                        wc += 1
-                        d = tv - wt
-                        wt += d / wc
-                        d = tv - wp
-                        wp += d / wc
-                        if tv > sdl_f:
-                            lt += 1
-                        else:
-                            ot += 1
-                        nm += 1
-                    tx_acc += m
-                    last_fr = c
-                    prev_now = c + m
-                    p += 1
-                else:
-                    if p + 1 < n and arr[p + 1] <= prev_now:
-                        break
-                    if prev_now >= tot:
-                        break
-                    pk = prev_now - kf
-                    lo = last_fr if last_fr >= pk else pk
-                    if u < lo:
-                        break
-                    tv = prev_now - u
-                    if u >= warmup:
-                        wc += 1
-                        d = tv - wt
-                        wt += d / wc
-                        d = tv - wp
-                        wp += d / wc
-                        if tv > sdl_f:
-                            lt += 1
-                        else:
-                            ot += 1
-                        nm += 1
-                    tx_acc += m
-                    last_fr = prev_now
-                    prev_now = prev_now + m
-                    p += 1
-            return (p, prev_now, last_fr, idle_acc, tx_acc,
-                    wc, wt, wp, ot, lt, nm)
-
-        _JIT_WALK = _walk
-    except Exception as error:  # pragma: no cover - numba-version specific
-        logger.warning(
-            "numba is installed but jit compilation failed (%s); the "
-            "compiled backend runs its pure-NumPy fallback", error
-        )
-        _JIT_WALK = None
-    return _JIT_WALK
-
-
-def numba_available() -> bool:
-    """Whether the jitted sprint walk is compiled and usable."""
-    return _probe() is not None
 
 
 def compiled_eligible(sim: "WindowMACSimulator") -> bool:
@@ -243,7 +125,6 @@ def run_compiled(
         arr_s,
         registry=sim.metrics,
         pos_code=_POSITION_CODES[type(policy.position)],
-        jit_walk=_probe(),
         faults=faults,
         check=invariants_enabled(),
     )

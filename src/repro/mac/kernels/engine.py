@@ -53,11 +53,6 @@ two sites as the reference loop: the
 :class:`~repro.core.policy.RandomPosition` placement draw (only when the
 slack is positive) and the random split shuffle inside
 ``examination_order``.  All other paths are draw-free.
-
-When the compiled backend has a ``numba``-jitted twin of the sprint walk
-it is passed in as ``jit_walk`` and runs over NumPy views of the same
-tables — identical operation sequence, identical IEEE-754 results
-(numba's default config does not enable fastmath).
 """
 
 from __future__ import annotations
@@ -151,11 +146,6 @@ def sprint_walk(
     kf, tot, wc, wt, wp,
 ):
     """The uninstrumented mask walk, one epoch per event.
-
-    A function over plain scalars and sequences so the compiled backend
-    can swap in an ``@njit`` twin operating on the NumPy views of the
-    same tables — the float operation sequence is identical either way,
-    so the results are bit-equal.
 
     Two event shapes run inline; anything else exits to the rounds:
 
@@ -317,12 +307,6 @@ class FlatLane:
         "fr",
         "vec_ok",
         "pos_code",
-        # the jitted sprint walk and its NumPy views
-        "jit_walk",
-        "arr_np",
-        "ceil_np",
-        "true_np",
-        "iso_np",
     )
 
     def __init__(
@@ -338,7 +322,6 @@ class FlatLane:
         arr_s: List[int],
         registry: Optional[MetricsRegistry] = None,
         pos_code: int = 0,
-        jit_walk=None,
         faults: Optional[FeedbackFaultState] = None,
         check: bool = False,
     ):
@@ -408,17 +391,6 @@ class FlatLane:
         self.u_hi: List[float] = []
         self.fr = 0.0
         self.pos_code = pos_code
-        self.jit_walk = jit_walk
-        if jit_walk is not None and self.iso is not None:
-            self.arr_np = np.asarray(self.arr_t, dtype=np.float64)
-            self.ceil_np = np.asarray(self.ceil_t, dtype=np.float64)
-            self.true_np = np.asarray(self.true_t, dtype=np.float64)
-            self.iso_np = np.asarray(self.iso, dtype=np.bool_)
-        else:
-            self.arr_np = None
-            self.ceil_np = None
-            self.true_np = None
-            self.iso_np = None
 
     def _observe(self, true_value: float, paper_value: float) -> None:
         """One Welford update of both wait means (the
@@ -584,18 +556,10 @@ class FlatLane:
         if ob is None:
             # The tight loop, with the instrumentation branch hoisted
             # out entirely — this is where compiled runs spend their time.
-            walk = self.jit_walk
-            if walk is None:
-                out = sprint_walk(
-                    arrl, cl, tl, iso, p, n, prev_now, last_fr,
-                    warmup, sdl_f, m, kf, tot, wc, wt, wp,
-                )
-            else:
-                out = walk(
-                    self.arr_np, self.ceil_np, self.true_np, self.iso_np,
-                    p, n, prev_now, last_fr, warmup, sdl_f, m, kf, tot,
-                    wc, wt, wp,
-                )
+            out = sprint_walk(
+                arrl, cl, tl, iso, p, n, prev_now, last_fr,
+                warmup, sdl_f, m, kf, tot, wc, wt, wp,
+            )
             p, prev_now, last_fr, idle_d, tx_d, wc, wt, wp, ot_d, lt_d, nm_d = out
             idle_acc += idle_d
             tx_acc += tx_d

@@ -224,11 +224,11 @@ class WindowMACSimulator:
         ``"paper"`` (the analysis convention).
     backend:
         ``"compiled"`` (default) runs the compiled engine
-        (:mod:`repro.mac.kernels.compiled` — jitted hot loops when
-        ``numba`` is importable, the pure-NumPy struct-of-arrays
-        fallback otherwise), bit-identical to the reference loop — same
-        RNG draw order, same float arithmetic.  ``"reference"`` forces
-        the reference loop (the oracle and the benchmark baseline).
+        (:mod:`repro.mac.kernels.compiled`, the struct-of-arrays
+        :class:`~repro.mac.kernels.engine.FlatLane`), bit-identical to
+        the reference loop — same RNG draw order, same float
+        arithmetic.  ``"reference"`` forces the reference loop (the
+        oracle and the benchmark baseline).
         Replica-fault runs take their own loop (see :meth:`run`); any
         other run the compiled engine cannot reproduce falls back to the
         reference loop with a one-time logged notice and a
@@ -636,38 +636,9 @@ class WindowMACSimulator:
             else:
                 controller.complete_process(process)
 
-        unresolved = sum(
-            1 for message in registry.messages_in_span(_everything())
-            if measured(message)
-        )
-        if check:
-            accounted = (
-                counts[MessageFate.DELIVERED_ON_TIME]
-                + counts[MessageFate.DELIVERED_LATE]
-                + counts[MessageFate.DISCARDED_AT_SENDER]
-                + counts[MessageFate.LOST_TO_FAULT]
-                + unresolved
-            )
-            require(
-                accounted == n_measured,
-                f"message conservation violated: {n_measured} measured "
-                f"arrivals but {accounted} accounted for",
-            )
-        # Retain per-message records (measured interval only) so callers
-        # can compute custom breakdowns, e.g. per-station-class loss.
-        self.scored_messages = [m for m in arrivals if measured(m)]
-        result = MACSimResult(
-            arrivals=n_measured,
-            delivered_on_time=counts[MessageFate.DELIVERED_ON_TIME],
-            delivered_late=counts[MessageFate.DELIVERED_LATE],
-            discarded=counts[MessageFate.DISCARDED_AT_SENDER],
-            unresolved=unresolved,
-            mean_true_wait=waits.mean_true,
-            mean_paper_wait=waits.mean_paper,
-            channel=channel.stats,
-            deadline=self.deadline,
-            lost_to_faults=counts[MessageFate.LOST_TO_FAULT],
-            faults=None if faults is None else faults.telemetry,
+        result = self._finish(
+            arrivals, measured, counts, n_measured, waits, check,
+            None if faults is None else faults.telemetry,
         )
         if obs is not None:
             flush_result_metrics(obs, result)
@@ -717,17 +688,6 @@ class WindowMACSimulator:
             message.fate = MessageFate.LOST_TO_FAULT
             if measured(message):
                 counts[MessageFate.LOST_TO_FAULT] += 1
-
-        if fault_model.recovery == "drop-out":
-            # Resyncing stations abandon their backlog; the bank calls
-            # back here so the message bookkeeping stays in this loop.
-            def _drop_backlog(station: int) -> int:
-                dropped = registry.drop_station(station)
-                for message in dropped:
-                    lose_to_fault(message, in_registry=False)
-                return len(dropped)
-
-            bank.on_drop_out = _drop_backlog
 
         while channel.now < total_time:
             now = channel.now
@@ -797,8 +757,28 @@ class WindowMACSimulator:
                 self._score_delivery(transmitted, counts, waits, measured)
             bank.apply_feedback(feedback, now, lose_to_fault)
 
+        result = self._finish(
+            arrivals, measured, counts, n_measured, waits, check, bank.telemetry
+        )
+        # Replica runs flush the end-of-run accounting only: epoch-level
+        # histograms describe the shared-controller decision structure,
+        # which diverged cohorts do not share.  Fault counters flush only
+        # for non-null models so null-replica registries stay identical
+        # to shared-path registries.
+        if self.metrics is not None:
+            flush_result_metrics(self.metrics, result)
+            if not fault_model.is_null:
+                flush_fault_metrics(self.metrics, bank.telemetry)
+        return result
+
+    def _finish(
+        self, arrivals, measured, counts, n_measured, waits, check, telemetry
+    ) -> MACSimResult:
+        """The end of both reference loops: count the unresolved backlog,
+        run the conservation guard, keep the scored messages and build
+        the result (metrics are each loop's own to flush)."""
         unresolved = sum(
-            1 for message in registry.messages_in_span(_everything())
+            1 for message in self.registry.messages_in_span(_everything())
             if measured(message)
         )
         if check:
@@ -811,11 +791,13 @@ class WindowMACSimulator:
             )
             require(
                 accounted == n_measured,
-                f"message conservation violated (replicated path): "
-                f"{n_measured} measured arrivals but {accounted} accounted for",
+                f"message conservation violated: {n_measured} measured "
+                f"arrivals but {accounted} accounted for",
             )
+        # Retain per-message records (measured interval only) so callers
+        # can compute custom breakdowns, e.g. per-station-class loss.
         self.scored_messages = [m for m in arrivals if measured(m)]
-        result = MACSimResult(
+        return MACSimResult(
             arrivals=n_measured,
             delivered_on_time=counts[MessageFate.DELIVERED_ON_TIME],
             delivered_late=counts[MessageFate.DELIVERED_LATE],
@@ -823,21 +805,11 @@ class WindowMACSimulator:
             unresolved=unresolved,
             mean_true_wait=waits.mean_true,
             mean_paper_wait=waits.mean_paper,
-            channel=channel.stats,
+            channel=self.channel.stats,
             deadline=self.deadline,
             lost_to_faults=counts[MessageFate.LOST_TO_FAULT],
-            faults=bank.telemetry,
+            faults=telemetry,
         )
-        # Replica runs flush the end-of-run accounting only: epoch-level
-        # histograms describe the shared-controller decision structure,
-        # which diverged cohorts do not share.  Fault counters flush only
-        # for non-null models so null-replica registries stay identical
-        # to shared-path registries.
-        if self.metrics is not None:
-            flush_result_metrics(self.metrics, result)
-            if not fault_model.is_null:
-                flush_fault_metrics(self.metrics, bank.telemetry)
-        return result
 
     def _score_delivery(self, message, counts, waits, measured) -> None:
         wait = message.wait(self.loss_definition)

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.window import ChannelFeedback
-from repro.faults import (
-    RECOVERY_POLICIES,
-    FaultModel,
-    FeedbackFaultModel,
-    FeedbackFaultState,
-)
+from repro.faults import RECOVERY_POLICIES, FeedbackFaultModel, FeedbackFaultState
 
 
 class TestValidation:
@@ -63,12 +58,6 @@ class TestValidation:
             # 60 would collide with WindowingProcess's own depth error.
             FeedbackFaultModel(max_split_depth=60)
         FeedbackFaultModel(max_split_depth=59)
-
-    def test_legacy_recovery_field_validated_too(self):
-        with pytest.raises(ValueError, match="recovery"):
-            FaultModel(recovery="pray")
-        for policy in RECOVERY_POLICIES:
-            FaultModel(recovery=policy)
 
     def test_noise_factory_bounds(self):
         with pytest.raises(ValueError):

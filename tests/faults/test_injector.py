@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core.window import ChannelFeedback
-from repro.faults import FaultEvent, FaultInjector, FaultModel, StationHealth
+from repro.faults import FaultEvent, FaultInjector, FaultModel
 
 
 def make(model, n_stations=10, seed=0):
@@ -73,16 +73,3 @@ class TestObservation:
         symbols = injector.observe(ChannelFeedback.SUCCESS, 200)
         kinds = set(symbols)
         assert kinds == {ChannelFeedback.SUCCESS, ChannelFeedback.COLLISION}
-
-    def test_broadcast_observation(self):
-        injector = make(FaultModel(p_collision_as_success=1.0))
-        assert (
-            injector.observe_broadcast(ChannelFeedback.COLLISION)
-            is ChannelFeedback.SUCCESS
-        )
-
-    def test_hearing_excludes_unhealthy(self):
-        injector = make(FaultModel.none())
-        injector.health[3] = StationHealth.CRASHED
-        injector.health[5] = StationHealth.DEAF
-        assert injector.hearing(range(8)) == [0, 1, 2, 4, 6, 7]

@@ -1,6 +1,5 @@
 """Tests for the fault taxonomy (:mod:`repro.faults.model`)."""
 
-import numpy as np
 import pytest
 
 from repro.core.window import ChannelFeedback
@@ -18,24 +17,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             FaultModel(p_collision_as_idle=0.6, p_collision_as_success=0.6)
 
-    def test_observation_mode(self):
-        with pytest.raises(ValueError):
-            FaultModel(observation="telepathy")
-        FaultModel(observation="broadcast")
-
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
             FaultModel(crash_rate=-1e-3)
         with pytest.raises(ValueError):
             FaultModel(deaf_rate=-1e-3)
-
-    def test_resync_parameters(self):
-        with pytest.raises(ValueError):
-            FaultModel(resync_horizon=0.0)
-        with pytest.raises(ValueError):
-            FaultModel(resync_timeout_slots=-5.0)
-        with pytest.raises(ValueError):
-            FaultModel(max_split_depth=0)
 
     def test_feedback_noise_bounds(self):
         with pytest.raises(ValueError):
@@ -67,25 +53,6 @@ class TestQueries:
         assert (p, target) == (0.1, ChannelFeedback.COLLISION)
         targets = {t for _, t in model.confusion_for(ChannelFeedback.COLLISION)}
         assert targets == {ChannelFeedback.IDLE, ChannelFeedback.SUCCESS}
-
-
-class TestCorrupt:
-    def test_null_model_never_draws(self):
-        model = FaultModel.none()
-        rng = np.random.default_rng(0)
-        before = repr(rng.bit_generator.state)
-        for symbol in ChannelFeedback:
-            assert model.corrupt(symbol, rng) is symbol
-        assert repr(rng.bit_generator.state) == before
-
-    def test_certain_confusion(self):
-        model = FaultModel(p_idle_as_collision=1.0)
-        rng = np.random.default_rng(0)
-        assert model.corrupt(ChannelFeedback.IDLE, rng) is ChannelFeedback.COLLISION
-        # SUCCESS has no confusion configured: passes through, no draw.
-        before = repr(rng.bit_generator.state)
-        assert model.corrupt(ChannelFeedback.SUCCESS, rng) is ChannelFeedback.SUCCESS
-        assert repr(rng.bit_generator.state) == before
 
 
 class TestTelemetry:

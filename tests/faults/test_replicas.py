@@ -89,31 +89,22 @@ class TestFeedbackNoise:
         assert 0.0 <= result.loss_fraction <= 1.0
 
     def test_noise_does_not_deadlock_uncontrolled(self):
-        # No element 4 here, so recovery leans on the fault-model resync
-        # horizon rather than the policy's discard deadline.
+        # No element 4 here, so recovery leans on the 16·M resync
+        # horizon rather than the policy's discard deadline.  Divergence
+        # must be detected and repaired, and the backlog kept draining.
         result = run(
             FACTORIES["fcfs"](),
             fault_model=FaultModel.feedback_noise(0.02),
             horizon=10_000.0,
         )
-        assert result.faults.resyncs >= 0
+        assert result.faults.resyncs > 0
         assert result.arrivals > 0
-
-    def test_broadcast_corruption_never_splits(self):
-        result = run(
-            FACTORIES["controlled"](),
-            fault_model=FaultModel.feedback_noise(0.02, observation="broadcast"),
-            horizon=10_000.0,
-        )
-        t = result.faults
-        # Everyone mis-hears identically: replicas drift from the *truth*
-        # but never from each other.
-        assert t.cohort_splits == 0
-        assert t.peak_cohorts == 1
-        assert t.corrupted_observations > 0
+        assert not result.saturated
 
     def test_capture_effect_causes_silent_loss(self):
-        model = FaultModel(p_collision_as_success=0.4, observation="broadcast")
+        # Per-station capture: a transmitter that alone mis-hears its
+        # collision as SUCCESS dequeues a message nobody received.
+        model = FaultModel(p_collision_as_success=0.4)
         result = run(
             FACTORIES["controlled"](),
             fault_model=model,

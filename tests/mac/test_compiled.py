@@ -1,4 +1,4 @@
-"""Bit-parity and fallback behaviour of the compiled MAC backend.
+"""Bit-parity and eligibility of the compiled MAC backend.
 
 The contract under test: running with ``backend="compiled"`` — the
 default — is **field-for-field identical** to the reference loop (and
@@ -7,16 +7,14 @@ protocol disciplines, seeded RANDOM included, on stream-seeded runs and
 on randomly drawn arms, with equal metrics registries (up to the
 epoch-granularity names the fast-forward elides) when instrumentation
 is on.  The golden seeds at ρ′ = 0.25 and 0.8, the bursty workload and
-the null replica model live in ``test_fastpath.py``.  On top of parity: the
-numba-less fallback must be a logged notice and a pure-NumPy run, never
-a crash; ineligible runs must fall back to the reference loop; and the
-backend must hold across ragged station counts (the 1e5–1e6 scaling
-axis is exercised at its small end here — the perf budgets live in the
-perf smoke).
+the null replica model live in ``test_fastpath.py``.  On top of parity:
+ineligible runs must fall back to the reference loop, and the backend
+must hold across ragged station counts (the 1e5–1e6 scaling axis is
+exercised at its small end here — the perf budgets live in the perf
+smoke).
 """
 
 import dataclasses
-import logging
 import math
 
 import pytest
@@ -195,37 +193,6 @@ class TestScoredMessages:
 
 
 class TestFallbackAndEligibility:
-    def test_numpy_fallback_runs_with_logged_notice(self, caplog, monkeypatch):
-        # With numba absent the backend must run the NumPy path and say
-        # so once — never crash.  The probe is re-armed and the import
-        # is forced to fail so the test is meaningful even when numba
-        # happens to be installed.
-        import builtins
-
-        real_import = builtins.__import__
-
-        def no_numba(name, *args, **kwargs):
-            if name == "numba":
-                raise ImportError("No module named 'numba'")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", no_numba)
-        monkeypatch.setattr(compiled, "_PROBED", False)
-        monkeypatch.setattr(compiled, "_JIT_WALK", None)
-        with caplog.at_level(logging.INFO, logger=compiled.__name__):
-            assert compiled.numba_available() is False
-            result = _run("optimal", "compiled")
-        assert "pure-NumPy" in caplog.text
-        assert result == _run("optimal", "reference")
-
-    def test_fallback_notice_logged_once(self, caplog, monkeypatch):
-        monkeypatch.setattr(compiled, "_PROBED", False)
-        monkeypatch.setattr(compiled, "_JIT_WALK", None)
-        compiled._probe()
-        with caplog.at_level(logging.INFO, logger=compiled.__name__):
-            compiled._probe()
-        assert "pure-NumPy" not in caplog.text
-
     def test_ineligible_run_falls_back_to_reference(self, monkeypatch):
         # A §5 scaled station makes the run ineligible: the default
         # dispatch completes on the reference loop, bit-identical to an
@@ -263,16 +230,3 @@ class TestFallbackAndEligibility:
         # same guards.
         monkeypatch.setenv(invariants.INVARIANTS_ENV, "1")
         assert compiled.compiled_eligible(simulator)
-
-
-@pytest.mark.compiled
-class TestJittedWalk:
-    """Run by the compiled-parity CI job (numba installed)."""
-
-    def test_jitted_walk_matches_interpreted(self):
-        pytest.importorskip("numba")
-        assert compiled.numba_available()
-        for name in PROTOCOLS:
-            reference = _run(name, "reference", seed=3)
-            result = _run(name, "compiled", seed=3)
-            assert result == reference

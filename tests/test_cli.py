@@ -152,6 +152,22 @@ class TestRobustnessCommand:
         assert "Graceful degradation" in out
         assert "error rate" in out
 
+    def test_recovery_without_feedback_errors_is_a_clean_error(self, capsys):
+        # Only the --feedback-errors sweep reads --recovery; the
+        # per-station sweep would silently ignore it.
+        assert main(["robustness", "--recovery", "drop-out"]) == 2
+        assert "--recovery applies only to --feedback-errors" in (
+            capsys.readouterr().err
+        )
+
+    def test_failure_scenario_with_feedback_errors_is_a_clean_error(self, capsys):
+        # --feedback-errors would run the degradation sweep, not the soak.
+        code = main(["robustness", "--scenario", "failures", "--feedback-errors"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--feedback-errors" in err
+        assert "--scenario failures" in err
+
     def test_failure_soak_runs(self, capsys):
         code = main([
             "robustness", "--scenario", "failures", "--seeds", "1",
