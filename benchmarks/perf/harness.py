@@ -550,20 +550,30 @@ def _time_sweep(config: PerfConfig, backend: str, workers: Optional[int]):
     }, result
 
 
-def _git_sha() -> str:
+def _git(*args: str) -> Optional[str]:
+    """Stdout of one ``git`` command in this checkout, or None."""
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=10,
         )
-        if proc.returncode == 0:
-            return proc.stdout.strip()
     except OSError:
-        pass
-    return "unknown"
+        return None
+    return proc.stdout if proc.returncode == 0 else None
+
+
+def _measured_tree() -> dict:
+    """Which tree an entry measured: HEAD's short SHA, and ``dirty``
+    when tracked files differ from HEAD (an entry appended before its
+    commit measured HEAD plus the uncommitted change)."""
+    sha = _git("rev-parse", "--short", "HEAD")
+    tree = {"git_sha": sha.strip() if sha else "unknown"}
+    if _git("status", "--porcelain", "--untracked-files=no"):
+        tree["dirty"] = True
+    return tree
 
 
 def run_benchmarks(config: PerfConfig, mode: str, end_to_end: bool = True) -> dict:
@@ -576,7 +586,7 @@ def run_benchmarks(config: PerfConfig, mode: str, end_to_end: bool = True) -> di
     generated_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     payload = {
         "mode": mode,
-        "git_sha": _git_sha(),
+        **_measured_tree(),
         "date": generated_at[:10],
         "generated_at": generated_at,
         "python": platform.python_version(),

@@ -9,11 +9,25 @@ small picklable spec, whose results are consumed in submission order.
 * ``workers=None`` (or 1) runs inline — no subprocesses, no pickling
   requirements, bit-identical to the historical sequential loops;
 * ``workers=N`` fans the specs over a supervised process pool, one
-  spec per task.  Because every task carries its own seed and tasks
-  share no state, the merged results are **independent of the worker
-  count** —
+  task per trajectory.  Because every task carries its own seed and
+  tasks share no state, the merged results are **independent of the
+  worker count** —
   the determinism tests in ``tests/experiments/test_sweep.py`` hold the
   executor to that.
+
+One trajectory per task
+-----------------------
+A spec's ``deadline`` only scores deliveries; the sample path reads K
+solely through the policy's ``discard_deadline``.  So
+:meth:`SweepExecutor.run_specs` groups the specs it must run by every
+field except ``deadline`` (:func:`trajectory_key`), runs each group
+once and scores every member's deadline from that run
+(:func:`run_sweep_task`).  The uncontrolled FCFS, LCFS and RANDOM arms
+have no sender discard, so their cells at one seed share a group across
+K; a controlled spec's K is in its policy, so it is always a group of
+one, which runs as a plain :func:`run_spec`.  Each member still gets its
+own result, journal record and metrics registry, equal to a separate
+run's.
 
 Seed discipline
 ---------------
@@ -39,9 +53,11 @@ quarantine records) is kept on :attr:`SweepExecutor.last_outcome`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import (
     Any,
     Callable,
+    Dict,
     Iterable,
     List,
     Optional,
@@ -55,7 +71,12 @@ import numpy as np
 from ..core.policy import ControlPolicy
 from ..des.rng import RandomStreams
 from ..faults import FaultModel, FeedbackFaultModel
-from ..mac.simulator import MACSimResult, WindowMACSimulator
+from ..mac.simulator import (
+    MACSimResult,
+    WindowMACSimulator,
+    rescore,
+    rescore_metrics,
+)
 from ..obs.metrics import MetricsRegistry
 from ..resilience import (
     JournalMismatchError,
@@ -72,7 +93,9 @@ __all__ = [
     "MACRunSpec",
     "run_spec",
     "run_spec_with_metrics",
+    "run_sweep_task",
     "spec_fingerprint",
+    "trajectory_key",
     "SweepExecutor",
     "derive_seeds",
     "ResilienceOptions",
@@ -207,6 +230,33 @@ def run_spec_with_metrics(spec: MACRunSpec):
     return result, registry.to_dict()
 
 
+def run_sweep_task(task, instrumented: bool = False):
+    """Execute one task of a grouped sweep (module-level, pool-picklable).
+
+    A lone :class:`MACRunSpec` is handed to :func:`run_spec` (or
+    :func:`run_spec_with_metrics`).  A tuple of specs equal except for
+    ``deadline`` is one trajectory: its first member runs once, and
+    every member gets that run's result rescored against its own
+    deadline (:func:`~repro.mac.simulator.rescore`) — with
+    ``instrumented``, paired with the run's registry rescored the same
+    way (:func:`~repro.mac.simulator.rescore_metrics`).  Each entry
+    equals a separate run of its member.
+    """
+    if isinstance(task, MACRunSpec):
+        return run_spec_with_metrics(task) if instrumented else run_spec(task)
+    first = task[0]
+    registry = MetricsRegistry() if instrumented else None
+    simulator = _build_simulator(first, metrics=registry)
+    result = simulator.run(first.horizon, warmup_slots=first.warmup)
+    results = [
+        rescore(result, simulator.scored_waits, spec.deadline) for spec in task
+    ]
+    if not instrumented:
+        return results
+    state = registry.to_dict()
+    return [(member, rescore_metrics(state, member)) for member in results]
+
+
 def derive_seeds(base_seed: int, n: int) -> List[int]:
     """``n`` independent seeds spawned deterministically from one root.
 
@@ -226,6 +276,15 @@ def arm_key(spec: MACRunSpec) -> str:
     Keys sequential wave decisions: one arm, many seeds.
     """
     return fingerprint(("mac-arm", replace(spec, seed=0)))
+
+
+def trajectory_key(spec: MACRunSpec) -> str:
+    """Content hash of a spec's sample path — every field except ``deadline``.
+
+    Specs with equal keys simulate the same trajectory and differ only
+    in how its deliveries are scored, so one run serves them all.
+    """
+    return fingerprint(("mac-trajectory", replace(spec, deadline=None)))
 
 
 class SweepExecutor:
@@ -250,8 +309,8 @@ class SweepExecutor:
         An enabled :class:`~repro.obs.metrics.MetricsRegistry` turns on
         instrumentation: executor-level counters (cells executed,
         retried, wall-clock histograms) land on this registry directly,
-        and ``run_specs`` switches each task to
-        :func:`run_spec_with_metrics` so per-run simulator metrics are
+        and ``run_specs`` switches each task to its instrumented form
+        (:func:`run_spec_with_metrics`) so per-spec simulator metrics are
         collected in the workers, merged in submission order, and folded
         in here too.  ``None`` or a disabled registry costs nothing.
     """
@@ -314,19 +373,25 @@ class SweepExecutor:
     def run_specs(self, specs: Sequence[MACRunSpec]) -> List[MACSimResult]:
         """Run a list of :class:`MACRunSpec`, results in spec order.
 
-        Each spec is one :func:`run_spec` task.  Under resilience
-        options with a checkpoint, journaled specs are replayed *before*
-        dispatch, so a fully journaled sweep never starts the
-        supervisor (``--verify-replay`` instead hands every spec to it
-        for recomputation).  A quarantined spec leaves ``None`` at its
-        index — callers must surface the hole (the experiment drivers
-        mark it in their tables).
+        Under resilience options with a checkpoint, journaled specs are
+        replayed *before* dispatch, so a fully journaled sweep never
+        starts the supervisor (``--verify-replay`` instead hands every
+        spec to it for recomputation).  The specs left are grouped by
+        :func:`trajectory_key`, and each group is one
+        :func:`run_sweep_task`: a group of one runs its spec through
+        :func:`run_spec`, a larger group runs once and is scored at
+        every member's deadline.  Members are journaled, verified and
+        counted in ``last_outcome`` one spec at a time, under
+        :func:`spec_fingerprint`.  A quarantined group leaves ``None``
+        at every member's index — callers must surface the hole (the
+        experiment drivers mark it in their tables).
 
-        With a registry attached, tasks run through
-        :func:`run_spec_with_metrics`; per-run registries come back with
-        the results and are merged **in spec submission order** (never
-        completion order), so the merged metrics are identical for any
-        worker count — the property the worker-invariance tests pin.
+        With a registry attached, tasks run instrumented
+        (:func:`run_spec_with_metrics`); per-spec registries come back
+        with the results and are merged **in spec submission order**
+        (never completion order), so the merged metrics are identical
+        for any worker count — the property the worker-invariance tests
+        pin.
         """
         specs = list(specs)
         instrumented = self.metrics is not None
@@ -358,23 +423,33 @@ class SweepExecutor:
         if replayed and self.metrics is not None:
             self.metrics.counter("sweep.cells.replayed", volatile=True).inc(replayed)
 
+        groups: Dict[str, List[int]] = {}
+        for k in todo:
+            groups.setdefault(trajectory_key(specs[k]), []).append(k)
+        tasks = list(groups.values())
+        keys = fps if fps is not None else [None] * len(specs)
         engine_out = SweepOutcome()
-        if todo:
-            engine_out = self._engine(len(todo)).run(
-                run_spec_with_metrics if instrumented else run_spec,
-                [specs[k] for k in todo],
-                [fps[k] for k in todo] if fps is not None else None,
+        if tasks:
+            engine_out = self._engine(len(tasks)).run(
+                partial(run_sweep_task, instrumented=instrumented),
+                [_per_task(specs, group) for group in tasks],
+                [_per_task(keys, group) for group in tasks],
             )
-        for k, value in zip(todo, engine_out.results):
-            entries[k] = value
-        # Supervisor indices count positions in ``todo``; report grid ones.
+        for group, value in zip(tasks, engine_out.results):
+            if len(group) == 1:
+                entries[group[0]] = value
+            elif value is not None:
+                for k, member in zip(group, value):
+                    entries[k] = member
+        # Supervisor indices count tasks; report one hole per grid index.
         self.last_outcome = replace(
             engine_out,
             results=entries,
             replayed=replayed + engine_out.replayed,
             quarantined=[
-                replace(record, index=todo[record.index])
+                replace(record, index=k, fingerprint=keys[k])
                 for record in engine_out.quarantined
+                for k in tasks[record.index]
             ],
         )
         return self._fold_results(entries, instrumented)
@@ -397,6 +472,15 @@ class SweepExecutor:
         self.last_sim_metrics = merged
         self.metrics.merge_from(merged)
         return results
+
+
+def _per_task(values: Sequence, group: Sequence[int]):
+    """One task's share of per-spec ``values``: the entry of a group of
+    one, a tuple of the members' entries otherwise (the supervisor's
+    group-task form)."""
+    if len(group) == 1:
+        return values[group[0]]
+    return tuple(values[k] for k in group)
 
 
 # -- sequential replication scheduling ----------------------------------------

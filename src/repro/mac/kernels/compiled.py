@@ -91,6 +91,7 @@ def run_compiled(
     Per-message records are not materialised: a compiled run leaves
     ``sim.scored_messages`` unset (reading it raises
     ``AttributeError``); run with ``backend="reference"`` for them.
+    ``sim.scored_waits`` is set, as on every engine.
     """
     policy = sim.policy
     rng = sim.rng
@@ -117,7 +118,6 @@ def run_compiled(
         policy,
         rng,
         sim.transmission_slots,
-        sim.deadline,
         sim.loss_definition,
         warmup_slots,
         total_time,
@@ -131,7 +131,8 @@ def run_compiled(
     while lane.now < lane.total_time:
         if not lane.advance_round():
             break
-    result = lane.finalize()
+    result = lane.finalize(sim.deadline)
+    sim.scored_waits = lane.scored
     sim.channel.now = lane.now
     sim.channel.stats = result.channel
     return result

@@ -70,7 +70,12 @@ from ...faults.feedback import FeedbackFaultState
 from ...obs.metrics import MetricsRegistry
 from ...resilience.invariants import require
 from ..channel import ChannelStats
-from ..simulator import MACSimResult, flush_fault_metrics, flush_result_metrics
+from ..simulator import (
+    MACSimResult,
+    count_late,
+    flush_fault_metrics,
+    flush_result_metrics,
+)
 from .primitives import ObsBuffers, kernel_traits
 
 __all__ = ["FlatLane"]
@@ -142,10 +147,13 @@ def _iv_clamp_before(lows: List[float], highs: List[float], t: float) -> None:
 
 
 def sprint_walk(
-    arrl, cl, tl, iso, p, n, prev_now, last_fr, warmup, sdl_f, m,
+    arrl, cl, tl, iso, p, n, prev_now, last_fr, warmup, record, m,
     kf, tot, wc, wt, wp,
 ):
     """The uninstrumented mask walk, one epoch per event.
+
+    ``record`` appends each measured delivery's wait to the lane's
+    scored-wait record.
 
     Two event shapes run inline; anything else exits to the rounds:
 
@@ -166,8 +174,6 @@ def sprint_walk(
       and the message is inside the clamped window (``u >= lo``, which
       also makes the element-4 cut a no-op).
     """
-    ot = 0
-    lt = 0
     nm = 0
     idle_acc = 0.0
     tx_acc = 0.0
@@ -185,10 +191,7 @@ def sprint_walk(
                 wt += d / wc
                 d = tv - wp
                 wp += d / wc
-                if tv > sdl_f:
-                    lt += 1
-                else:
-                    ot += 1
+                record(tv)
                 nm += 1
             tx_acc += m
             last_fr = c
@@ -210,16 +213,13 @@ def sprint_walk(
                 wt += d / wc
                 d = tv - wp
                 wp += d / wc
-                if tv > sdl_f:
-                    lt += 1
-                else:
-                    ot += 1
+                record(tv)
                 nm += 1
             tx_acc += m
             last_fr = prev_now
             prev_now = prev_now + m
             p += 1
-    return p, prev_now, last_fr, idle_acc, tx_acc, wc, wt, wp, ot, lt, nm
+    return p, prev_now, last_fr, idle_acc, tx_acc, wc, wt, wp, nm
 
 
 class FlatLane:
@@ -234,6 +234,12 @@ class FlatLane:
     guarantees the rule is one of the three canonical classes before a
     ``FlatLane`` is built.  ``registry`` (when given) receives the run's
     metrics at :meth:`finalize`.
+
+    The lane never reads a scoring deadline: each measured delivery
+    appends the wait it is scored on to ``scored``, and
+    :meth:`finalize` counts the late ones against the deadline it is
+    given, by the rule :func:`~repro.mac.simulator.rescore` applies to
+    any other K.
 
     ``faults`` is the run's feedback fault hook (a
     :class:`~repro.faults.feedback.FeedbackFaultState`, ``None`` on clean
@@ -259,8 +265,6 @@ class FlatLane:
         "m_f",
         "discard_deadline",
         "k_f",
-        "score_deadline",
-        "sdl_f",
         "true_definition",
         "warmup",
         "arr_t",
@@ -295,8 +299,7 @@ class FlatLane:
         "wcount",
         "wtrue",
         "wpaper",
-        "on_time",
-        "late",
+        "scored",
         "disc",
         "lost",
         "n_meas",
@@ -314,7 +317,6 @@ class FlatLane:
         policy,
         rng: np.random.Generator,
         m_slots: int,
-        score_deadline: Optional[float],
         loss_definition: str,
         warmup: float,
         total_time: float,
@@ -339,8 +341,6 @@ class FlatLane:
             if policy.discard_deadline is not None
             else math.inf
         )
-        self.score_deadline = score_deadline
-        self.sdl_f = float(score_deadline) if score_deadline is not None else math.inf
         self.true_definition = loss_definition == "true"
         self.warmup = float(warmup)
 
@@ -380,8 +380,7 @@ class FlatLane:
         self.wcount = 0
         self.wtrue = 0.0
         self.wpaper = 0.0
-        self.on_time = 0
-        self.late = 0
+        self.scored: List[float] = []
         self.disc = 0
         self.lost = 0
         self.n_meas = 0
@@ -514,7 +513,7 @@ class FlatLane:
         ):
             return
         warmup = self.warmup
-        sdl_f = self.sdl_f
+        record = self.scored.append
         m = self.m_f
         cl = self.ceil_t
         tl = self.true_t
@@ -522,8 +521,6 @@ class FlatLane:
         wc = self.wcount
         wt = self.wtrue
         wp = self.wpaper
-        ot = 0
-        lt = 0
         nm = 0
         idle_acc = 0.0
         tx_acc = 0.0
@@ -539,10 +536,7 @@ class FlatLane:
             wt += d / wc
             d = tv - wp
             wp += d / wc
-            if tv > sdl_f:
-                lt += 1
-            else:
-                ot += 1
+            record(tv)
             nm += 1
         tx_acc += m
         if ob is not None:
@@ -558,13 +552,11 @@ class FlatLane:
             # out entirely — this is where compiled runs spend their time.
             out = sprint_walk(
                 arrl, cl, tl, iso, p, n, prev_now, last_fr,
-                warmup, sdl_f, m, kf, tot, wc, wt, wp,
+                warmup, record, m, kf, tot, wc, wt, wp,
             )
-            p, prev_now, last_fr, idle_d, tx_d, wc, wt, wp, ot_d, lt_d, nm_d = out
+            p, prev_now, last_fr, idle_d, tx_d, wc, wt, wp, nm_d = out
             idle_acc += idle_d
             tx_acc += tx_d
-            ot += ot_d
-            lt += lt_d
             nm += nm_d
         else:
             while p < n and iso[p]:
@@ -579,10 +571,7 @@ class FlatLane:
                     wt += d / wc
                     d = tv - wp
                     wp += d / wc
-                    if tv > sdl_f:
-                        lt += 1
-                    else:
-                        ot += 1
+                    record(tv)
                     nm += 1
                 tx_acc += m
                 ob.ff_skips.append(int(skf))
@@ -601,10 +590,6 @@ class FlatLane:
         self.wcount = wc
         self.wtrue = wt
         self.wpaper = wp
-        if ot:
-            self.on_time += ot
-        if lt:
-            self.late += lt
         if nm:
             self.n_meas += nm
 
@@ -723,13 +708,10 @@ class FlatLane:
         self.now = now_f + m
         true_value = now_f - t0
         paper_value = max(0.0, now_f - t0)
-        wait = true_value if self.true_definition else paper_value
-        sdl = self.score_deadline
         if t0 >= self.warmup:
-            if sdl is not None and wait > sdl:
-                self.late += 1
-            else:
-                self.on_time += 1
+            self.scored.append(
+                true_value if self.true_definition else paper_value
+            )
             self._observe(true_value, paper_value)
 
     def gen_step(self, now_f: float) -> None:
@@ -819,10 +801,8 @@ class FlatLane:
             paper_value = max(0.0, true_value)
             delta = paper_value - self.wpaper
             self.wpaper += delta / wc
-            if true_value > self.sdl_f:
-                self.late += 1
-            else:
-                self.on_time += 1
+            # t0 <= now, so both definitions score this same value.
+            self.scored.append(true_value)
         backlog_t.clear()
         self.backlog_i.clear()
         ob = self.ob
@@ -1192,13 +1172,10 @@ class FlatLane:
             arrival = self.arr_t[transmitted]
             true_value = tx_instant - arrival
             paper_value = max(0.0, process_start - arrival)
-            wait = true_value if self.true_definition else paper_value
-            sdl = self.score_deadline
             if arrival >= self.warmup:
-                if sdl is not None and wait > sdl:
-                    self.late += 1
-                else:
-                    self.on_time += 1
+                self.scored.append(
+                    true_value if self.true_definition else paper_value
+                )
                 self._observe(true_value, paper_value)
 
         self.idle += idle_d
@@ -1280,7 +1257,8 @@ class FlatLane:
             self.wait += model.rejoin_listen_slots
         return now
 
-    def finalize(self) -> MACSimResult:
+    def finalize(self, deadline: Optional[float]) -> MACSimResult:
+        """The run's result, its deliveries scored against ``deadline``."""
         arr_t = self.arr_t
         warmup = self.warmup
         unresolved_count = sum(
@@ -1288,7 +1266,7 @@ class FlatLane:
         ) + sum(1 for index in self.stuck_i if arr_t[index] >= warmup)
         if self.check:
             accounted = (
-                self.on_time + self.late + self.disc + self.lost + unresolved_count
+                len(self.scored) + self.disc + self.lost + unresolved_count
             )
             require(
                 accounted == self.n_meas,
@@ -1302,16 +1280,17 @@ class FlatLane:
             wait_slots=float(self.wait),
         )
         wcount = self.wcount
+        late = count_late(self.scored, deadline)
         result = MACSimResult(
             arrivals=int(self.n_meas),
-            delivered_on_time=int(self.on_time),
-            delivered_late=int(self.late),
+            delivered_on_time=len(self.scored) - late,
+            delivered_late=late,
             discarded=int(self.disc),
             unresolved=unresolved_count,
             mean_true_wait=float(self.wtrue) if wcount else math.nan,
             mean_paper_wait=float(self.wpaper) if wcount else math.nan,
             channel=stats,
-            deadline=self.score_deadline,
+            deadline=deadline,
             lost_to_faults=self.lost,
             faults=None if self.faults is None else self.faults.telemetry,
         )

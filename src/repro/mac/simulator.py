@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -45,8 +45,11 @@ from .station import StationRegistry
 __all__ = [
     "MACSimResult",
     "WindowMACSimulator",
+    "count_late",
     "flush_fault_metrics",
     "flush_result_metrics",
+    "rescore",
+    "rescore_metrics",
 ]
 
 #: Sub-seed mixed into the fault stream when no RandomStreams family is
@@ -149,6 +152,50 @@ class MACSimResult:
         return math.sqrt(max(p * (1.0 - p), 0.0) / self.resolved)
 
 
+def count_late(waits: Sequence[float], deadline: Optional[float]) -> int:
+    """How many scored waits miss ``deadline`` (``None``: none do).
+
+    The one scoring rule of every engine's result and of every rescored
+    deadline: a delivery is late when its wait exceeds K.
+    """
+    if deadline is None:
+        return 0
+    return int(np.count_nonzero(np.asarray(waits, dtype=np.float64) > deadline))
+
+
+def rescore(
+    result: MACSimResult, waits: Sequence[float], deadline: Optional[float]
+) -> MACSimResult:
+    """``result`` scored against ``deadline`` instead of its own.
+
+    ``waits`` is the run's record of scored waits
+    (:attr:`WindowMACSimulator.scored_waits`).  The deadline reaches a
+    run's sample path only through the policy's ``discard_deadline``, so
+    this equals a separate run of the same spec at ``deadline``.
+    """
+    late = count_late(waits, deadline)
+    return replace(
+        result,
+        delivered_on_time=len(waits) - late,
+        delivered_late=late,
+        deadline=deadline,
+    )
+
+
+def rescore_metrics(state: Dict[str, Any], result: MACSimResult) -> Dict[str, Any]:
+    """A run's registry ``state`` rescored as :func:`rescore` rescored
+    its ``result``.
+
+    Of everything a run records, only the on-time and late counts that
+    :func:`flush_result_metrics` writes read the scoring deadline; every
+    other name, ``faults.*`` included, is a function of the sample path.
+    """
+    registry = MetricsRegistry.from_dict(state)
+    registry.counter("mac.messages.on_time").value = result.delivered_on_time
+    registry.counter("mac.messages.late").value = result.delivered_late
+    return registry.to_dict()
+
+
 def flush_result_metrics(metrics: MetricsRegistry, result: MACSimResult) -> None:
     """Record one run's outcome into ``metrics``.
 
@@ -157,7 +204,9 @@ def flush_result_metrics(metrics: MetricsRegistry, result: MACSimResult) -> None
     :meth:`ChannelStats.breakdown` — the parity test in
     ``tests/mac/test_obs_parity.py`` holds all three accountings (the
     reference loop, the compiled engine, and these counters) to
-    identical values.  Shared by every simulation path.
+    identical values.  Shared by every simulation path.  The on-time and
+    late counts are its only deadline-dependent names; keep
+    :func:`rescore_metrics` in step with them.
     """
     metrics.inc("mac.runs")
     stats = result.channel
@@ -218,7 +267,10 @@ class WindowMACSimulator:
     deadline:
         The constraint K used for *scoring* losses.  Independent of the
         policy's ``discard_deadline`` so uncontrolled protocols can be
-        scored against any K.
+        scored against any K.  It never changes the sample path: every
+        engine records the wait each measured delivery is scored on
+        (:attr:`scored_waits`), so one run scores any other K through
+        :func:`rescore`.
     loss_definition:
         ``"true"`` (the paper's simulation convention, default) or
         ``"paper"`` (the analysis convention).
@@ -331,6 +383,9 @@ class WindowMACSimulator:
         self.metrics = (
             metrics if metrics is not None and metrics.enabled else None
         )
+        #: The wait each measured delivery was scored on, in delivery
+        #: order; every engine fills it (see :func:`rescore`).
+        self.scored_waits: List[float] = []
 
         self.registry = StationRegistry(n_stations)
         if invariants_enabled():
@@ -820,6 +875,7 @@ class WindowMACSimulator:
         if measured(message):
             counts[message.fate] += 1
             waits.observe(message.true_wait, message.paper_wait)
+            self.scored_waits.append(wait)
 
 
 def _everything():

@@ -21,6 +21,9 @@ replaces the bulk map with per-task futures under a watchdog:
 With a :class:`~repro.resilience.journal.RunJournal`, completed results
 are checkpointed *as they finish* and replayed on the next invocation,
 which is all "resume" is: re-run the same grid with the same journal.
+A *group task* — one whose fingerprint is a tuple of member keys —
+returns one value per member, and each member is journaled, replayed,
+verified and counted under its own key.
 Because every task carries its own seed, a retried or resumed task
 reproduces the original result bit-for-bit; ``verify_replay`` turns
 that assumption into a checked invariant by re-running journaled cells
@@ -147,7 +150,7 @@ class QuarantineRecord:
     """One poison task: where it sat in the grid and why it was dropped."""
 
     index: int
-    fingerprint: Optional[str]
+    fingerprint: Any  # Optional[str], or a group task's tuple of them
     attempts: int
     reason: str
 
@@ -213,20 +216,41 @@ def _backoff_key(task: "_Task") -> str:
     exists; the index fallback only remains for unjournaled sweeps,
     where no content key exists at all.
     """
-    if task.fingerprint is not None:
-        return task.fingerprint
+    key = task.keys[0]
+    if key is not None:
+        return key
     return f"task-{task.index}"
+
+
+def _cell_keys(fingerprint: Any) -> tuple:
+    """Journal keys of the cells a task completes: a group task's tuple,
+    or a one-cell task's single key."""
+    return fingerprint if isinstance(fingerprint, tuple) else (fingerprint,)
 
 
 @dataclass
 class _Task:
     index: int
     item: Any
-    fingerprint: Optional[str]
+    fingerprint: Any  # Optional[str], or a group task's tuple of them
     attempts: int = 0
     not_before: float = 0.0
-    expected: Any = _UNSET  # journaled value under verify_replay
+    expected: Any = _UNSET  # per-key journaled values under verify_replay
     last_error: Optional[BaseException] = None
+
+    @property
+    def group(self) -> bool:
+        """Whether the task completes several cells (one value each)."""
+        return isinstance(self.fingerprint, tuple)
+
+    @property
+    def keys(self) -> tuple:
+        """Journal keys of the cells this task completes."""
+        return _cell_keys(self.fingerprint)
+
+    def members(self, value: Any) -> tuple:
+        """The task's value split into one value per key."""
+        return tuple(value) if self.group else (value,)
 
 
 class _TaskFailure(Exception):
@@ -298,7 +322,10 @@ class SupervisedExecutor:
 
         ``fingerprints`` (when given) keys the journal: items whose
         fingerprint is already recorded are replayed, the rest executed
-        and recorded as they complete.
+        and recorded as they complete.  An item whose fingerprint is a
+        tuple is a group task: ``fn`` returns a sequence with one value
+        per key, the item replays only when every key is recorded, and
+        ``executed``/``replayed`` count its keys.
         """
         items = list(items)
         if fingerprints is None:
@@ -310,14 +337,19 @@ class SupervisedExecutor:
         for index, (item, fp) in enumerate(zip(items, fingerprints)):
             task = _Task(index=index, item=item, fingerprint=fp)
             if self.journal is not None and fp is not None:
-                hit, value = self.journal.get(fp)
-                if hit:
-                    if self.options.verify_replay:
-                        task.expected = value
-                    else:
-                        outcome.results[index] = value
-                        outcome.replayed += 1
-                        continue
+                looked = [
+                    self.journal.get(key) if key is not None else (False, None)
+                    for key in task.keys
+                ]
+                if self.options.verify_replay:
+                    task.expected = tuple(
+                        value if hit else _UNSET for hit, value in looked
+                    )
+                elif all(hit for hit, _ in looked):
+                    values = [value for _, value in looked]
+                    outcome.results[index] = values if task.group else values[0]
+                    outcome.replayed += len(values)
+                    continue
             tasks.append(task)
         if tasks:
             if self.parallel:
@@ -337,7 +369,7 @@ class SupervisedExecutor:
         obs.counter("sweep.cells.retried", volatile=True).inc(outcome.retries)
         obs.counter("sweep.cells.timed_out", volatile=True).inc(outcome.timeouts)
         obs.counter("sweep.cells.quarantined", volatile=True).inc(
-            len(outcome.quarantined)
+            sum(len(_cell_keys(r.fingerprint)) for r in outcome.quarantined)
         )
         obs.counter("sweep.pool.restarts", volatile=True).inc(
             outcome.pool_restarts
@@ -351,24 +383,30 @@ class SupervisedExecutor:
     # -- completion / failure bookkeeping -----------------------------------------
 
     def _complete(self, task: _Task, value: Any, outcome: SweepOutcome) -> None:
-        if task.expected is not _UNSET and value != task.expected:
-            where = (
-                str(self.journal.record_path(task.fingerprint))
-                if self.journal is not None and task.fingerprint is not None
-                else "<unknown record>"
-            )
-            raise JournalMismatchError(
-                f"replay of task #{task.index} "
-                f"[{(task.fingerprint or '?')[:12]}] diverged from the "
-                f"journaled result at {where}: journaled value digest "
-                f"{value_digest(task.expected)}, recomputed "
-                f"{value_digest(value)} — non-deterministic task or a "
-                "journal written by different code"
-            )
+        members = task.members(value)
+        if task.expected is not _UNSET:
+            for key, member, expected in zip(task.keys, members, task.expected):
+                if expected is _UNSET or member == expected:
+                    continue
+                where = (
+                    str(self.journal.record_path(key))
+                    if self.journal is not None and key is not None
+                    else "<unknown record>"
+                )
+                raise JournalMismatchError(
+                    f"replay of task #{task.index} "
+                    f"[{(key or '?')[:12]}] diverged from the "
+                    f"journaled result at {where}: journaled value digest "
+                    f"{value_digest(expected)}, recomputed "
+                    f"{value_digest(member)} — non-deterministic task or a "
+                    "journal written by different code"
+                )
         outcome.results[task.index] = value
-        outcome.executed += 1
-        if self.journal is not None and task.fingerprint is not None:
-            self.journal.record(task.fingerprint, value)
+        outcome.executed += len(members)
+        if self.journal is not None:
+            for key, member in zip(task.keys, members):
+                if key is not None:
+                    self.journal.record(key, member)
 
     def _register_failure(
         self,
