@@ -53,7 +53,7 @@ from repro.experiments.sweep import (
 from repro.mac import WindowMACSimulator
 from repro.obs.metrics import MetricsRegistry
 from repro.queueing import LCFSQueue
-from repro.stats import SequentialConfig, t_interval
+from repro.stats import SequentialConfig, design_effect, wilson_interval
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 BENCH_JSON = RESULTS_DIR / "BENCH_mac.json"
@@ -397,22 +397,26 @@ SEQUENTIAL_CI_TARGET = 0.005
 #: against.  A fixed design must commit its count before seeing any
 #: variance, so it is sized for the grid's *hardest* arm: the saturating
 #: uncontrolled cells run at p ≈ 0.4 with ~1.5e3 resolved messages per
-#: lane, where a t interval needs ≈ (2·0.0127/0.005)² ≈ 26 lanes to
-#: certify the target — 32 is the enclosing power of two.  Every easier
-#: arm then overshoots; the sequential engine's payoff is stopping those
-#: arms at their own convergence instead.
+#: lane and a per-lane spread s ≈ 0.0127.  There the Wilson interval on
+#: design-effect-deflated counts has half-width ≈ z·s/√k, so it needs
+#: ≈ (1.96·0.0127/0.005)² ≈ 25 lanes to certify the target — 32 is the
+#: enclosing power of two.  Every easier arm then overshoots; the
+#: sequential engine's payoff is stopping those arms at their own
+#: convergence instead.
 SEQUENTIAL_FIXED_LANES = 32
 
 
 def measure_sequential_figure7(config: PerfConfig) -> dict:
-    """Sequential replication versus the fixed lane budget (ISSUE 10).
+    """Sequential replication versus the fixed lane budget.
 
     Two protocol arms (controlled and FCFS) at the Figure-7 acceptance
     cell, both certifying the same CI half-width target:
 
     * **fixed** — ``SEQUENTIAL_FIXED_LANES`` lanes per arm (the
       pre-committed budget a fixed design needs for the grid's hardest
-      arm), half-width reported from the per-lane t interval;
+      arm), half-width from the sequential engine's own rule at level
+      0.95: the design effect over the lanes, then the Wilson interval
+      on the deflated pooled counts;
     * **sequential** — :func:`repro.experiments.sweep.run_sequential`
       with Wilson pooled counts, OBF alpha spending and CRN, stopping
       each arm at its own convergence.
@@ -450,11 +454,17 @@ def measure_sequential_figure7(config: PerfConfig) -> dict:
     fixed_s, fixed_results = _timed(
         lambda: SweepExecutor(None).run_specs(fixed_specs)
     )
-    controlled = [
-        r.loss_fraction for r in fixed_results[:SEQUENTIAL_FIXED_LANES]
-    ]
+    controlled_results = fixed_results[:SEQUENTIAL_FIXED_LANES]
+    controlled = [r.loss_fraction for r in controlled_results]
     fcfs = [r.loss_fraction for r in fixed_results[SEQUENTIAL_FIXED_LANES:]]
-    fixed_ci = t_interval(controlled)
+    # Pooled as run_sequential pools an arm's lanes.
+    counts = (
+        sum(r.delivered_late + r.discarded + r.lost_to_faults
+            for r in controlled_results),
+        sum(r.resolved for r in controlled_results),
+    )
+    deff = design_effect(controlled, counts)
+    fixed_ci = wilson_interval(counts[0] / deff, counts[1] / deff, level=0.95)
 
     def _var(xs):
         mean = sum(xs) / len(xs)

@@ -46,7 +46,7 @@ options, the sweep checkpoints completed cells to a content-addressed
 :class:`~repro.resilience.RunJournal`, retries transient failures on
 fresh worker processes, survives ``BrokenProcessPool``, quarantines
 poison specs, and resumes from the journal on re-invocation.  The
-outcome of the last ``run_specs``/``map`` call (replay counts,
+outcome of the last ``run_specs`` call (replay counts,
 quarantine records) is kept on :attr:`SweepExecutor.last_outcome`.
 """
 
@@ -54,17 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,9 +95,6 @@ __all__ = [
     "sequential_decision_fingerprint",
     "sequential_note",
 ]
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -294,10 +281,9 @@ class SweepExecutor:
     ----------
     workers:
         ``None`` or ``1`` — run inline in submission order (no
-        subprocesses; callables need not be picklable).  ``N > 1`` —
-        fan out over a supervised process pool; the mapped callable and
-        every item must be picklable (module-level functions and frozen
-        spec dataclasses qualify).
+        subprocesses, no pickling).  ``N > 1`` — fan out over a
+        supervised process pool; specs and results cross to the workers
+        pickled.
     resilience:
         ``None`` (default) — strict semantics: no checkpoint, no retry,
         the first task failure raises.  A
@@ -326,7 +312,7 @@ class SweepExecutor:
         self.workers = workers
         self.resilience = resilience
         self.metrics = metrics if metrics is not None and metrics.enabled else None
-        #: Outcome of the most recent ``run_specs``/``map`` call.
+        #: Outcome of the most recent ``run_specs`` call.
         self.last_outcome: Optional[SweepOutcome] = None
         #: Merged per-run simulator metrics of the last ``run_specs``
         #: call (worker-count invariant; ``None`` until an instrumented
@@ -343,32 +329,6 @@ class SweepExecutor:
         # inline shortcut); the supervised inline path still journals.
         workers = self.workers if n_tasks > 1 else None
         return SupervisedExecutor(workers, self.resilience, metrics=self.metrics)
-
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        fingerprints: Optional[Sequence[Optional[str]]] = None,
-    ) -> List[R]:
-        """Apply ``fn`` to every item, results in submission order.
-
-        With resilience options, completed items are journaled under
-        ``fingerprints`` (defaults to content hashes of
-        ``(fn qualname, item)`` for picklable items) and quarantined
-        items come back as ``None`` holes — check :attr:`last_outcome`.
-        """
-        items = list(items)
-        if self.resilience is not None and fingerprints is None:
-            try:
-                fingerprints = [
-                    fingerprint((fn.__module__, fn.__qualname__, item))
-                    for item in items
-                ]
-            except (AttributeError, TypeError):
-                fingerprints = None  # unfingerprintable: run without replay
-        outcome = self._engine(len(items)).run(fn, items, fingerprints)
-        self.last_outcome = outcome
-        return outcome.results
 
     def run_specs(self, specs: Sequence[MACRunSpec]) -> List[MACSimResult]:
         """Run a list of :class:`MACRunSpec`, results in spec order.

@@ -1,11 +1,6 @@
 """Output-analysis substrate: confidence intervals and summaries."""
 
-from .intervals import (
-    ConfidenceInterval,
-    batch_means,
-    t_interval,
-    wilson_interval,
-)
+from .intervals import ConfidenceInterval, wilson_interval
 from .sequential import (
     SequentialConfig,
     WaveDecision,
@@ -18,8 +13,6 @@ from .summaries import Summary, describe, monotone_fraction, relative_error
 
 __all__ = [
     "ConfidenceInterval",
-    "t_interval",
-    "batch_means",
     "wilson_interval",
     "SequentialConfig",
     "WaveDecision",

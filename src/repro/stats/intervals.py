@@ -1,26 +1,17 @@
-"""Confidence intervals and batch-means analysis for simulation output.
+"""Confidence intervals for simulation output.
 
-Steady-state simulation estimates need honest uncertainty: independent
-replications (each with its own warm-up) or batch means over one long
-run.  Both are provided, together with a plain t-interval for iid
-observations (used on per-replication loss fractions) and the Wilson
-score interval the sequential stopping rule forms on pooled loss counts.
+The sequential stopping rule forms a Wilson score interval on pooled
+loss counts; :class:`ConfidenceInterval` is the record it returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
+from .normal import ndtri
 
-__all__ = [
-    "ConfidenceInterval",
-    "t_interval",
-    "batch_means",
-    "wilson_interval",
-]
+__all__ = ["ConfidenceInterval", "wilson_interval"]
 
 
 @dataclass(frozen=True)
@@ -36,7 +27,7 @@ class ConfidenceInterval:
     level:
         Confidence level (e.g. 0.95).
     n:
-        Observations (or batches) behind the estimate.
+        Trials behind the estimate.
     """
 
     mean: float
@@ -62,48 +53,12 @@ class ConfidenceInterval:
         return f"{self.mean:.6g} ± {self.half_width:.3g} ({self.level:.0%}, n={self.n})"
 
 
-def t_interval(observations: Sequence[float], level: float = 0.95) -> ConfidenceInterval:
-    """Student-t interval for the mean of iid observations."""
-    data = np.asarray(observations, dtype=float)
-    if data.size < 2:
-        raise ValueError(f"need at least two observations, got {data.size}")
-    if not 0 < level < 1:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    from scipy import stats as sps  # not at module level: CLI start-up loads no scipy
-    mean = float(data.mean())
-    sem = float(data.std(ddof=1)) / math.sqrt(data.size)
-    critical = float(sps.t.ppf(0.5 + level / 2.0, df=data.size - 1))
-    return ConfidenceInterval(mean=mean, half_width=critical * sem, level=level, n=data.size)
-
-
-def batch_means(
-    series: Sequence[float], n_batches: int = 20, level: float = 0.95
-) -> ConfidenceInterval:
-    """Batch-means interval for the mean of a correlated stationary series.
-
-    The series is cut into ``n_batches`` equal batches whose means are
-    treated as approximately iid; a t-interval is formed on them.  Series
-    length must be at least ``2 · n_batches``.
-    """
-    data = np.asarray(series, dtype=float)
-    if n_batches < 2:
-        raise ValueError(f"need at least two batches, got {n_batches}")
-    if data.size < 2 * n_batches:
-        raise ValueError(
-            f"series of length {data.size} too short for {n_batches} batches"
-        )
-    batch_size = data.size // n_batches
-    trimmed = data[: batch_size * n_batches]
-    means = trimmed.reshape(n_batches, batch_size).mean(axis=1)
-    return t_interval(means, level=level)
-
-
 def wilson_interval(
     successes: float, trials: float, level: float = 0.95
 ) -> ConfidenceInterval:
     """Wilson score interval for a binomial proportion (robust near 0/1).
 
-    Unlike the t-interval on per-replication fractions, the width never
+    Unlike a t-interval on per-replication fractions, the width never
     collapses to zero at ``successes`` of exactly 0 or ``trials``: the
     score centre is pulled away from the boundary by ``z²/2n`` and the
     half-width stays strictly positive, so a sequential stopping rule
@@ -114,14 +69,13 @@ def wilson_interval(
     counts — pooled counts deflated by a cluster design effect — and
     the score formula is continuous in them.
     """
-    from scipy.special import ndtri  # bitwise equal to norm.ppf (docs/statistics.md)
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside [0, {trials}]")
     if not 0 < level < 1:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    z = float(ndtri(0.5 + level / 2.0))
+    z = ndtri(0.5 + level / 2.0)
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

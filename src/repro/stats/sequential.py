@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .intervals import ConfidenceInterval, wilson_interval
+from .normal import ndtr, ndtri
 
 __all__ = [
     "SequentialConfig",
@@ -69,10 +70,9 @@ def cumulative_alpha(alpha: float, t: float) -> float:
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    from scipy.special import ndtr, ndtri  # == norm.cdf/ppf bitwise (docs/statistics.md)
     t = min(1.0, max(1e-12, t))
-    z = float(ndtri(1.0 - alpha / 2.0))
-    return 2.0 * (1.0 - float(ndtr(z / math.sqrt(t))))
+    z = ndtri(1.0 - alpha / 2.0)
+    return 2.0 * (1.0 - ndtr(z / math.sqrt(t)))
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,9 @@ from repro.experiments import (
     feedback_error_sweep,
     generate_panel,
     PanelConfig,
-    replicate,
     spec_fingerprint,
 )
 from repro.experiments import sweep as sweep_mod
-from repro.experiments.sweep import run_spec
 from repro.resilience import SupervisedExecutor
 
 M = 25
@@ -128,14 +126,6 @@ def test_robustness_sweep_independent_of_workers(workers):
     assert fanned.points == sequential.points
 
 
-def test_replicate_parallel_matches_inline():
-    inline = replicate(_loss_at_seed, n_replications=3, base_seed=5)
-    fanned = replicate(
-        _loss_at_seed, n_replications=3, base_seed=5, executor=2
-    )
-    assert fanned.values == inline.values
-
-
 class TestResilientSweep:
     def test_checkpointed_sweep_resumes_bit_identical(self, tmp_path):
         baseline = SweepExecutor(None).run_specs(_specs())
@@ -156,18 +146,6 @@ class TestResilientSweep:
         assert [spec_fingerprint(s) for s in reversed(specs)] == list(
             reversed([spec_fingerprint(s) for s in specs])
         )
-
-    def test_map_journals_plain_functions(self, tmp_path):
-        opts = ResilienceOptions(checkpoint=str(tmp_path / "j"))
-        executor = SweepExecutor(None, opts)
-        assert executor.map(_loss_at_seed, [3, 4]) == [
-            _loss_at_seed(3),
-            _loss_at_seed(4),
-        ]
-        resumer = SweepExecutor(None, ResilienceOptions(
-            checkpoint=str(tmp_path / "j"), resume=True))
-        resumer.map(_loss_at_seed, [3, 4])
-        assert resumer.last_outcome.replayed == 2
 
 
 class TestOneSpecPerTask:
@@ -229,17 +207,3 @@ class TestOneSpecPerTask:
         assert resumer.run_specs(_specs()) == baseline
         assert resumer.last_outcome.replayed == len(baseline)
         assert resumer.last_outcome.executed == 0
-
-
-def _loss_at_seed(seed: int) -> float:
-    spec = MACRunSpec(
-        policy=ControlPolicy.optimal(3.0 * M, LAM),
-        arrival_rate=LAM,
-        transmission_slots=M,
-        horizon=3_000.0,
-        warmup=400.0,
-        n_stations=25,
-        deadline=3.0 * M,
-        seed=seed,
-    )
-    return run_spec(spec).loss_fraction

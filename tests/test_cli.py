@@ -454,17 +454,14 @@ class TestStartupImports:
                         "0.5", "--m", "25", "--deadline-factors", "3",
                         "--horizon", "4000"]),
             (_RUN_CLI, ["figure7", "--rho", "0.5", "--m", "25"]),
+            # Sequential looks take their normal quantiles from the
+            # Cephes port in repro.stats.normal, not scipy.special.
+            (_RUN_CLI, ["figure7", "--rho", "0.5", "--m", "25", "--simulate",
+                        "--horizon", "4000", "--sequential", "--ci-target",
+                        "0.05", "--max-replications", "8"]),
         ],
-        ids=["import", "validity-cell", "figure7-analytic"],
+        ids=["import", "validity-cell", "figure7-analytic",
+             "figure7-sequential"],
     )
     def test_default_paths_load_no_scipy(self, statement, argv):
         assert not _scipy(_fresh_modules(statement, *argv))
-
-    def test_sequential_looks_load_only_scipy_special(self):
-        loaded = _scipy(_fresh_modules(
-            _RUN_CLI, "figure7", "--rho", "0.5", "--m", "25", "--simulate",
-            "--horizon", "4000", "--sequential", "--ci-target", "0.05",
-            "--max-replications", "8",
-        ))
-        assert "scipy.special" in loaded
-        assert loaded <= _scipy(_fresh_modules("import scipy.special"))
