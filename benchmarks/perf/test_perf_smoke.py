@@ -120,14 +120,16 @@ def test_kernel_gates():
     )
 
     # Observability contracts: disabled is free — the disabled arm IS
-    # the uninstrumented path (the simulator normalises it to None), so
-    # its limit is pure timer-noise allowance on the ratio of per-arm
-    # minima.  The enabled arm leaves the tight sprint walk for a
-    # per-event loop that records every epoch.
+    # the uninstrumented path (the harness asserts the simulator holds
+    # no registry), so its limit is pure timer-noise allowance on the
+    # median of per-round disabled/plain ratios.  The enabled arm leaves
+    # the tight sprint walk for a per-event loop that records every
+    # epoch.
     obs = payload["instrumentation"]
-    assert obs["disabled_overhead"] <= 0.03, (
+    assert obs["disabled_overhead_median"] <= 0.03, (
         f"disabled metrics registry costs "
-        f"{obs['disabled_overhead']:.1%} on the compiled engine (limit 3%)"
+        f"{obs['disabled_overhead_median']:.1%} on the compiled engine "
+        f"(median round; limit 3%)"
     )
     assert obs["enabled_overhead"] <= ENABLED_OVERHEAD_CEILING, (
         f"enabled metrics registry costs "

@@ -36,13 +36,17 @@ Quickstart
 True
 """
 
-from .core import ControlPolicy, ProtocolController
-from .crp import WindowSizer, optimal_window_occupancy
-from .faults import FaultModel, FaultTelemetry
-from .experiments import PAPER_PANELS, PanelConfig, generate_panel
-from .mac import MACSimResult, WindowMACSimulator
-from .queueing import ImpatientMG1, LatticePMF, loss_curve
-from .smdp import build_protocol_smdp, policy_iteration
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("ControlPolicy", "ProtocolController"),
+    ".crp": ("WindowSizer", "optimal_window_occupancy"),
+    ".faults": ("FaultModel", "FaultTelemetry"),
+    ".experiments": ("PAPER_PANELS", "PanelConfig", "generate_panel"),
+    ".mac": ("MACSimResult", "WindowMACSimulator"),
+    ".queueing": ("ImpatientMG1", "LatticePMF", "loss_curve"),
+    ".smdp": ("build_protocol_smdp", "policy_iteration"),
+})
 
 __version__ = "1.0.0"
 

@@ -60,57 +60,24 @@ import argparse
 import sys
 import time
 
+# Only the figure7 and validity drivers (and what they load anyway) are
+# imported here; every other command imports its driver when it runs.
 from . import cache
-from .core import ControlPolicy
-from .crp.capacity import max_stable_throughput
-from .des.rng import RandomStreams
-from .experiments import (
+from .choices import BACKENDS, RECOVERY_POLICIES
+from .experiments.figure7 import PanelConfig, generate_panel
+from .experiments.records import ascii_table
+from .experiments.sweep import MACRunSpec, SweepExecutor, derive_seeds
+from .experiments.validity import (
     DEFAULT_AGREEMENT_TOL,
-    DEFAULT_ERROR_RATES,
     SCENARIO_FAMILIES,
-    PanelConfig,
     ValidityConfig,
-    ResilienceOptions,
-    RobustnessConfig,
-    Theorem1Config,
-    ablation_table,
-    arity_ablation,
-    ascii_table,
-    burstiness_sensitivity,
-    element4_ablation,
-    feedback_error_sweep,
-    generate_panel,
-    protocol_degradation_sweep,
-    run_theorem1_experiment,
     run_validity,
-    scheduling_model_sensitivity,
-    split_rule_ablation,
-    station_count_sensitivity,
-    station_failure_scenario,
-    twopoint_fit_errors,
-    window_length_ablation,
 )
-from .experiments.sweep import (
-    MACRunSpec,
-    SweepExecutor,
-    derive_seeds,
-)
-from .faults import RECOVERY_POLICIES, FaultModel
-from .mac import WindowMACSimulator
-from .mac.simulator import BACKENDS
-from .obs import (
-    JsonlTracer,
-    MetricsRegistry,
-    build_report,
-    diff_reports,
-    install,
-    install_tracer,
-    load_report,
-    render_report,
-    write_report,
-)
-from .resilience import JournalMismatchError, JournalSchemaError
-from .stats import SequentialConfig
+from .obs.metrics import MetricsRegistry, install
+from .obs.tracing import JsonlTracer, install_tracer
+from .resilience.journal import JournalMismatchError, JournalSchemaError
+from .resilience.supervisor import ResilienceOptions
+from .stats.sequential import SequentialConfig
 
 __all__ = ["main"]
 
@@ -281,6 +248,8 @@ def _cmd_figure7(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem1(args: argparse.Namespace) -> int:
+    from .experiments.theorem1 import Theorem1Config, run_theorem1_experiment
+
     config = Theorem1Config(
         arrival_rate=args.rate,
         deadline=args.deadline,
@@ -297,6 +266,11 @@ def _cmd_theorem1(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .core.policy import ControlPolicy
+    from .des.rng import RandomStreams
+    from .faults.model import FaultModel
+    from .mac.simulator import WindowMACSimulator
+
     lam = args.rho / args.m
     factories = {
         "controlled": lambda: ControlPolicy.optimal(args.deadline, lam),
@@ -450,6 +424,14 @@ def _simulate_replicated(args, policy, fault_model) -> int:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
+    from .experiments.robustness import (
+        DEFAULT_ERROR_RATES,
+        RobustnessConfig,
+        feedback_error_sweep,
+        protocol_degradation_sweep,
+        station_failure_scenario,
+    )
+
     # Flags the selected sweep would not read are refused, never dropped.
     if args.feedback_errors and args.scenario == "failures":
         raise ValueError(
@@ -470,9 +452,10 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     resilience = _resilience_from(args)
     metrics = getattr(args, "obs_registry", None)
     sequential = _sequential_from(args)
+    errors = DEFAULT_ERROR_RATES if args.errors is None else tuple(args.errors)
     if args.feedback_errors:
         report = protocol_degradation_sweep(
-            config, error_rates=tuple(args.errors),
+            config, error_rates=errors,
             recovery=args.recovery or "reset-to-epoch",
             workers=args.workers, resilience=resilience, metrics=metrics,
             backend=args.backend, sequential=sequential,
@@ -481,7 +464,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         return 0
     if args.scenario == "feedback":
         report = feedback_error_sweep(
-            config, error_rates=tuple(args.errors), workers=args.workers,
+            config, error_rates=errors, workers=args.workers,
             resilience=resilience, metrics=metrics,
             backend=args.backend, sequential=sequential,
         )
@@ -540,6 +523,8 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
+    from .crp.capacity import max_stable_throughput
+
     rows = []
     for m in args.m:
         report = max_stable_throughput(m)
@@ -559,6 +544,15 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablations(args: argparse.Namespace) -> int:
+    from .experiments.ablations import (
+        ablation_table,
+        arity_ablation,
+        element4_ablation,
+        split_rule_ablation,
+        twopoint_fit_errors,
+        window_length_ablation,
+    )
+
     if not args.simulate:
         _reject_sequential(args, "the analytic ablations (add --simulate)")
         arms = window_length_ablation(simulate=False)
@@ -599,6 +593,13 @@ def _cmd_ablations(args: argparse.Namespace) -> int:
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
+    from .experiments.ablations import ablation_table
+    from .experiments.sensitivity import (
+        burstiness_sensitivity,
+        scheduling_model_sensitivity,
+        station_count_sensitivity,
+    )
+
     if args.scenario == "scheduling":
         # Analytic comparison: exact scheduling-time law vs the paper's
         # geometric approximation — no simulation, no workers.
@@ -658,6 +659,8 @@ def _cmd_validity(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .obs.report import diff_reports, load_report, render_report
+
     if args.action == "show":
         if len(args.files) != 1:
             raise ValueError("report show takes exactly one FILE")
@@ -857,8 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of replications per fault setting")
     p.add_argument("--seed", type=int, default=1,
                    help="master seed of the first replication")
-    p.add_argument("--errors", type=float, nargs="+",
-                   default=list(DEFAULT_ERROR_RATES),
+    p.add_argument("--errors", type=float, nargs="+", default=None,
                    help="error rates of the feedback sweep")
     p.add_argument("--workers", type=int, default=None,
                    help="fan replications over N worker processes "
@@ -903,6 +905,8 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         code = args.func(args)
         if registry is not None:
+            from .obs.report import build_report, write_report
+
             # The report is written for any completed command (theorem1
             # exits 1 on a falsified theorem but still produced a run).
             report = build_report(

@@ -6,20 +6,18 @@ state machine (:mod:`repro.core.window`) and the shared protocol
 controller (:mod:`repro.core.controller`).
 """
 
-from .controller import DiscardReport, ProtocolController
-from .policy import (
-    ControlPolicy,
-    FixedLength,
-    FullBacklogLength,
-    LengthRule,
-    NewestFirstPosition,
-    OccupancyLength,
-    OldestFirstPosition,
-    PositionRule,
-    RandomPosition,
-)
-from .timeline import IntervalSet, Span
-from .window import ChannelFeedback, WindowingProcess
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".controller": ("DiscardReport", "ProtocolController"),
+    ".policy": (
+        "ControlPolicy", "FixedLength", "FullBacklogLength", "LengthRule",
+        "NewestFirstPosition", "OccupancyLength", "OldestFirstPosition",
+        "PositionRule", "RandomPosition",
+    ),
+    ".timeline": ("IntervalSet", "Span"),
+    ".window": ("ChannelFeedback", "WindowingProcess"),
+})
 
 __all__ = [
     "ControlPolicy",

@@ -7,21 +7,22 @@ window-length heuristic (policy element 2), the joint
 [Kurose 83] two-endpoint approximation for comparison.
 """
 
-from .capacity import CapacityReport, max_stable_throughput, utilization_bound
-from .joint import WindowProcessDistribution, windowing_process_outcomes
-from .scheduling_time import (
-    ExactSchedulingModel,
-    GeometricSchedulingModel,
-    mean_scheduling_slots,
-    scheduling_time_pmf,
-)
-from .splitting import (
-    binomial_split_probabilities,
-    expected_resolution_steps,
-    resolution_time_pmf,
-)
-from .twopoint import TwoPointFit, fit_two_point
-from .window_opt import WindowSizer, optimal_window_occupancy
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".capacity": ("CapacityReport", "max_stable_throughput", "utilization_bound"),
+    ".joint": ("WindowProcessDistribution", "windowing_process_outcomes"),
+    ".scheduling_time": (
+        "ExactSchedulingModel", "GeometricSchedulingModel",
+        "mean_scheduling_slots", "scheduling_time_pmf",
+    ),
+    ".splitting": (
+        "binomial_split_probabilities", "expected_resolution_steps",
+        "resolution_time_pmf",
+    ),
+    ".twopoint": ("TwoPointFit", "fit_two_point"),
+    ".window_opt": ("WindowSizer", "optimal_window_occupancy"),
+})
 
 __all__ = [
     "binomial_split_probabilities",

@@ -88,8 +88,11 @@ def resolution_time_pmf(n_max: int, t_max: int) -> np.ndarray:
 
         P_n(t) = q₁·[t = 0] + q₀·P_n(t−1) + Σ_{j≥2} q_j·P_j(t−1)
 
-    and is evaluated jointly for all n, increasing t, so each row needs
-    only the previous column.
+    and is evaluated jointly for all n, increasing t: each column is one
+    multiply and one ``np.cumsum``.  Column n − 2 of ``coef`` holds row
+    n's terms in scalar-loop order (q₀·P_n, q₂·P₂, …, q_n·P_n, then
+    zeros), and ``np.cumsum`` adds strictly in order, so every value is
+    the scalar loop's bit for bit (``np.sum``, ``@`` and ``dot`` are not).
     """
     if n_max < 0 or t_max < 0:
         raise ValueError("n_max and t_max must be non-negative")
@@ -100,18 +103,17 @@ def resolution_time_pmf(n_max: int, t_max: int) -> np.ndarray:
     if n_max < 2:
         return pmf
 
-    q_rows = [binomial_split_probabilities(n) for n in range(n_max + 1)]
+    cols = np.ascontiguousarray(pmf.T)  # cols[t] is column t
+    coef = np.zeros((n_max, n_max - 1))
+    source = np.zeros((n_max, n_max - 1), dtype=np.intp)
     for n in range(2, n_max + 1):
-        pmf[n, 0] = q_rows[n][1]
+        q = binomial_split_probabilities(n)
+        cols[0, n] = q[1]
+        coef[:n, n - 2] = (q[0],) + q[2:]
+        source[:n, n - 2] = (n, *range(2, n + 1))
     for t in range(1, t_max + 1):
-        previous = pmf[:, t - 1]
-        for n in range(2, n_max + 1):
-            q = q_rows[n]
-            value = q[0] * previous[n]
-            for j in range(2, n + 1):
-                value += q[j] * previous[j]
-            pmf[n, t] = value
-    return pmf
+        cols[t, 2:] = np.cumsum(coef * cols[t - 1][source], axis=0)[-1]
+    return cols.T.copy()
 
 
 def resolution_success_probability(n: int, t_max: int) -> float:

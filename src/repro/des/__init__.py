@@ -6,6 +6,8 @@ simulator, the sweep executor and the CLI take their seeded randomness
 from it.
 """
 
-from .rng import RandomStreams
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {".rng": ("RandomStreams",)})
 
 __all__ = ["RandomStreams"]

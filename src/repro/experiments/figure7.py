@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from ..cache import get_or_compute
-from ..core.policy import ControlPolicy
 from ..obs import tracing as trace
 from ..crp.scheduling_time import ExactSchedulingModel, GeometricSchedulingModel
 from ..crp.window_opt import optimal_window_occupancy
@@ -231,6 +230,8 @@ def generate_panel(
 
     # -- simulation arms ----------------------------------------------------------
     if include_simulation:
+        from ..core.policy import ControlPolicy
+
         sim_points = sorted(sim_deadlines) if sim_deadlines is not None else deadlines
         arms = [
             ("controlled_sim", lambda K: ControlPolicy.optimal(K, lam, config.occupancy)),

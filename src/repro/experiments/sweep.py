@@ -54,19 +54,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.policy import ControlPolicy
 from ..des.rng import RandomStreams
-from ..faults import FaultModel, FeedbackFaultModel
-from ..mac.simulator import (
-    MACSimResult,
-    WindowMACSimulator,
-    rescore,
-    rescore_metrics,
-)
 from ..obs.metrics import MetricsRegistry
 from ..resilience import (
     JournalMismatchError,
@@ -78,6 +70,11 @@ from ..resilience import (
     value_digest,
 )
 from ..stats.sequential import SequentialConfig, WaveDecision, decide_wave
+
+if TYPE_CHECKING:
+    from ..core.policy import ControlPolicy
+    from ..faults import FaultModel, FeedbackFaultModel
+    from ..mac.simulator import MACSimResult, WindowMACSimulator
 
 __all__ = [
     "MACRunSpec",
@@ -177,6 +174,9 @@ def spec_fingerprint(spec: MACRunSpec, instrumented: bool = False) -> str:
 def _build_simulator(
     spec: MACRunSpec, metrics: Optional[MetricsRegistry] = None
 ) -> WindowMACSimulator:
+    # Imported on first use: an analytic report never loads the engine.
+    from ..mac.simulator import WindowMACSimulator
+
     kwargs = dict(
         arrival_rate=spec.arrival_rate,
         transmission_slots=spec.transmission_slots,
@@ -231,6 +231,8 @@ def run_sweep_task(task, instrumented: bool = False):
     """
     if isinstance(task, MACRunSpec):
         return run_spec_with_metrics(task) if instrumented else run_spec(task)
+    from ..mac.simulator import rescore, rescore_metrics
+
     first = task[0]
     registry = MetricsRegistry() if instrumented else None
     simulator = _build_simulator(first, metrics=registry)
@@ -328,6 +330,9 @@ class SweepExecutor:
         # A single task never justifies a pool (matches the historical
         # inline shortcut); the supervised inline path still journals.
         workers = self.workers if n_tasks > 1 else None
+        if workers is not None and workers > 1:
+            # Load the engine once, before the fork: workers inherit it.
+            from ..mac import simulator  # noqa: F401
         return SupervisedExecutor(workers, self.resilience, metrics=self.metrics)
 
     def run_specs(self, specs: Sequence[MACRunSpec]) -> List[MACSimResult]:

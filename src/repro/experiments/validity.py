@@ -23,21 +23,13 @@ can be compared with ``repro report diff`` like any other experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..cache import get_or_compute
-from ..core.policy import ControlPolicy
 from ..obs import tracing as trace
 from ..obs.metrics import MetricsRegistry
 from ..queueing.impatient import loss_curve
 from ..stats.sequential import SequentialConfig
-from ..workloads import (
-    AdversarialWorkload,
-    DiurnalWorkload,
-    FlashCrowdWorkload,
-    HeavyTailedWorkload,
-    Workload,
-)
 from .figure7 import PanelConfig
 from .records import ascii_table
 from .sweep import (
@@ -46,6 +38,9 @@ from .sweep import (
     run_sequential,
     sequential_note,
 )
+
+if TYPE_CHECKING:
+    from ..workloads.arrivals import Workload
 
 __all__ = [
     "SCENARIO_FAMILIES",
@@ -85,6 +80,13 @@ def scenario_workload(family: str, rate: float) -> Optional[Workload]:
     counterfactual.  ``stationary`` returns None — the simulator's
     built-in Poisson path, which is the bit-for-bit control arm.
     """
+    from ..workloads.nonstationary import (
+        AdversarialWorkload,
+        DiurnalWorkload,
+        FlashCrowdWorkload,
+        HeavyTailedWorkload,
+    )
+
     if family == "stationary":
         return None
     if family == "heavy-tailed":
@@ -376,6 +378,8 @@ def run_validity(
     the per-family deltas against the stationary control are paired
     contrasts on common sample paths.
     """
+    from ..core.policy import ControlPolicy
+
     panels = [
         (rho, m) for rho in config.rho_primes for m in config.message_lengths
     ]

@@ -21,10 +21,14 @@ through the replica machinery; ``FaultModel.none()`` reproduces the
 shared-controller results bit-for-bit.  See ``docs/robustness.md``.
 """
 
-from .feedback import RECOVERY_POLICIES, FeedbackFaultModel, FeedbackFaultState
-from .injector import FaultEvent, FaultInjector, StationHealth
-from .model import FaultModel, FaultTelemetry
-from .replicas import ReplicaCohort, ReplicatedControllerBank
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".feedback": ("RECOVERY_POLICIES", "FeedbackFaultModel", "FeedbackFaultState"),
+    ".injector": ("FaultEvent", "FaultInjector", "StationHealth"),
+    ".model": ("FaultModel", "FaultTelemetry"),
+    ".replicas": ("ReplicaCohort", "ReplicatedControllerBank"),
+})
 
 __all__ = [
     "FaultModel",

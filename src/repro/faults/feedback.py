@@ -70,13 +70,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..choices import RECOVERY_POLICIES
 from ..core.window import ChannelFeedback
 from .model import FaultTelemetry
 
 __all__ = ["FeedbackFaultModel", "FeedbackFaultState", "RECOVERY_POLICIES"]
-
-#: The divergence-recovery policies selectable per run.
-RECOVERY_POLICIES = ("reset-to-epoch", "gated-rejoin", "drop-out")
 
 _PROB_FIELDS = ("p_collision_as_success", "p_success_as_idle", "p_erasure")
 

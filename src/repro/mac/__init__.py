@@ -9,12 +9,16 @@ TDMA baselines (not part of the paper's evaluation) live here as
 extensions.
 """
 
-from .aloha import AlohaResult, SlottedAlohaSimulator
-from .channel import ChannelStats, SlottedChannel
-from .messages import Message, MessageFate
-from .simulator import MACSimResult, WindowMACSimulator
-from .station import Station, StationRegistry
-from .tdma import TDMAResult, TDMASimulator, tdma_loss_probability
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".aloha": ("AlohaResult", "SlottedAlohaSimulator"),
+    ".channel": ("ChannelStats", "SlottedChannel"),
+    ".messages": ("Message", "MessageFate"),
+    ".simulator": ("MACSimResult", "WindowMACSimulator"),
+    ".station": ("Station", "StationRegistry"),
+    ".tdma": ("TDMAResult", "TDMASimulator", "tdma_loss_probability"),
+})
 
 __all__ = [
     "Message",

@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..choices import BACKENDS
 from ..core.controller import ProtocolController
 from ..core.policy import ControlPolicy
 from ..core.window import ChannelFeedback
@@ -55,9 +56,6 @@ __all__ = [
 #: Sub-seed mixed into the fault stream when no RandomStreams family is
 #: given, keeping fault draws independent of the traffic sample path.
 _FAULT_STREAM_KEY = 0xFA17
-
-#: Valid values of the ``backend`` selector.
-BACKENDS = ("compiled", "reference")
 
 logger = logging.getLogger(__name__)
 

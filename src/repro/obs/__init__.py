@@ -21,28 +21,24 @@ third-party dependencies and zero measurable cost when disabled:
 Wiring: the simulator, its kernels, and the sweep executors accept
 an optional :class:`MetricsRegistry`; ``None`` (the default) and a
 disabled registry are both no-ops on the hot path — the perf bench
-holds the disabled overhead to ≤2%.  The memo cache reports hit/miss
+holds the disabled overhead to ≤3%.  The memo cache reports hit/miss
 through the *installed* global registry (see :func:`install`) because
 its call sites are too deep to thread a parameter through.
 """
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    global_registry,
-    install,
-)
-from .report import (
-    REPORT_SCHEMA,
-    build_report,
-    diff_reports,
-    load_report,
-    render_report,
-    write_report,
-)
-from .tracing import JsonlTracer, NullTracer, install_tracer, span
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "global_registry",
+        "install",
+    ),
+    ".report": (
+        "REPORT_SCHEMA", "build_report", "diff_reports", "load_report",
+        "render_report", "write_report",
+    ),
+    ".tracing": ("JsonlTracer", "NullTracer", "install_tracer", "span"),
+})
 
 __all__ = [
     "Counter",

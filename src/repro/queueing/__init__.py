@@ -6,30 +6,27 @@ validator, busy-period/LCFS analytics for the uncontrolled baselines,
 and Monte-Carlo queue simulators.
 """
 
-from .accepted_wait import accepted_wait_pmf, accepted_wait_pmf_from_chain
-from .busy_period import busy_period_pmf, delay_busy_period_pmf
-from .convolve import SeriesResult, convolution_series, waiting_series_pmf
-from .distributions import (
-    LatticePMF,
-    deterministic_pmf,
-    exponential_pmf,
-    geometric_pmf,
-    mixture,
-    poisson_pmf,
-    uniform_pmf,
-)
-from .impatient import ImpatientMG1, ImpatientSolution, LossCurvePoint, loss_curve
-from .lcfs import LCFSQueue
-from .mg1 import MG1, pollaczek_khinchine_wait
-from .simulation import (
-    ImpatientSimResult,
-    WaitSimResult,
-    simulate_impatient_mg1,
-    simulate_mg1_waits,
-)
-from .transient import TransientResult, transient_workload
-from .true_wait import TrueWaitCorrection, true_wait_correction
-from .workload_chain import WorkloadChainSolution, solve_workload_chain
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".accepted_wait": ("accepted_wait_pmf", "accepted_wait_pmf_from_chain"),
+    ".busy_period": ("busy_period_pmf", "delay_busy_period_pmf"),
+    ".convolve": ("SeriesResult", "convolution_series", "waiting_series_pmf"),
+    ".distributions": (
+        "LatticePMF", "deterministic_pmf", "exponential_pmf", "geometric_pmf",
+        "mixture", "poisson_pmf", "uniform_pmf",
+    ),
+    ".impatient": ("ImpatientMG1", "ImpatientSolution", "LossCurvePoint", "loss_curve"),
+    ".lcfs": ("LCFSQueue",),
+    ".mg1": ("MG1", "pollaczek_khinchine_wait"),
+    ".simulation": (
+        "ImpatientSimResult", "WaitSimResult", "simulate_impatient_mg1",
+        "simulate_mg1_waits",
+    ),
+    ".transient": ("TransientResult", "transient_workload"),
+    ".true_wait": ("TrueWaitCorrection", "true_wait_correction"),
+    ".workload_chain": ("WorkloadChainSolution", "solve_workload_chain"),
+})
 
 __all__ = [
     "LatticePMF",

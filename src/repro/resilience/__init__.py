@@ -32,22 +32,22 @@ See ``docs/resilience.md`` for the journal format, resume semantics and
 the quarantine policy.
 """
 
+from .._lazy import lazy_exports
+
+# ``fingerprint`` is also a submodule's name, so it is bound eagerly.
 from .fingerprint import FingerprintError, fingerprint
-from .invariants import InvariantViolation, invariants_enabled, require
-from .journal import (
-    JOURNAL_SCHEMA,
-    JournalMismatchError,
-    JournalSchemaError,
-    RunJournal,
-    value_digest,
-)
-from .supervisor import (
-    QuarantineRecord,
-    ResilienceOptions,
-    SupervisedExecutor,
-    SweepOutcome,
-    backoff_delay,
-)
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".invariants": ("InvariantViolation", "invariants_enabled", "require"),
+    ".journal": (
+        "JOURNAL_SCHEMA", "JournalMismatchError", "JournalSchemaError",
+        "RunJournal", "value_digest",
+    ),
+    ".supervisor": (
+        "QuarantineRecord", "ResilienceOptions", "SupervisedExecutor",
+        "SweepOutcome", "backoff_delay",
+    ),
+})
 
 __all__ = [
     "fingerprint",

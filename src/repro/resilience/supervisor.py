@@ -35,8 +35,6 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -477,6 +475,9 @@ class SupervisedExecutor:
     def _run_parallel(
         self, fn: Callable[[Any], Any], tasks: List[_Task], outcome: SweepOutcome
     ) -> None:
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         wall_hist = queue_hist = None
         if self.metrics is not None:
             wall_hist = self._wall_histogram()
@@ -487,7 +488,7 @@ class SupervisedExecutor:
         pending: "deque[_Task]" = deque(tasks)
         inflight: Dict[Any, _Task] = {}
         started: Dict[Any, float] = {}
-        pool = ProcessPoolExecutor(max_workers=self.workers)
+        pool = _new_pool(self.workers)
         try:
             while pending or inflight:
                 now = time.monotonic()
@@ -579,6 +580,8 @@ class SupervisedExecutor:
         submission time an honest proxy for start time in the watchdog.
         Returns ``False`` if the pool turned out to be broken.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
         for _ in range(len(pending)):
             if len(inflight) >= (self.workers or 1):
                 break
@@ -620,10 +623,18 @@ class SupervisedExecutor:
         started.clear()
         _kill_pool(pool)
         outcome.pool_restarts += 1
-        return ProcessPoolExecutor(max_workers=self.workers)
+        return _new_pool(self.workers)
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
+def _new_pool(workers: int):
+    """A fresh process pool; an inline or fully replayed sweep never
+    loads the pool stack (``concurrent.futures``, ``multiprocessing``)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def _kill_pool(pool) -> None:
     """Hard-stop a pool: SIGKILL its workers, then tear down the plumbing."""
     processes = dict(getattr(pool, "_processes", None) or {})
     for process in processes.values():

@@ -6,29 +6,27 @@ pseudo-time protocol model of section 3 and a Monte-Carlo pseudo-time
 protocol simulator used to verify Theorem 1 empirically.
 """
 
-from .model import ActionData, SMDP
+from .._lazy import lazy_exports
+
+# ``policy_iteration`` is also a submodule's name, so it is bound eagerly.
 from .policy_iteration import (
     PolicyEvaluation,
     PolicyIterationResult,
     evaluate_policy,
     policy_iteration,
 )
-from .protocol_model import (
-    NEWER,
-    OLDER,
-    WAIT,
-    WindowAction,
-    build_protocol_smdp,
-    lcfs_like_policy,
-    minimum_slack_policy,
-    pseudo_loss_fraction,
-)
-from .pseudo_sim import (
-    PseudoSimResult,
-    make_window_policy,
-    simulate_pseudo_protocol,
-)
-from .value_iteration import ValueIterationResult, relative_value_iteration
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".model": ("ActionData", "SMDP"),
+    ".protocol_model": (
+        "NEWER", "OLDER", "WAIT", "WindowAction", "build_protocol_smdp",
+        "lcfs_like_policy", "minimum_slack_policy", "pseudo_loss_fraction",
+    ),
+    ".pseudo_sim": (
+        "PseudoSimResult", "make_window_policy", "simulate_pseudo_protocol",
+    ),
+    ".value_iteration": ("ValueIterationResult", "relative_value_iteration"),
+})
 
 __all__ = [
     "SMDP",

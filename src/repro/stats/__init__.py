@@ -1,15 +1,15 @@
 """Output-analysis substrate: confidence intervals and summaries."""
 
-from .intervals import ConfidenceInterval, wilson_interval
-from .sequential import (
-    SequentialConfig,
-    WaveDecision,
-    cumulative_alpha,
-    decide_wave,
-    design_effect,
-    look_level,
-)
-from .summaries import Summary, describe, monotone_fraction, relative_error
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".intervals": ("ConfidenceInterval", "wilson_interval"),
+    ".sequential": (
+        "SequentialConfig", "WaveDecision", "cumulative_alpha", "decide_wave",
+        "design_effect", "look_level",
+    ),
+    ".summaries": ("Summary", "describe", "monotone_fraction", "relative_error"),
+})
 
 __all__ = [
     "ConfidenceInterval",

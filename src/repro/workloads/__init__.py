@@ -2,17 +2,18 @@
 nonstationary (heavy-tailed / diurnal / flash-crowd / adversarial)
 models, all behind the :class:`Workload` interface."""
 
-from .arrivals import MMPPWorkload, PoissonWorkload, Workload
-from .nonstationary import (
-    AdversarialWorkload,
-    DiurnalWorkload,
-    FlashCrowdWorkload,
-    HeavyTailedWorkload,
-    thin_inhomogeneous,
-)
-from .sensor import SensorWorkload
-from .trace import TraceWorkload
-from .voice import VoiceWorkload
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".arrivals": ("MMPPWorkload", "PoissonWorkload", "Workload"),
+    ".nonstationary": (
+        "AdversarialWorkload", "DiurnalWorkload", "FlashCrowdWorkload",
+        "HeavyTailedWorkload", "thin_inhomogeneous",
+    ),
+    ".sensor": ("SensorWorkload",),
+    ".trace": ("TraceWorkload",),
+    ".voice": ("VoiceWorkload",),
+})
 
 __all__ = [
     "Workload",

@@ -8,10 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crp import (
+    ExactSchedulingModel,
     binomial_split_probabilities,
     expected_resolution_steps,
+    optimal_window_occupancy,
     resolution_time_pmf,
 )
+from repro.crp import scheduling_time
 from repro.crp.splitting import resolution_success_probability
 
 
@@ -99,3 +102,75 @@ class TestResolutionPmf:
     def test_pmf_nonnegative_property(self, n):
         pmf = resolution_time_pmf(n, 60)
         assert np.all(pmf >= 0.0)
+
+
+def _scalar_resolution_time_pmf(n_max, t_max):
+    """The recursion as a plain scalar loop: each row's terms added left
+    to right, q₀·P_n first.  The oracle of the vectorised form."""
+    pmf = np.zeros((n_max + 1, t_max + 1))
+    pmf[0, 0] = 1.0
+    if n_max >= 1:
+        pmf[1, 0] = 1.0
+    if n_max < 2:
+        return pmf
+    q_rows = [binomial_split_probabilities(n) for n in range(n_max + 1)]
+    for n in range(2, n_max + 1):
+        pmf[n, 0] = q_rows[n][1]
+    for t in range(1, t_max + 1):
+        previous = pmf[:, t - 1]
+        for n in range(2, n_max + 1):
+            q = q_rows[n]
+            value = q[0] * previous[n]
+            for j in range(2, n + 1):
+                value += q[j] * previous[j]
+            pmf[n, t] = value
+    return pmf
+
+
+def _assert_bitwise_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype == np.float64
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def scalar_pmf_60_399():
+    return _scalar_resolution_time_pmf(60, 399)
+
+
+class TestBitwiseAgainstScalarLoop:
+    """The vectorised recursion must equal the scalar loop bit for bit:
+    Figure 7's analytic curves are pinned to the last digit."""
+
+    @pytest.mark.parametrize("t_max", [0, 1, 2, 50, 399])
+    def test_grid(self, t_max, scalar_pmf_60_399):
+        # Entry (n, t) of the scalar loop depends on no row above n and
+        # no column after t, so every (n_max, t_max) is a corner of the
+        # one (60, 399) table.
+        for n_max in range(61):
+            _assert_bitwise_equal(
+                resolution_time_pmf(n_max, t_max),
+                scalar_pmf_60_399[: n_max + 1, : t_max + 1],
+            )
+
+    def test_figure7_shape_computed_directly(self):
+        _assert_bitwise_equal(
+            resolution_time_pmf(28, 399), _scalar_resolution_time_pmf(28, 399)
+        )
+
+    @given(n_max=st.integers(0, 40), t_max=st.integers(0, 120))
+    def test_property(self, n_max, t_max):
+        _assert_bitwise_equal(
+            resolution_time_pmf(n_max, t_max),
+            _scalar_resolution_time_pmf(n_max, t_max),
+        )
+
+    def test_exact_service_pmf(self, monkeypatch):
+        model = ExactSchedulingModel(25, optimal_window_occupancy())
+        vectorised = model.service_pmf()
+        monkeypatch.setattr(
+            scheduling_time, "resolution_time_pmf", _scalar_resolution_time_pmf
+        )
+        scalar = model.service_pmf()
+        assert vectorised.delta == scalar.delta
+        _assert_bitwise_equal(vectorised.p, scalar.p)

@@ -341,7 +341,7 @@ class TestBrokenOnSubmit:
         def make_pool(max_workers):
             return next(broken, None) or ProcessPoolExecutor(max_workers)
 
-        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", make_pool)
+        monkeypatch.setattr(supervisor_mod, "_new_pool", make_pool)
         outcome = SupervisedExecutor(2, _opts()).run(
             _workers.square, list(range(4))
         )

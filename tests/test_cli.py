@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -434,6 +436,21 @@ def _scipy(modules):
     return {name for name in modules if name.split(".")[0] == "scipy"}
 
 
+def _loaded(modules, *prefixes):
+    """The loaded modules named ``prefix`` or inside it, for each prefix."""
+    return {name for name in modules for prefix in prefixes
+            if name == prefix or name.startswith(prefix + ".")}
+
+
+#: The process-pool stack, needed only when a sweep starts a pool.
+_POOL_STACK = ("concurrent.futures", "multiprocessing")
+
+_PACKAGES = ("repro", "repro.core", "repro.crp", "repro.des",
+             "repro.experiments", "repro.faults", "repro.mac", "repro.obs",
+             "repro.queueing", "repro.resilience", "repro.smdp",
+             "repro.stats", "repro.workloads")
+
+
 class TestStartupImports:
     def test_cli_import_loads_no_asyncio_or_service(self):
         # A fresh interpreter, so the modules counted are the ones every
@@ -465,3 +482,63 @@ class TestStartupImports:
     )
     def test_default_paths_load_no_scipy(self, statement, argv):
         assert not _scipy(_fresh_modules(statement, *argv))
+
+    def test_analytic_figure7_loads_no_engine_or_pool(self):
+        loaded = _fresh_modules(_RUN_CLI, "figure7", "--rho", "0.5", "--m", "25")
+        assert "repro.experiments.figure7" in loaded
+        assert not _loaded(loaded, "repro.mac", "repro.faults", "repro.smdp")
+        assert not _loaded(loaded, *_POOL_STACK)
+
+    def test_inline_simulation_loads_no_pool(self):
+        loaded = _fresh_modules(_RUN_CLI, "figure7", "--rho", "0.5", "--m",
+                                "25", "--simulate", "--horizon", "4000")
+        assert "repro.mac.simulator" in loaded
+        assert not _loaded(loaded, *_POOL_STACK)
+
+    def test_fully_journaled_parallel_resume_loads_no_pool(self, tmp_path):
+        argv = ["validity", "--families", "stationary", "--rho", "0.5",
+                "--m", "25", "--deadline-factors", "1", "3", "--horizon",
+                "4000", "--workers", "2", "--checkpoint", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        probe = _RUN_CLI.replace(
+            "code = main(sys.argv[1:])",
+            "code = main(sys.argv[1:])\n"
+            "    assert 'sweep: 0 executed' in sys.stdout.getvalue()",
+        )
+        loaded = _fresh_modules(probe, *argv, "--resume")
+        assert "repro.resilience.journal" in loaded
+        assert not _loaded(loaded, *_POOL_STACK)
+
+    def test_every_exported_name_resolves(self):
+        # Lazy exports (PEP 562): each package's __all__ must still
+        # resolve, and dir() must list it, in a fresh interpreter.
+        probe = (
+            "import importlib\n"
+            f"for name in {_PACKAGES!r}:\n"
+            "    package = importlib.import_module(name)\n"
+            "    for export in package.__all__:\n"
+            "        getattr(package, export)\n"
+            "    assert set(package.__all__) <= set(dir(package)), name\n"
+            "from repro import ControlPolicy, WindowMACSimulator\n"
+            "from repro.experiments import *\n"
+        )
+        assert "repro.smdp.value_iteration" in _fresh_modules(probe)
+
+    def test_names_shared_with_submodules_stay_functions(self):
+        # Importing the submodule first binds it on the package; the
+        # exported function must still win.
+        probe = (
+            "import types\n"
+            "import repro.smdp.policy_iteration\n"
+            "import repro.resilience.fingerprint\n"
+            "import repro.smdp, repro.resilience\n"
+            "from repro.smdp import policy_iteration\n"
+            "from repro.resilience import fingerprint\n"
+            "from repro import policy_iteration as top\n"
+            "for f in (policy_iteration, fingerprint, top,\n"
+            "          repro.smdp.policy_iteration,\n"
+            "          repro.resilience.fingerprint):\n"
+            "    assert isinstance(f, types.FunctionType), f\n"
+        )
+        _fresh_modules(probe)
