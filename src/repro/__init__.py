@@ -10,8 +10,8 @@ The package implements, from scratch:
   elements 1-4, Theorem 1's optimal choices) and its uncontrolled
   FCFS / LCFS / RANDOM variants;
 - :mod:`repro.des` — reproducible random streams;
-- :mod:`repro.mac` — the slotted broadcast channel, stations, the
-  window-MAC simulator, plus ALOHA/TDMA baselines;
+- :mod:`repro.mac` — the slotted broadcast channel, stations and the
+  window-MAC simulator;
 - :mod:`repro.crp` — exact collision-resolution analysis (scheduling
   times, the window-length heuristic);
 - :mod:`repro.queueing` — M/G/1 machinery incl. the impatient-customer
@@ -20,7 +20,8 @@ The package implements, from scratch:
   policy iteration (Appendix A);
 - :mod:`repro.faults` — fault injection (imperfect feedback, station
   failures) and per-station replica resilience;
-- :mod:`repro.workloads` — Poisson / MMPP / voice / sensor traffic;
+- :mod:`repro.workloads` — Poisson / MMPP / voice and nonstationary
+  traffic;
 - :mod:`repro.experiments` — the harness regenerating Figure 7,
   the Theorem 1 verification and the ablations;
 - :mod:`repro.stats` — output analysis.

@@ -271,6 +271,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .faults.model import FaultModel
     from .mac.simulator import WindowMACSimulator
 
+    if args.m < 1:
+        raise ValueError(f"message length must be >= 1, got {args.m}")
     lam = args.rho / args.m
     factories = {
         "controlled": lambda: ControlPolicy.optimal(args.deadline, lam),
@@ -279,7 +281,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "random": lambda: ControlPolicy.uncontrolled_random(lam),
     }
     fault_model = None
-    if args.feedback_error > 0:
+    if args.feedback_error != 0:
         fault_model = FaultModel.feedback_noise(args.feedback_error)
     if args.replications < 1:
         print("error: --replications must be >= 1", file=sys.stderr)

@@ -187,11 +187,6 @@ class ReplicatedControllerBank:
         """The cohort a station currently belongs to."""
         return self._station_cohort[station]
 
-    @property
-    def n_cohorts(self) -> int:
-        """Number of distinct replica states across the network."""
-        return len(self.cohorts)
-
     def _covers_network(self, cohort: ReplicaCohort) -> bool:
         return (
             len(self.cohorts) == 1

@@ -137,11 +137,6 @@ class MACSimResult:
             return False
         return self.unresolved / self.arrivals > 0.10
 
-    @property
-    def on_time_fraction(self) -> float:
-        """1 − loss_fraction."""
-        return 1.0 - self.loss_fraction
-
     def loss_stderr(self) -> float:
         """Binomial standard error of the loss estimate."""
         if self.resolved <= 0:

@@ -1,4 +1,5 @@
-"""Output-analysis substrate: confidence intervals and summaries."""
+"""Output-analysis substrate: confidence intervals, the sequential
+stopping rule and a curve-shape check."""
 
 from .._lazy import lazy_exports
 
@@ -8,7 +9,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "SequentialConfig", "WaveDecision", "cumulative_alpha", "decide_wave",
         "design_effect", "look_level",
     ),
-    ".summaries": ("Summary", "describe", "monotone_fraction", "relative_error"),
+    ".summaries": ("monotone_fraction",),
 })
 
 __all__ = [
@@ -20,8 +21,5 @@ __all__ = [
     "design_effect",
     "look_level",
     "decide_wave",
-    "Summary",
-    "describe",
-    "relative_error",
     "monotone_fraction",
 ]

@@ -1,47 +1,12 @@
-"""Small summary-statistics helpers shared by experiments and tests."""
+"""Curve-shape check shared by the Figure-7 and robustness tests and benches."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Summary", "describe", "relative_error", "monotone_fraction"]
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-plus summary of a sample."""
-
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    maximum: float
-
-
-def describe(values: Sequence[float]) -> Summary:
-    """Summary statistics of a non-empty sample."""
-    data = np.asarray(values, dtype=float)
-    if data.size == 0:
-        raise ValueError("cannot describe an empty sample")
-    return Summary(
-        n=int(data.size),
-        mean=float(data.mean()),
-        std=float(data.std(ddof=1)) if data.size > 1 else 0.0,
-        minimum=float(data.min()),
-        median=float(np.median(data)),
-        maximum=float(data.max()),
-    )
-
-
-def relative_error(estimate: float, reference: float) -> float:
-    """|estimate − reference| / |reference| (absolute error at reference 0)."""
-    if reference == 0:
-        return abs(estimate)
-    return abs(estimate - reference) / abs(reference)
+__all__ = ["monotone_fraction"]
 
 
 def monotone_fraction(values: Sequence[float], decreasing: bool = True) -> float:

@@ -1,6 +1,6 @@
-"""Traffic-generation substrate: Poisson, MMPP, voice, sensor, trace and
-nonstationary (heavy-tailed / diurnal / flash-crowd / adversarial)
-models, all behind the :class:`Workload` interface."""
+"""Traffic-generation substrate: Poisson, MMPP, voice and nonstationary
+(heavy-tailed / diurnal / flash-crowd / adversarial) models, all behind
+the :class:`Workload` interface."""
 
 from .._lazy import lazy_exports
 
@@ -10,8 +10,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "AdversarialWorkload", "DiurnalWorkload", "FlashCrowdWorkload",
         "HeavyTailedWorkload", "thin_inhomogeneous",
     ),
-    ".sensor": ("SensorWorkload",),
-    ".trace": ("TraceWorkload",),
     ".voice": ("VoiceWorkload",),
 })
 
@@ -20,8 +18,6 @@ __all__ = [
     "PoissonWorkload",
     "MMPPWorkload",
     "VoiceWorkload",
-    "SensorWorkload",
-    "TraceWorkload",
     "HeavyTailedWorkload",
     "DiurnalWorkload",
     "FlashCrowdWorkload",

@@ -1,36 +1,8 @@
-"""Tests for summary-statistics helpers."""
+"""Tests for the curve-shape check."""
 
 import pytest
 
-from repro.stats import describe, monotone_fraction, relative_error
-
-
-class TestDescribe:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            describe([])
-
-    def test_basic(self):
-        s = describe([1.0, 2.0, 3.0, 4.0])
-        assert s.n == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-        assert s.median == pytest.approx(2.5)
-
-    def test_single_value_zero_std(self):
-        assert describe([7.0]).std == 0.0
-
-
-class TestRelativeError:
-    def test_normal(self):
-        assert relative_error(11.0, 10.0) == pytest.approx(0.1)
-
-    def test_zero_reference(self):
-        assert relative_error(0.5, 0.0) == 0.5
-
-    def test_symmetric_sign(self):
-        assert relative_error(9.0, 10.0) == relative_error(11.0, 10.0)
+from repro.stats import monotone_fraction
 
 
 class TestMonotoneFraction:

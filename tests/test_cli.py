@@ -135,6 +135,15 @@ class TestSimulateExtras:
         assert "fault telemetry" in out
         assert "lost to faults" in out
 
+    @pytest.mark.parametrize("m", ["0", "-5"])
+    def test_nonpositive_message_length_is_a_clean_error(self, capsys, m):
+        assert main(["simulate", "--m", m]) == 2
+        assert "message length" in capsys.readouterr().err
+
+    def test_negative_feedback_error_is_a_clean_error(self, capsys):
+        assert main(["simulate", "--feedback-error", "-0.1"]) == 2
+        assert "error rate" in capsys.readouterr().err
+
 
 class TestRobustnessCommand:
     def test_parser_defaults(self):
@@ -512,11 +521,16 @@ class TestStartupImports:
 
     def test_every_exported_name_resolves(self):
         # Lazy exports (PEP 562): each package's __all__ must still
-        # resolve, and dir() must list it, in a fresh interpreter.
+        # resolve, and dir() must list it, in a fresh interpreter.  Every
+        # name served only lazily must be in __all__ too, so a stale
+        # lazy-map entry cannot linger.
         probe = (
             "import importlib\n"
             f"for name in {_PACKAGES!r}:\n"
             "    package = importlib.import_module(name)\n"
+            "    lazy = set(dir(package)) - set(vars(package))\n"
+            "    stale = lazy - set(package.__all__)\n"
+            "    assert not stale, (name, stale)\n"
             "    for export in package.__all__:\n"
             "        getattr(package, export)\n"
             "    assert set(package.__all__) <= set(dir(package)), name\n"

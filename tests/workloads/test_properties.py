@@ -27,8 +27,6 @@ from repro.workloads import (
     HeavyTailedWorkload,
     MMPPWorkload,
     PoissonWorkload,
-    SensorWorkload,
-    TraceWorkload,
     VoiceWorkload,
 )
 
@@ -67,46 +65,6 @@ def voice_workloads(draw):
         mean_talkspurt=draw(st.floats(min_value=40.0, max_value=150.0)),
         mean_silence=draw(st.floats(min_value=40.0, max_value=150.0)),
     )
-
-
-@st.composite
-def sensor_workloads(draw):
-    # burst_size stays below n_sensors: an event can only wake distinct
-    # sensors, so a larger nominal burst would deflate the empirical
-    # rate below mean_rate's promise.
-    n_sensors = draw(st.integers(min_value=4, max_value=12))
-    return SensorWorkload(
-        n_sensors=n_sensors,
-        report_period=draw(st.floats(min_value=50.0, max_value=300.0)),
-        report_jitter=draw(st.floats(min_value=0.0, max_value=10.0)),
-        event_rate=draw(st.floats(min_value=0.0, max_value=0.002)),
-        burst_size=draw(st.floats(min_value=1.0, max_value=4.0)),
-    )
-
-
-@st.composite
-def trace_workloads(draw, tile=st.just(True)):
-    # Built from strictly positive gaps: a degenerate trace whose span
-    # is ~0 would tile with a ~0 period (and an unbounded mean_rate).
-    gaps = draw(
-        st.lists(
-            st.floats(min_value=0.5, max_value=50.0),
-            min_size=2,
-            max_size=40,
-        )
-    )
-    start = draw(st.floats(min_value=0.0, max_value=20.0))
-    times = [start]
-    for gap in gaps[1:]:
-        times.append(times[-1] + gap)
-    stations = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=99),
-            min_size=len(times),
-            max_size=len(times),
-        )
-    )
-    return TraceWorkload.from_arrays(times, stations, tile=draw(tile))
 
 
 @st.composite
@@ -160,8 +118,6 @@ all_workloads = st.one_of(
     poisson_workloads(),
     mmpp_workloads(),
     voice_workloads(),
-    sensor_workloads(),
-    trace_workloads(tile=st.booleans()),
     heavy_tailed_workloads(),
     diurnal_workloads(),
     flash_crowd_workloads(),
@@ -170,14 +126,11 @@ all_workloads = st.one_of(
 
 # The rate check needs the law of large numbers on its side; exclude the
 # corners where convergence over an affordable horizon is hopeless
-# (infinite-variance Pareto below shape 2; untiled traces go silent past
-# their duration so their long-run rate is genuinely below mean_rate).
+# (infinite-variance Pareto below shape 2).
 rate_checkable_workloads = st.one_of(
     poisson_workloads(),
     mmpp_workloads(),
     voice_workloads(),
-    sensor_workloads(),
-    trace_workloads(),
     heavy_tailed_workloads(shape_floor=2.2),
     diurnal_workloads(),
     flash_crowd_workloads(),
