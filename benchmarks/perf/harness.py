@@ -35,14 +35,17 @@ import subprocess
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Optional
+from unittest import mock
 
 from repro.core import ControlPolicy
 from repro.experiments import (
     PAPER_PANELS,
     PanelConfig,
     default_deadlines,
+    figure7,
     generate_panel,
 )
 from repro.experiments.sweep import (
@@ -556,19 +559,23 @@ def measure_sequential_figure7(config: PerfConfig) -> dict:
 
 
 def _time_sweep(config: PerfConfig, backend: str, workers: Optional[int]):
+    """Time one simulated Figure-7 panel with every spec of its grid
+    built as ``MACRunSpec(..., backend=backend)``: the panel's own grid,
+    on the chosen engine."""
     panel = PanelConfig(
         rho_prime=config.rho_prime, message_length=config.message_length
     )
+    spec = partial(MACRunSpec, backend=backend)
     start = time.perf_counter()
-    result = generate_panel(
-        panel,
-        include_simulation=True,
-        sim_horizon=config.horizon,
-        sim_warmup=config.warmup,
-        sim_seed=config.seed,
-        workers=workers,
-        sim_backend=backend,
-    )
+    with mock.patch.object(figure7, "MACRunSpec", spec):
+        result = generate_panel(
+            panel,
+            include_simulation=True,
+            sim_horizon=config.horizon,
+            sim_warmup=config.warmup,
+            sim_seed=config.seed,
+            workers=workers,
+        )
     elapsed = time.perf_counter() - start
     return {
         "elapsed_s": elapsed,

@@ -63,7 +63,7 @@ import time
 # Only the figure7 and validity drivers (and what they load anyway) are
 # imported here; every other command imports its driver when it runs.
 from . import cache
-from .choices import BACKENDS, RECOVERY_POLICIES
+from .choices import RECOVERY_POLICIES
 from .experiments.figure7 import PanelConfig, generate_panel
 from .experiments.records import ascii_table
 from .experiments.sweep import MACRunSpec, SweepExecutor, derive_seeds
@@ -145,14 +145,6 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--verify-replay", action="store_true",
                    help="with --resume: recompute journaled cells and "
                         "fail loudly if any diverge (determinism audit)")
-
-
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    """Attach ``--backend`` (the engine selector of simulating commands)."""
-    p.add_argument("--backend", choices=BACKENDS, default="compiled",
-                   help="simulation engine: compiled (default; the "
-                        "struct-of-arrays engine) or the reference loop — "
-                        "results are bit-identical (see docs/performance.md)")
 
 
 def _add_sequential_flags(p: argparse.ArgumentParser) -> None:
@@ -238,7 +230,6 @@ def _cmd_figure7(args: argparse.Namespace) -> int:
         sim_warmup=args.horizon * 0.125,
         sim_seed=args.seed,
         workers=args.workers,
-        sim_backend=args.backend,
         resilience=_resilience_from(args),
         metrics=getattr(args, "obs_registry", None),
         sequential=_sequential_from(args),
@@ -296,7 +287,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         deadline=args.deadline,
         fault_model=fault_model,
         streams=RandomStreams(args.seed),
-        backend=args.backend,
         metrics=getattr(args, "obs_registry", None),
     )
     total_slots = args.horizon * 1.125  # warmup is an eighth of the horizon
@@ -367,7 +357,6 @@ def _simulate_replicated(args, policy, fault_model) -> int:
             deadline=args.deadline,
             fault_model=fault_model,
             seed=seed,
-            backend=args.backend,
         )
         for seed in derive_seeds(args.seed, args.replications)
     ]
@@ -442,6 +431,11 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         )
     if args.recovery is not None and not args.feedback_errors:
         raise ValueError("--recovery applies only to --feedback-errors")
+    if args.errors is not None and args.scenario == "failures":
+        raise ValueError(
+            "--errors sets the feedback sweeps' error rates, not the "
+            "--scenario failures soak; drop one of them"
+        )
     config = RobustnessConfig(
         rho_prime=args.rho,
         message_length=args.m,
@@ -460,15 +454,14 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
             config, error_rates=errors,
             recovery=args.recovery or "reset-to-epoch",
             workers=args.workers, resilience=resilience, metrics=metrics,
-            backend=args.backend, sequential=sequential,
+            sequential=sequential,
         )
         print(report.to_table())
         return 0
     if args.scenario == "feedback":
         report = feedback_error_sweep(
             config, error_rates=errors, workers=args.workers,
-            resilience=resilience, metrics=metrics,
-            backend=args.backend, sequential=sequential,
+            resilience=resilience, metrics=metrics, sequential=sequential,
         )
         print(report.to_table())
         return 0
@@ -479,7 +472,6 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         )
     results = station_failure_scenario(
         config, workers=args.workers, resilience=resilience, metrics=metrics,
-        backend=args.backend,
     )
     rows = []
     holes = 0
@@ -573,22 +565,22 @@ def _cmd_ablations(args: argparse.Namespace) -> int:
          element4_ablation(
              horizon=horizon, warmup=warmup, seed=args.seed,
              workers=args.workers, resilience=resilience, metrics=metrics,
-             backend=args.backend, sequential=sequential)),
+             sequential=sequential)),
         ("Element 2: loss vs window occupancy (simulated)",
          window_length_ablation(
              simulate=True, horizon=horizon, warmup=warmup, seed=args.seed + 1,
              workers=args.workers, resilience=resilience, metrics=metrics,
-             backend=args.backend, sequential=sequential)),
+             sequential=sequential)),
         ("Element 3: split order (simulated)",
          split_rule_ablation(
              horizon=horizon, warmup=warmup, seed=args.seed + 2,
              workers=args.workers, resilience=resilience, metrics=metrics,
-             backend=args.backend, sequential=sequential)),
+             sequential=sequential)),
         ("Section 5: split arity (simulated)",
          arity_ablation(
              horizon=horizon, warmup=warmup, seed=args.seed + 3,
              workers=args.workers, resilience=resilience, metrics=metrics,
-             backend=args.backend, sequential=sequential)),
+             sequential=sequential)),
     ]
     print("\n\n".join(ablation_table(arms, title) for title, arms in sections))
     return 0
@@ -622,15 +614,13 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     if args.scenario == "stations":
         arms = station_count_sensitivity(
             seed=args.seed, workers=args.workers, resilience=resilience,
-            metrics=metrics, backend=args.backend,
-            sequential=sequential, **overrides,
+            metrics=metrics, sequential=sequential, **overrides,
         )
         title = "Loss vs station population (controlled protocol)"
     else:
         arms = burstiness_sensitivity(
             seed=args.seed, workers=args.workers, resilience=resilience,
-            metrics=metrics, backend=args.backend,
-            sequential=sequential, **overrides,
+            metrics=metrics, sequential=sequential, **overrides,
         )
         title = "Loss vs traffic burstiness (MMPP, fixed mean rate)"
     print(ablation_table(arms, title))
@@ -653,7 +643,6 @@ def _cmd_validity(args: argparse.Namespace) -> int:
         workers=args.workers,
         resilience=_resilience_from(args),
         metrics=getattr(args, "obs_registry", None),
-        backend=args.backend,
         sequential=_sequential_from(args),
     )
     print(report.to_csv() if args.csv else report.to_table())
@@ -719,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="fan simulation arms over N worker processes "
                         "(results are identical for any N; see docs/usage.md)")
-    _add_backend_flag(p)
     _add_resilience_flags(p)
     _add_sequential_flags(p)
     _add_obs_flags(p)
@@ -749,7 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feedback-error", type=float, default=0.0,
                    help="symmetric feedback-error rate (routes the run "
                         "through the fault-injection layer)")
-    _add_backend_flag(p)
     p.add_argument("--replications", type=int, default=1, metavar="N",
                    help="run N independent replications of the arm one "
                         "after another (seeds spawned from --seed; reports "
@@ -776,7 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="fan simulation arms over N worker processes "
                         "(results are identical for any N)")
-    _add_backend_flag(p)
     _add_resilience_flags(p)
     _add_sequential_flags(p)
     _add_obs_flags(p)
@@ -798,7 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="fan sweep cells over N worker processes "
                         "(results are identical for any N)")
-    _add_backend_flag(p)
     _add_resilience_flags(p)
     _add_sequential_flags(p)
     _add_obs_flags(p)
@@ -830,7 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="fan sweep cells over N worker processes "
                         "(results are identical for any N)")
-    _add_backend_flag(p)
     p.add_argument("--csv", action="store_true",
                    help="emit the per-cell map as CSV instead of tables")
     _add_resilience_flags(p)
@@ -867,7 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="fan replications over N worker processes "
                         "(results are identical for any N)")
-    _add_backend_flag(p)
     _add_resilience_flags(p)
     _add_sequential_flags(p)
     _add_obs_flags(p)

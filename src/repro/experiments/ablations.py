@@ -17,19 +17,17 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from ..core.policy import ControlPolicy, OccupancyLength, OldestFirstPosition
 from ..crp.scheduling_time import ExactSchedulingModel, mean_scheduling_slots
 from ..crp.twopoint import fit_two_point
-from ..mac.simulator import MACSimResult
 from ..obs import tracing as trace
 from ..queueing.impatient import ImpatientMG1
 from ..stats.sequential import SequentialConfig
 from .records import ascii_table
-from .sweep import MACRunSpec, SweepExecutor, run_sequential
+from .sweep import MACRunSpec, SweepExecutor, cell_estimates, run_sequential
 
 __all__ = [
     "AblationArm",
@@ -57,19 +55,16 @@ class AblationArm:
         return [self.label, cell]
 
 
-def _spec(
-    policy: ControlPolicy, lam, m, deadline, horizon, warmup, seed,
-    backend="compiled",
-) -> MACRunSpec:
+def _spec(policy: ControlPolicy, lam, m, deadline, horizon, warmup, seed) -> MACRunSpec:
     return MACRunSpec(
         policy=policy, arrival_rate=lam, transmission_slots=m, horizon=horizon,
-        warmup=warmup, deadline=deadline, seed=seed, backend=backend,
+        warmup=warmup, deadline=deadline, seed=seed,
     )
 
 
-def _arms_from(
+def simulate_arms(
     labels, specs, workers, resilience=None, metrics=None,
-    sequential: Optional[SequentialConfig] = None,
+    sequential: Optional[SequentialConfig] = None, span: str = "ablation",
 ) -> "List[AblationArm]":
     """Run the arm specs through the sweep executor and wrap the losses.
 
@@ -80,37 +75,27 @@ def _arms_from(
     With a ``sequential`` config, each spec becomes an adaptive-
     replication arm (the spec's own seed roots the lane seed
     derivation; CRN pairs the arms lane for lane) and the arm's stderr
-    renders the realized CI half-width.
+    renders the realized CI half-width.  ``span`` prefixes the trace
+    span of the sweep.
     """
     executor = SweepExecutor(workers, resilience, metrics=metrics)
     if sequential is not None:
         base_seed = specs[0].seed if specs else 1
-        with trace.span("ablation.sequential", cells=len(specs)):
-            estimates = run_sequential(
+        with trace.span(f"{span}.sequential", cells=len(specs)):
+            outcome = run_sequential(
                 list(zip(labels, specs)), sequential, executor,
                 base_seed=base_seed,
             )
-        return [
-            AblationArm(
-                label=(
-                    f"{est.label} [quarantined]" if est.units == 0 else est.label
-                ),
-                loss=est.mean if est.units else math.nan,
-                stderr=est.stderr() if est.units else None,
-            )
-            for est in estimates
-        ]
-    with trace.span("ablation.sweep", cells=len(specs)):
-        results: List[Optional[MACSimResult]] = executor.run_specs(specs)
-    arms = []
-    for label, r in zip(labels, results):
-        if r is None:
-            arms.append(AblationArm(label=f"{label} [quarantined]", loss=math.nan))
-        else:
-            arms.append(
-                AblationArm(label=label, loss=r.loss_fraction, stderr=r.loss_stderr())
-            )
-    return arms
+    else:
+        with trace.span(f"{span}.sweep", cells=len(specs)):
+            outcome = executor.run_specs(specs)
+    cells, _ = cell_estimates(outcome, labels, executor, sequential)
+    return [
+        AblationArm(label=f"{label} [quarantined]", loss=cell.mean)
+        if cell.hole
+        else AblationArm(label=label, loss=cell.mean, stderr=cell.stderr)
+        for label, cell in zip(labels, cells)
+    ]
 
 
 def element4_ablation(
@@ -123,7 +108,6 @@ def element4_ablation(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    backend: str = "compiled",
     sequential: Optional[SequentialConfig] = None,
 ) -> List[AblationArm]:
     """Controlled protocol with and without the sender discard (A-EL4)."""
@@ -131,11 +115,10 @@ def element4_ablation(
     with_discard = ControlPolicy.optimal(deadline, lam)
     without_discard = replace(with_discard, discard_deadline=None, name="no_discard")
     policies = (with_discard, without_discard)
-    return _arms_from(
+    return simulate_arms(
         [policy.name for policy in policies],
         [
-            _spec(policy, lam, message_length, deadline, horizon, warmup, seed,
-                  backend)
+            _spec(policy, lam, message_length, deadline, horizon, warmup, seed)
             for policy in policies
         ],
         workers,
@@ -157,7 +140,6 @@ def window_length_ablation(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    backend: str = "compiled",
     sequential: Optional[SequentialConfig] = None,
 ) -> List[AblationArm]:
     """Loss versus window occupancy around the heuristic optimum (A-WIN).
@@ -182,12 +164,11 @@ def window_length_ablation(
                     name=f"controlled_mu_{occupancy:g}",
                 ),
                 lam, message_length, deadline, horizon, warmup, seed,
-                backend,
             )
             for occupancy in occupancies
         ]
-        return _arms_from(labels, specs, workers, resilience, metrics,
-                          sequential)
+        return simulate_arms(labels, specs, workers, resilience, metrics,
+                             sequential)
     arms = []
     for label, occupancy in zip(labels, occupancies):
         service = ExactSchedulingModel(message_length, occupancy).service_pmf()
@@ -206,20 +187,18 @@ def split_rule_ablation(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    backend: str = "compiled",
     sequential: Optional[SequentialConfig] = None,
 ) -> List[AblationArm]:
     """Split-order comparison under the controlled protocol (A-SPLIT)."""
     lam = rho_prime / message_length
     base = ControlPolicy.optimal(deadline, lam)
     splits = ("older", "newer", "random")
-    return _arms_from(
+    return simulate_arms(
         list(splits),
         [
             _spec(
                 replace(base, split=split, name=f"split_{split}"),
                 lam, message_length, deadline, horizon, warmup, seed,
-                backend,
             )
             for split in splits
         ],
@@ -241,19 +220,17 @@ def arity_ablation(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    backend: str = "compiled",
     sequential: Optional[SequentialConfig] = None,
 ) -> List[AblationArm]:
     """Binary versus k-ary window splitting (§5 extension, A-ARITY)."""
     lam = rho_prime / message_length
     base = ControlPolicy.optimal(deadline, lam)
-    return _arms_from(
+    return simulate_arms(
         [f"arity {arity}" for arity in arities],
         [
             _spec(
                 replace(base, split_arity=arity, name=f"arity_{arity}"),
                 lam, message_length, deadline, horizon, warmup, seed,
-                backend,
             )
             for arity in arities
         ],

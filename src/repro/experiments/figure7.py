@@ -30,7 +30,7 @@ from ..queueing.lcfs import LCFSQueue
 from ..queueing.mg1 import MG1
 from ..stats.sequential import SequentialConfig
 from .records import PanelResult, Series
-from .sweep import MACRunSpec, SweepExecutor, run_sequential, sequential_note
+from .sweep import MACRunSpec, SweepExecutor, cell_estimates, run_sequential
 
 __all__ = ["PanelConfig", "PAPER_PANELS", "default_deadlines", "generate_panel"]
 
@@ -129,7 +129,6 @@ def generate_panel(
     sim_seed: int = 1,
     sim_deadlines: Optional[Sequence[float]] = None,
     workers: Optional[int] = None,
-    sim_backend: str = "compiled",
     resilience=None,
     metrics=None,
     sequential: Optional[SequentialConfig] = None,
@@ -150,9 +149,6 @@ def generate_panel(
     workers:
         Fan the simulation grid over this many worker processes (None/1
         = sequential).  Results are identical for any worker count.
-    sim_backend:
-        Simulation engine per run: ``"compiled"`` (default) or
-        ``"reference"``; both are bit-identical.
     resilience:
         :class:`~repro.resilience.ResilienceOptions` for the simulation
         grid: checkpoint journal, per-task timeout, retry/quarantine.
@@ -242,6 +238,7 @@ def generate_panel(
             arms.append(("random_sim", lambda K: ControlPolicy.uncontrolled_random(lam)))
         # One flat spec list across arms × deadlines so the executor's
         # parallelism spans the whole grid, not one arm at a time.
+        grid = [(name, deadline) for name, _ in arms for deadline in sim_points]
         specs = [
             MACRunSpec(
                 policy=policy_factory(deadline),
@@ -251,66 +248,42 @@ def generate_panel(
                 warmup=sim_warmup,
                 deadline=deadline,
                 seed=sim_seed,
-                backend=sim_backend,
             )
             for _, policy_factory in arms
             for deadline in sim_points
         ]
         executor = SweepExecutor(workers, resilience, metrics=metrics)
+        span = dict(rho=config.rho_prime, m=config.message_length, cells=len(specs))
         if sequential is not None:
             # Adaptive replication: every (arm, deadline) cell becomes a
             # sequential arm; every arm runs lane i at the same derived
             # seed, so protocol arms are paired at every deadline.
             cells = [
-                (f"{name}.k{deadline:g}", specs[arm_index * len(sim_points) + point_index])
-                for arm_index, (name, _) in enumerate(arms)
-                for point_index, deadline in enumerate(sim_points)
+                (f"{name}.k{deadline:g}", spec)
+                for (name, deadline), spec in zip(grid, specs)
             ]
-            with trace.span(
-                "figure7.sequential",
-                rho=config.rho_prime,
-                m=config.message_length,
-                cells=len(cells),
-            ):
-                estimates = run_sequential(
+            with trace.span("figure7.sequential", **span):
+                outcome = run_sequential(
                     cells, sequential, executor, base_seed=sim_seed
                 )
-            for arm_index, (name, _) in enumerate(arms):
-                series = Series(name)
-                for point_index, deadline in enumerate(sim_points):
-                    est = estimates[arm_index * len(sim_points) + point_index]
-                    if est.units == 0:
-                        result.notes.append(
-                            f"{name} @ K={deadline:g}: every lane quarantined "
-                            "(no estimate)"
-                        )
-                        continue
-                    series.add(deadline, est.mean, stderr=est.stderr())
-                result.add_series(series)
-            result.notes.append(sequential_note(estimates, sequential))
-            return result
-        with trace.span(
-            "figure7.sweep",
-            rho=config.rho_prime,
-            m=config.message_length,
-            cells=len(specs),
-        ):
-            runs = executor.run_specs(specs)
-        for arm_index, (name, _) in enumerate(arms):
+        else:
+            with trace.span("figure7.sweep", **span):
+                outcome = executor.run_specs(specs)
+        estimates, notes = cell_estimates(
+            outcome,
+            [f"{name} @ K={deadline:g}" for name, deadline in grid],
+            executor,
+            sequential,
+            sweep="simulation sweep",
+        )
+        for index, (name, _) in enumerate(arms):
             series = Series(name)
-            for point_index, deadline in enumerate(sim_points):
-                run = runs[arm_index * len(sim_points) + point_index]
-                if run is None:
-                    # Quarantined cell: an explicit hole, never a silent one.
-                    result.notes.append(
-                        f"{name} @ K={deadline:g}: cell quarantined "
-                        "(no result; see sweep outcome)"
-                    )
-                    continue
-                series.add(deadline, run.loss_fraction, stderr=run.loss_stderr())
+            row = estimates[index * len(sim_points) :]
+            for deadline, cell in zip(sim_points, row):
+                # A hole stays out of its series; its note says why.
+                if not cell.hole:
+                    series.add(deadline, cell.mean, stderr=cell.stderr)
             result.add_series(series)
-        outcome = executor.last_outcome
-        if outcome is not None and (outcome.replayed or outcome.quarantined):
-            result.notes.append(f"simulation sweep: {outcome.summary()}")
+        result.notes.extend(notes)
 
     return result

@@ -33,10 +33,11 @@ from ..obs import tracing as trace
 from ..stats.sequential import SequentialConfig
 from .records import ascii_table
 from .sweep import (
+    CellEstimate,
     MACRunSpec,
     SweepExecutor,
+    cell_estimates,
     run_sequential,
-    sequential_note,
 )
 
 __all__ = [
@@ -179,7 +180,6 @@ def point_spec(
     fault_model: Optional[FaultModel],
     seed: int,
     policy: Optional[ControlPolicy] = None,
-    backend: str = "compiled",
     feedback_faults: Optional[FeedbackFaultModel] = None,
 ) -> MACRunSpec:
     """Spec for one replication at one fault setting.
@@ -201,39 +201,29 @@ def point_spec(
         fault_model=fault_model,
         feedback_faults=feedback_faults,
         stream_seed=seed,
-        backend=backend,
     )
 
 
-def _aggregate(
-    error_rate: float, results: Sequence[MACSimResult]
-) -> RobustnessPoint:
-    if not results:
-        # Every replication of this setting was quarantined: an explicit
-        # all-NaN row (flagged saturated=False) — the caller adds a note.
-        nan = float("nan")
-        return RobustnessPoint(
-            error_rate=error_rate, loss_fraction=nan, loss_stderr=nan,
-            lost_to_faults=nan, unresolved=nan, utilization=nan,
-            resyncs=nan, cohort_splits=nan, peak_cohorts=nan,
-            saturated=False,
-        )
-    losses = np.array([r.loss_fraction for r in results], dtype=float)
+def _telemetry(cell: CellEstimate, value) -> float:
+    """``value`` of each surviving run, averaged over the cell; NaN when
+    the cell kept no runs (a hole, or a sequential cell)."""
+    if not cell.runs:
+        return float("nan")
+    return float(np.mean([value(run) for run in cell.runs]))
+
+
+def _aggregate(error_rate: float, cell: CellEstimate) -> RobustnessPoint:
     return RobustnessPoint(
         error_rate=error_rate,
-        loss_fraction=float(np.mean(losses)),
-        loss_stderr=(
-            float(np.std(losses, ddof=1) / np.sqrt(len(losses)))
-            if len(losses) > 1
-            else float(results[0].loss_stderr())
-        ),
-        lost_to_faults=float(np.mean([r.lost_to_faults for r in results])),
-        unresolved=float(np.mean([r.unresolved for r in results])),
-        utilization=float(np.mean([r.channel.utilization() for r in results])),
-        resyncs=float(np.mean([r.faults.resyncs for r in results])),
-        cohort_splits=float(np.mean([r.faults.cohort_splits for r in results])),
-        peak_cohorts=float(np.mean([r.faults.peak_cohorts for r in results])),
-        saturated=any(r.saturated for r in results),
+        loss_fraction=cell.mean,
+        loss_stderr=cell.stderr,
+        lost_to_faults=_telemetry(cell, lambda r: r.lost_to_faults),
+        unresolved=_telemetry(cell, lambda r: r.unresolved),
+        utilization=_telemetry(cell, lambda r: r.channel.utilization()),
+        resyncs=_telemetry(cell, lambda r: r.faults.resyncs),
+        cohort_splits=_telemetry(cell, lambda r: r.faults.cohort_splits),
+        peak_cohorts=_telemetry(cell, lambda r: r.faults.peak_cohorts),
+        saturated=any(run.saturated for run in cell.runs),
     )
 
 
@@ -243,7 +233,6 @@ def feedback_error_sweep(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    backend: str = "compiled",
     sequential: Optional[SequentialConfig] = None,
 ) -> RobustnessReport:
     """Loss versus symmetric feedback-error rate (the degradation curve).
@@ -257,7 +246,11 @@ def feedback_error_sweep(
     for error_rate in error_rates:
         if error_rate < 0:
             raise ValueError(f"error rate must be non-negative, got {error_rate}")
-    report = RobustnessReport(config)
+    models = [
+        FaultModel.feedback_noise(error_rate) if error_rate > 0 else FaultModel.none()
+        for error_rate in error_rates
+    ]
+    executor = SweepExecutor(workers, resilience, metrics=metrics)
     if sequential is not None:
         # Adaptive replication: one sequential arm per error rate; the
         # lane seed derivation roots at base_seed so CRN replays the
@@ -265,83 +258,41 @@ def feedback_error_sweep(
         # estimator does not carry per-run fault telemetry, so those
         # columns render as NaN and the summary note says why.
         cells = [
-            (
-                f"err-{error_rate:g}",
-                point_spec(
-                    config,
-                    (
-                        FaultModel.feedback_noise(error_rate)
-                        if error_rate > 0
-                        else FaultModel.none()
-                    ),
-                    config.base_seed,
-                    backend=backend,
-                ),
-            )
-            for error_rate in error_rates
+            (f"err-{error_rate:g}", point_spec(config, model, config.base_seed))
+            for error_rate, model in zip(error_rates, models)
         ]
-        executor = SweepExecutor(workers, resilience, metrics=metrics)
         with trace.span(
             "robustness.feedback_errors.sequential", cells=len(cells)
         ):
-            estimates = run_sequential(
+            outcome = run_sequential(
                 cells, sequential, executor, base_seed=config.base_seed
             )
-        nan = float("nan")
-        for error_rate, est in zip(error_rates, estimates):
-            if est.units == 0:
-                report.notes.append(
-                    f"error rate {error_rate:g}: every lane quarantined "
-                    "(no estimate)"
-                )
-            report.points.append(
-                RobustnessPoint(
-                    error_rate=error_rate,
-                    loss_fraction=est.mean if est.units else nan,
-                    loss_stderr=est.stderr() if est.units else nan,
-                    lost_to_faults=nan, unresolved=nan, utilization=nan,
-                    resyncs=nan, cohort_splits=nan, peak_cohorts=nan,
-                    saturated=False,
-                )
-            )
-        report.notes.append(
-            sequential_note(estimates, sequential)
-            + "; fault telemetry columns not tracked in this mode"
-        )
-        return report
-    # Flat (error rate × replication) grid: one executor pass covers the
-    # whole sweep, and the seeds stay pinned per replication index.
-    specs = [
-        point_spec(
-            config,
-            (
-                FaultModel.feedback_noise(error_rate)
-                if error_rate > 0
-                else FaultModel.none()
-            ),
-            config.base_seed + i,
-            backend=backend,
-        )
-        for error_rate in error_rates
-        for i in range(config.n_seeds)
-    ]
-    executor = SweepExecutor(workers, resilience, metrics=metrics)
-    with trace.span("robustness.feedback_errors", cells=len(specs)):
-        results = executor.run_specs(specs)
-    for row, error_rate in enumerate(error_rates):
-        chunk = results[row * config.n_seeds : (row + 1) * config.n_seeds]
-        survivors = [r for r in chunk if r is not None]
-        if len(survivors) < len(chunk):
-            report.notes.append(
-                f"error rate {error_rate:g}: "
-                f"{len(chunk) - len(survivors)} of {len(chunk)} "
-                "replication(s) quarantined; row averages the survivors"
-            )
-        report.points.append(_aggregate(error_rate, survivors))
-    outcome = executor.last_outcome
-    if outcome is not None and (outcome.replayed or outcome.quarantined):
-        report.notes.append(f"sweep: {outcome.summary()}")
-    return report
+    else:
+        # Flat (error rate × replication) grid: one executor pass covers
+        # the whole sweep, and the seeds stay pinned per replication index.
+        specs = [
+            point_spec(config, model, config.base_seed + i)
+            for model in models
+            for i in range(config.n_seeds)
+        ]
+        with trace.span("robustness.feedback_errors", cells=len(specs)):
+            outcome = executor.run_specs(specs)
+    estimates, notes = cell_estimates(
+        outcome,
+        [f"error rate {error_rate:g}" for error_rate in error_rates],
+        executor,
+        sequential,
+        noun="row",
+        telemetry=True,
+    )
+    return RobustnessReport(
+        config,
+        points=[
+            _aggregate(error_rate, cell)
+            for error_rate, cell in zip(error_rates, estimates)
+        ],
+        notes=notes,
+    )
 
 
 @dataclass(frozen=True)
@@ -436,32 +387,20 @@ def protocol_arms(
 
 
 def _aggregate_degradation(
-    protocol: str, error_rate: float, results: Sequence[MACSimResult]
+    protocol: str, error_rate: float, cell: CellEstimate
 ) -> DegradationPoint:
-    if not results:
-        nan = float("nan")
-        return DegradationPoint(
-            protocol=protocol, error_rate=error_rate, loss_fraction=nan,
-            loss_stderr=nan, lost_to_faults=nan, resyncs=nan,
-            diverged_slots=nan, saturated=False,
-        )
-    losses = np.array([r.loss_fraction for r in results], dtype=float)
-    # Zero-rate cells run the clean kernels (faults=None).
-    resyncs = [r.faults.resyncs if r.faults else 0 for r in results]
-    diverged = [r.faults.diverged_slots if r.faults else 0.0 for r in results]
     return DegradationPoint(
         protocol=protocol,
         error_rate=error_rate,
-        loss_fraction=float(np.mean(losses)),
-        loss_stderr=(
-            float(np.std(losses, ddof=1) / np.sqrt(len(losses)))
-            if len(losses) > 1
-            else float(results[0].loss_stderr())
+        loss_fraction=cell.mean,
+        loss_stderr=cell.stderr,
+        lost_to_faults=_telemetry(cell, lambda r: r.lost_to_faults),
+        # Zero-rate cells run the clean kernels (faults=None).
+        resyncs=_telemetry(cell, lambda r: r.faults.resyncs if r.faults else 0),
+        diverged_slots=_telemetry(
+            cell, lambda r: r.faults.diverged_slots if r.faults else 0.0
         ),
-        lost_to_faults=float(np.mean([r.lost_to_faults for r in results])),
-        resyncs=float(np.mean(resyncs)),
-        diverged_slots=float(np.mean(diverged)),
-        saturated=any(r.saturated for r in results),
+        saturated=any(run.saturated for run in cell.runs),
     )
 
 
@@ -472,7 +411,6 @@ def protocol_degradation_sweep(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    backend: str = "compiled",
     sequential: Optional[SequentialConfig] = None,
 ) -> DegradationReport:
     """Fraction-late vs feedback error rate, per Figure-7 protocol.
@@ -501,9 +439,13 @@ def protocol_degradation_sweep(
                 f"symmetric error rate must be in [0, 0.5], got {error_rate}"
             )
     arms = protocol_arms(config)
-    report = DegradationReport(
-        config, recovery, error_rates=tuple(error_rates)
-    )
+    models = [
+        FeedbackFaultModel.noise(error_rate, recovery=recovery)
+        if error_rate > 0
+        else None
+        for error_rate in error_rates
+    ]
+    executor = SweepExecutor(workers, resilience, metrics=metrics)
     if sequential is not None:
         # Adaptive replication: one sequential arm per (protocol, error
         # rate) cell.  CRN shares lane seeds across every cell, so the
@@ -513,102 +455,56 @@ def protocol_degradation_sweep(
             (
                 f"{name}.err{error_rate:g}",
                 point_spec(
-                    config,
-                    None,
-                    config.base_seed,
-                    policy=policy,
-                    backend=backend,
-                    feedback_faults=(
-                        FeedbackFaultModel.noise(error_rate, recovery=recovery)
-                        if error_rate > 0
-                        else None
-                    ),
+                    config, None, config.base_seed, policy=policy,
+                    feedback_faults=model,
                 ),
             )
             for name, policy in arms
-            for error_rate in error_rates
+            for error_rate, model in zip(error_rates, models)
         ]
-        executor = SweepExecutor(workers, resilience, metrics=metrics)
         with trace.span(
             "robustness.protocol_degradation.sequential",
             cells=len(cells),
             recovery=recovery,
         ):
-            estimates = run_sequential(
+            outcome = run_sequential(
                 cells, sequential, executor, base_seed=config.base_seed
             )
-        nan = float("nan")
-        cursor = 0
-        for name, _ in arms:
-            for error_rate in error_rates:
-                est = estimates[cursor]
-                cursor += 1
-                if est.units == 0:
-                    report.notes.append(
-                        f"{name} at error rate {error_rate:g}: every lane "
-                        "quarantined (no estimate)"
-                    )
-                report.points.append(
-                    DegradationPoint(
-                        protocol=name,
-                        error_rate=error_rate,
-                        loss_fraction=est.mean if est.units else nan,
-                        loss_stderr=est.stderr() if est.units else nan,
-                        lost_to_faults=nan,
-                        resyncs=nan,
-                        diverged_slots=nan,
-                        saturated=False,
-                    )
-                )
-        report.notes.append(
-            sequential_note(estimates, sequential)
-            + "; fault telemetry columns not tracked in this mode"
-        )
-        return report
-    # Flat (protocol × error rate × replication) grid, one executor pass.
-    specs = [
-        point_spec(
-            config,
-            None,
-            config.base_seed + i,
-            policy=policy,
-            backend=backend,
-            feedback_faults=(
-                FeedbackFaultModel.noise(error_rate, recovery=recovery)
-                if error_rate > 0
-                else None
-            ),
-        )
-        for _, policy in arms
-        for error_rate in error_rates
-        for i in range(config.n_seeds)
-    ]
-    executor = SweepExecutor(workers, resilience, metrics=metrics)
-    with trace.span(
-        "robustness.protocol_degradation",
-        cells=len(specs),
-        recovery=recovery,
-    ):
-        results = executor.run_specs(specs)
-    row = 0
-    for name, _ in arms:
-        for error_rate in error_rates:
-            chunk = results[row : row + config.n_seeds]
-            row += config.n_seeds
-            survivors = [r for r in chunk if r is not None]
-            if len(survivors) < len(chunk):
-                report.notes.append(
-                    f"{name} at error rate {error_rate:g}: "
-                    f"{len(chunk) - len(survivors)} of {len(chunk)} "
-                    "replication(s) quarantined; cell averages the survivors"
-                )
-            report.points.append(
-                _aggregate_degradation(name, error_rate, survivors)
+    else:
+        # Flat (protocol × error rate × replication) grid, one executor pass.
+        specs = [
+            point_spec(
+                config, None, config.base_seed + i, policy=policy,
+                feedback_faults=model,
             )
-    outcome = executor.last_outcome
-    if outcome is not None and (outcome.replayed or outcome.quarantined):
-        report.notes.append(f"sweep: {outcome.summary()}")
-    return report
+            for _, policy in arms
+            for model in models
+            for i in range(config.n_seeds)
+        ]
+        with trace.span(
+            "robustness.protocol_degradation",
+            cells=len(specs),
+            recovery=recovery,
+        ):
+            outcome = executor.run_specs(specs)
+    grid = [(name, error_rate) for name, _ in arms for error_rate in error_rates]
+    estimates, notes = cell_estimates(
+        outcome,
+        [f"{name} at error rate {error_rate:g}" for name, error_rate in grid],
+        executor,
+        sequential,
+        telemetry=True,
+    )
+    return DegradationReport(
+        config,
+        recovery,
+        error_rates=tuple(error_rates),
+        points=[
+            _aggregate_degradation(name, error_rate, cell)
+            for (name, error_rate), cell in zip(grid, estimates)
+        ],
+        notes=notes,
+    )
 
 
 def station_failure_scenario(
@@ -620,7 +516,6 @@ def station_failure_scenario(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    backend: str = "compiled",
 ) -> List[MACSimResult]:
     """Crash/restart + deafness soak at the standard operating point.
 
@@ -639,7 +534,7 @@ def station_failure_scenario(
         mean_deaf_slots=mean_deaf_slots,
     )
     specs = [
-        point_spec(config, model, config.base_seed + i, backend=backend)
+        point_spec(config, model, config.base_seed + i)
         for i in range(config.n_seeds)
     ]
     with trace.span("robustness.station_failures", cells=len(specs)):

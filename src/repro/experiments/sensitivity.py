@@ -18,7 +18,6 @@ departs from the analysis when those assumptions bend:
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
 from ..core.policy import ControlPolicy
@@ -26,60 +25,15 @@ from ..crp.scheduling_time import ExactSchedulingModel, GeometricSchedulingModel
 from ..crp.window_opt import optimal_window_occupancy
 from ..queueing.impatient import ImpatientMG1
 from ..workloads.arrivals import MMPPWorkload
-from ..obs import tracing as trace
 from ..stats.sequential import SequentialConfig
-from .ablations import AblationArm
-from .sweep import (
-    MACRunSpec,
-    SweepExecutor,
-    run_sequential,
-)
+from .ablations import AblationArm, simulate_arms
+from .sweep import MACRunSpec
 
 __all__ = [
     "station_count_sensitivity",
     "burstiness_sensitivity",
     "scheduling_model_sensitivity",
 ]
-
-
-def _arms(label_format, parameters, results) -> List[AblationArm]:
-    """Wrap sweep results as arms; quarantined cells become explicit
-    ``NaN`` arms labelled ``[quarantined]`` rather than vanishing."""
-    arms = []
-    for parameter, result in zip(parameters, results):
-        label = label_format.format(parameter)
-        if result is None:
-            arms.append(AblationArm(label=f"{label} [quarantined]", loss=math.nan))
-        else:
-            arms.append(
-                AblationArm(
-                    label=label,
-                    loss=result.loss_fraction,
-                    stderr=result.loss_stderr(),
-                )
-            )
-    return arms
-
-
-def _sequential_arms(
-    label_format, parameters, specs, workers, resilience, metrics,
-    sequential,
-) -> List[AblationArm]:
-    """Adaptive-replication variant of the sweep-then-wrap pattern."""
-    labels = [label_format.format(parameter) for parameter in parameters]
-    executor = SweepExecutor(workers, resilience, metrics=metrics)
-    base_seed = specs[0].seed if specs else 1
-    estimates = run_sequential(
-        list(zip(labels, specs)), sequential, executor, base_seed=base_seed
-    )
-    return [
-        AblationArm(
-            label=f"{est.label} [quarantined]" if est.units == 0 else est.label,
-            loss=est.mean if est.units else math.nan,
-            stderr=est.stderr() if est.units else None,
-        )
-        for est in estimates
-    ]
 
 
 def station_count_sensitivity(
@@ -93,7 +47,6 @@ def station_count_sensitivity(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    backend: str = "compiled",
     sequential: Optional[SequentialConfig] = None,
 ) -> List[AblationArm]:
     """Loss of the controlled protocol across population sizes."""
@@ -108,19 +61,14 @@ def station_count_sensitivity(
             n_stations=n_stations,
             deadline=deadline,
             seed=seed,
-            backend=backend,
         )
         for n_stations in station_counts
     ]
-    if sequential is not None:
-        with trace.span("sensitivity.stations", cells=len(specs)):
-            return _sequential_arms(
-                "{0} stations", station_counts, specs, workers, resilience,
-                metrics, sequential,
-            )
-    with trace.span("sensitivity.stations", cells=len(specs)):
-        results = SweepExecutor(workers, resilience, metrics=metrics).run_specs(specs)
-    return _arms("{0} stations", station_counts, results)
+    return simulate_arms(
+        [f"{n_stations} stations" for n_stations in station_counts],
+        specs, workers, resilience, metrics, sequential,
+        span="sensitivity.stations",
+    )
 
 
 def burstiness_sensitivity(
@@ -135,7 +83,6 @@ def burstiness_sensitivity(
     workers: Optional[int] = None,
     resilience=None,
     metrics=None,
-    backend: str = "compiled",
     sequential: Optional[SequentialConfig] = None,
 ) -> List[AblationArm]:
     """Loss under MMPP traffic of fixed mean rate, varying peak/mean.
@@ -171,18 +118,13 @@ def burstiness_sensitivity(
                 deadline=deadline,
                 seed=seed,
                 workload=workload,
-                backend=backend,
             )
         )
-    if sequential is not None:
-        with trace.span("sensitivity.burstiness", cells=len(specs)):
-            return _sequential_arms(
-                "peak/mean {0:g}", burst_ratios, specs, workers, resilience,
-                metrics, sequential,
-            )
-    with trace.span("sensitivity.burstiness", cells=len(specs)):
-        results = SweepExecutor(workers, resilience, metrics=metrics).run_specs(specs)
-    return _arms("peak/mean {0:g}", burst_ratios, results)
+    return simulate_arms(
+        [f"peak/mean {ratio:g}" for ratio in burst_ratios],
+        specs, workers, resilience, metrics, sequential,
+        span="sensitivity.burstiness",
+    )
 
 
 def scheduling_model_sensitivity(

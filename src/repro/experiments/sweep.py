@@ -91,6 +91,8 @@ __all__ = [
     "run_sequential",
     "sequential_decision_fingerprint",
     "sequential_note",
+    "CellEstimate",
+    "cell_estimates",
 ]
 
 
@@ -459,7 +461,8 @@ class SequentialEstimate:
     corrected level; drivers that historically rendered ``loss ±
     2·stderr`` should pass ``stderr()`` so the rendered band *is* the
     realized interval.  ``units`` counts the lanes that contributed an
-    observation: ``lanes`` minus the ``quarantined`` ones.
+    observation: ``lanes`` minus the ``quarantined`` ones and the
+    ``empty`` ones, which ran but resolved no message.
     """
 
     label: str
@@ -472,6 +475,7 @@ class SequentialEstimate:
     reason: str
     quarantined: int = 0
     decisions: Tuple[WaveDecision, ...] = ()
+    empty: int = 0
 
     def stderr(self) -> float:
         """Half-width rescaled to the ±2σ convention of the tables."""
@@ -518,8 +522,9 @@ class _SequentialArm:
         self.fractions: List[float] = []
         self.lost = 0
         self.resolved = 0
-        self.lanes = 0          # lanes spent (incl. quarantined)
+        self.lanes = 0          # lanes spent (incl. quarantined and empty)
         self.quarantined = 0
+        self.empty = 0          # lanes that resolved no message
         self.previous_n = 0     # usable lanes at the previous look
         self.decisions: List[WaveDecision] = []
         self.stopped = False
@@ -527,10 +532,13 @@ class _SequentialArm:
     def absorb(self, result: Optional[MACSimResult]) -> None:
         """Fold one lane's result into the accumulated observations."""
         self.lanes += 1
-        if result is None or result.resolved <= 0:
-            # A quarantined (or fully unresolved) lane still counts as
-            # spent, but adds no observation.
+        # A quarantined or empty lane still counts as spent, but adds
+        # no observation.
+        if result is None:
             self.quarantined += 1
+            return
+        if result.resolved <= 0:
+            self.empty += 1
             return
         self.fractions.append(result.loss_fraction)
         self.lost += result.delivered_late + result.discarded + result.lost_to_faults
@@ -670,12 +678,13 @@ def run_sequential(
             mean=last.mean if last else float("nan"),
             half_width=last.half_width if last else float("inf"),
             level=config.level,
-            units=state.lanes - state.quarantined,
+            units=state.lanes - state.quarantined - state.empty,
             lanes=state.lanes,
             waves=len(state.decisions),
             reason=last.reason if last else "no-data",
             quarantined=state.quarantined,
             decisions=tuple(state.decisions),
+            empty=state.empty,
         )
         estimates.append(estimate)
         total_lanes += state.lanes
@@ -699,9 +708,133 @@ def run_sequential(
 def sequential_note(
     estimates: Sequence[SequentialEstimate], config: SequentialConfig
 ) -> str:
-    """The sweep-wide lane-spend note every sequential driver appends."""
+    """The sweep-wide lane-spend note of a sequential sweep.
+
+    :func:`cell_estimates` appends it; the ``figure7``, ``validity`` and
+    ``robustness`` reports print it, the ablation and sensitivity tables
+    do not.
+    """
     lanes = sum(est.lanes for est in estimates)
     return (
         f"sequential replication: {lanes} lanes across {len(estimates)} "
         f"cells (ci_target={config.ci_target:g}, wilson/obf, crn)"
     )
+
+
+# -- one estimate per grid cell -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CellEstimate:
+    """One grid cell's loss estimate, or a hole.
+
+    ``runs`` holds the cell's surviving fixed-replication results (empty
+    in sequential mode, which pools its lanes instead) and
+    ``quarantined`` counts the runs or lanes lost.  A ``hole`` is a cell
+    with nothing to estimate from; its ``mean`` and ``stderr`` are NaN.
+    """
+
+    mean: float
+    stderr: float
+    runs: Tuple[MACSimResult, ...] = ()
+    quarantined: int = 0
+    hole: bool = False
+
+
+def _no_estimate(estimate: SequentialEstimate) -> str:
+    """Why a sequential cell has no estimate: its lanes were quarantined,
+    resolved no message, or both."""
+    if estimate.quarantined == estimate.lanes:
+        cause = "every lane quarantined"
+    elif estimate.quarantined == 0:
+        cause = "no lane resolved a message"
+    else:
+        cause = (
+            f"{estimate.quarantined} of {estimate.lanes} lanes quarantined, "
+            "the rest resolved no message"
+        )
+    return f"{cause} (no estimate)"
+
+
+def cell_estimates(
+    outcome: Sequence,
+    labels: Sequence[str],
+    executor: SweepExecutor,
+    sequential: Optional[SequentialConfig] = None,
+    *,
+    sweep: str = "sweep",
+    noun: str = "cell",
+    telemetry: bool = False,
+) -> Tuple[List[CellEstimate], List[str]]:
+    """One :class:`CellEstimate` per cell, plus the notes to print under
+    the report.
+
+    ``outcome`` is what the driver's runner returned: the
+    :meth:`SweepExecutor.run_specs` results, the same number of fixed
+    seeds per cell in cell order, or one :class:`SequentialEstimate` per
+    cell from :func:`run_sequential` (``sequential`` given).  ``labels``
+    name the cells in their notes.
+
+    A cell of one run reports that run's loss and binomial stderr; a
+    cell of several reports their mean and the standard error of that
+    mean; a sequential cell reports its estimate with ``stderr()``.  The
+    notes are one line per degraded cell, in cell order, then the
+    footer: ``"{sweep}: {outcome summary}"`` when the fixed sweep
+    replayed or quarantined anything, or the sequential lane-spend note
+    (:func:`sequential_note`).  ``noun`` names a several-run cell in its
+    partial-quarantine note; ``telemetry`` marks a report with per-run
+    telemetry columns, which sequential mode leaves unfilled.
+    """
+    cells: List[CellEstimate] = []
+    notes: List[str] = []
+    nan = float("nan")
+    if sequential is not None:
+        for label, estimate in zip(labels, outcome):
+            lost = estimate.quarantined
+            if estimate.units:
+                cells.append(
+                    CellEstimate(estimate.mean, estimate.stderr(), quarantined=lost)
+                )
+            else:
+                notes.append(f"{label}: {_no_estimate(estimate)}")
+                cells.append(CellEstimate(nan, nan, quarantined=lost, hole=True))
+        footer = sequential_note(outcome, sequential)
+        if telemetry:
+            footer += "; fault telemetry columns not tracked in this mode"
+        notes.append(footer)
+        return cells, notes
+
+    n = len(outcome) // len(labels) if labels else 0
+    for index, label in enumerate(labels):
+        runs = tuple(
+            run for run in outcome[index * n : (index + 1) * n] if run is not None
+        )
+        lost = n - len(runs)
+        if lost and n == 1:
+            notes.append(f"{label}: cell quarantined (no result; see sweep outcome)")
+        elif lost:
+            notes.append(
+                f"{label}: {lost} of {n} replication(s) quarantined; "
+                f"{noun} averages the survivors"
+            )
+        if not runs:
+            cells.append(CellEstimate(nan, nan, quarantined=lost, hole=True))
+        elif len(runs) == 1:
+            run = runs[0]
+            cells.append(
+                CellEstimate(run.loss_fraction, run.loss_stderr(), runs, lost)
+            )
+        else:
+            losses = np.array([run.loss_fraction for run in runs], dtype=float)
+            cells.append(
+                CellEstimate(
+                    float(np.mean(losses)),
+                    float(np.std(losses, ddof=1) / np.sqrt(len(losses))),
+                    runs,
+                    lost,
+                )
+            )
+    summary = executor.last_outcome
+    if summary is not None and (summary.replayed or summary.quarantined):
+        notes.append(f"{sweep}: {summary.summary()}")
+    return cells, notes

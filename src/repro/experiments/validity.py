@@ -32,12 +32,7 @@ from ..queueing.impatient import loss_curve
 from ..stats.sequential import SequentialConfig
 from .figure7 import PanelConfig
 from .records import ascii_table
-from .sweep import (
-    MACRunSpec,
-    SweepExecutor,
-    run_sequential,
-    sequential_note,
-)
+from .sweep import MACRunSpec, SweepExecutor, cell_estimates, run_sequential
 
 if TYPE_CHECKING:
     from ..workloads.arrivals import Workload
@@ -361,7 +356,6 @@ def run_validity(
     workers: Optional[int] = None,
     resilience=None,
     metrics: Optional[MetricsRegistry] = None,
-    backend: str = "compiled",
     sequential: Optional[SequentialConfig] = None,
 ) -> ValidityReport:
     """Sweep every (family, ρ′, M, K) cell and build the divergence map.
@@ -409,7 +403,6 @@ def run_validity(
                 deadline=deadline,
                 seed=config.seed,
                 workload=scenario_workload(family, lam),
-                backend=backend,
             )
         )
     executor = SweepExecutor(workers, resilience, metrics=metrics)
@@ -419,44 +412,25 @@ def run_validity(
             for (family, rho, m, deadline), spec in zip(grid, specs)
         ]
         with trace.span("validity.sequential", cells=len(cells)):
-            estimates = run_sequential(
+            outcome = run_sequential(
                 cells, sequential, executor, base_seed=config.seed
             )
-        report = ValidityReport(config=config)
-        for (family, rho, m, deadline), est in zip(grid, estimates):
-            if est.units == 0:
-                report.notes.append(
-                    f"{family} @ rho'={rho:g}, M={m}, K={deadline:g}: every "
-                    "lane quarantined (no estimate)"
-                )
-                continue
-            report.cells.append(
-                ValidityCell(
-                    family=family,
-                    rho_prime=rho,
-                    message_length=m,
-                    deadline=deadline,
-                    analytic=analytic[(rho, m)][deadline],
-                    simulated=est.mean,
-                    stderr=est.stderr(),
-                    # The pooled estimator does not track saturation; the
-                    # verdict column simply omits the [saturated] marker.
-                    saturated=False,
-                )
-            )
-        report.notes.append(sequential_note(estimates, sequential))
-        report.flush_metrics(metrics)
-        return report
-    with trace.span("validity.sweep", cells=len(specs)):
-        results = executor.run_specs(specs)
-
-    report = ValidityReport(config=config)
-    for (family, rho, m, deadline), result in zip(grid, results):
-        if result is None:
-            report.notes.append(
-                f"{family} @ rho'={rho:g}, M={m}, K={deadline:g}: cell "
-                "quarantined (no result; see sweep outcome)"
-            )
+    else:
+        with trace.span("validity.sweep", cells=len(specs)):
+            outcome = executor.run_specs(specs)
+    estimates, notes = cell_estimates(
+        outcome,
+        [
+            f"{family} @ rho'={rho:g}, M={m}, K={deadline:g}"
+            for family, rho, m, deadline in grid
+        ],
+        executor,
+        sequential,
+        sweep="validity sweep",
+    )
+    report = ValidityReport(config=config, notes=notes)
+    for (family, rho, m, deadline), cell in zip(grid, estimates):
+        if cell.hole:
             continue
         report.cells.append(
             ValidityCell(
@@ -465,13 +439,12 @@ def run_validity(
                 message_length=m,
                 deadline=deadline,
                 analytic=analytic[(rho, m)][deadline],
-                simulated=result.loss_fraction,
-                stderr=result.loss_stderr(),
-                saturated=result.saturated,
+                simulated=cell.mean,
+                stderr=cell.stderr,
+                # A sequential cell pools its lanes and keeps no runs, so
+                # it never carries the [saturated] marker.
+                saturated=any(run.saturated for run in cell.runs),
             )
         )
-    outcome = executor.last_outcome
-    if outcome is not None and (outcome.replayed or outcome.quarantined):
-        report.notes.append(f"validity sweep: {outcome.summary()}")
     report.flush_metrics(metrics)
     return report

@@ -1,8 +1,9 @@
 """The compiled backend: the default fast engine.
 
 ``backend="compiled"`` (the default on
-:class:`~repro.mac.simulator.WindowMACSimulator`, ``MACRunSpec`` and
-``--backend``) drives a single :class:`~repro.mac.kernels.engine.FlatLane`
+:class:`~repro.mac.simulator.WindowMACSimulator` and ``MACRunSpec``, and
+what every CLI command runs) drives a single
+:class:`~repro.mac.kernels.engine.FlatLane`
 — the struct-of-arrays engine whose GEN epochs run on flat float columns
 and whose steady-state sprint walks tables precomputed with NumPy on the
 arrival axis.  ``backend="compiled"`` needs no optional dependency; it

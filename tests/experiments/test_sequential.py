@@ -22,6 +22,7 @@ from repro.experiments import (
     run_sequential,
     sequential_decision_fingerprint,
 )
+from repro.experiments.sweep import cell_estimates
 from repro.obs import MetricsRegistry
 from repro.resilience import RunJournal
 from repro.stats import SequentialConfig
@@ -219,8 +220,9 @@ class TestJournalReplay:
 class TestQuarantineAndEdges:
     def test_unresolved_lanes_poison_their_units(self):
         # A horizon short enough that nothing resolves: every lane is
-        # quarantined, no observation lands, and the arm stops at the
-        # seed budget instead of looping forever.
+        # empty, no observation lands, and the arm stops at the seed
+        # budget instead of looping forever.  A strict sweep cannot
+        # quarantine, so none of the empty lanes counts as quarantined.
         dead = _template(
             arrival_rate=1e-9, horizon=50.0, warmup=0.0
         )
@@ -228,13 +230,35 @@ class TestQuarantineAndEdges:
             [("dead", dead)], _config(), SweepExecutor(None)
         )
         assert estimate.units == 0
-        assert estimate.quarantined == 12
+        assert estimate.empty == 12
+        assert estimate.quarantined == 0
         assert estimate.lanes == 12
         assert math.isnan(estimate.mean)
         # The journaled cause must be the real one — the arm *stopped*,
         # it did not decide to continue.
         assert estimate.reason == "seed-budget-exhausted"
         assert estimate.decisions[-1].stop
+
+    @pytest.mark.parametrize(
+        "quarantined, empty, cause",
+        [
+            (12, 0, "every lane quarantined"),
+            (0, 12, "no lane resolved a message"),
+            (3, 9, "3 of 12 lanes quarantined, the rest resolved no message"),
+        ],
+    )
+    def test_hole_note_names_the_cause(self, quarantined, empty, cause):
+        estimate = SequentialEstimate(
+            label="dead", mean=math.nan, half_width=math.inf, level=0.95,
+            units=0, lanes=12, waves=5, reason="seed-budget-exhausted",
+            quarantined=quarantined, empty=empty,
+        )
+        (cell,), notes = cell_estimates(
+            [estimate], ["dead @ K=75"], SweepExecutor(None), _config()
+        )
+        assert cell.hole and math.isnan(cell.mean)
+        assert cell.quarantined == quarantined
+        assert notes[0] == f"dead @ K=75: {cause} (no estimate)"
 
     def test_empty_arm_list(self):
         assert run_sequential([], _config(), SweepExecutor(None)) == []

@@ -1,15 +1,18 @@
 """Unit tests for the model-validity sweep driver."""
 
 import math
+from functools import partial
 
 import pytest
 
 from repro.experiments import (
     DEFAULT_AGREEMENT_TOL,
     SCENARIO_FAMILIES,
+    MACRunSpec,
     ValidityConfig,
     run_validity,
     scenario_workload,
+    validity,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -76,9 +79,14 @@ class TestRunValidity:
         # on this short horizon.
         assert abs(report.cells[1].delta) > abs(report.cells[0].delta)
 
-    def test_compiled_and_reference_sweeps_agree(self):
+    def test_compiled_and_reference_sweeps_agree(self, monkeypatch):
+        # The same grid with every spec on the reference loop, through
+        # the spec-level engine handle.
         compiled = run_validity(SMALL)
-        reference = run_validity(SMALL, backend="reference")
+        monkeypatch.setattr(
+            validity, "MACRunSpec", partial(MACRunSpec, backend="reference")
+        )
+        reference = run_validity(SMALL)
         assert compiled.cells == reference.cells
 
     def test_family_summaries_and_tables(self):
