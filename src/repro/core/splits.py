@@ -12,19 +12,24 @@ endpoints bit for bit) and :func:`examination_order` realises element 3
 (``"older"`` / ``"newer"`` deterministic orders, ``"random"`` via the
 caller's generator with the same draw pattern everywhere).
 
+:func:`split_interval` is the same cut on one interval, for the compiled
+engine's one-interval lanes (see :mod:`repro.mac.kernels.engine`); it is
+a second coding of the walk, not a call into it, so the parity suites
+still compare two independent implementations of the cut.
+
 This module sits in :mod:`repro.core` so the windowing state machine can
 import it without touching :mod:`repro.mac`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .timeline import Pieces, Span, split_pieces
+from .timeline import _EPS, Pieces, Span, split_pieces
 
-__all__ = ["split_parts", "examination_order"]
+__all__ = ["split_parts", "split_interval", "examination_order"]
 
 
 def split_parts(span: Union[Span, Pieces], arity: int) -> list:
@@ -50,6 +55,39 @@ def split_parts(span: Union[Span, Pieces], arity: int) -> list:
         parts.append(part)
     parts.append(rest)
     return parts if flat else [Span(tuple(part)) for part in parts]
+
+
+def split_interval(
+    lo: float, hi: float, arity: int
+) -> List[Optional[Tuple[float, float]]]:
+    """:func:`split_parts` of the one interval ``[lo, hi)``, oldest first.
+
+    Each part comes back as a ``(lo, hi)`` pair, or ``None`` where
+    ``split_parts([(lo, hi)], arity)`` returns an empty part.  The
+    branches are :func:`~repro.core.timeline.split_pieces`' on a single
+    piece: a remainder within ``1e-12`` of the offset goes whole to the
+    older part (the parts after it are empty), an offset of at most
+    ``1e-12`` leaves the older part empty, anything else cuts at
+    ``lo + offset``.  The offset is ``(hi - lo) / arity`` throughout,
+    the measure :func:`split_parts` sums over one piece.
+    """
+    offset = (hi - lo) / arity
+    parts: List[Optional[Tuple[float, float]]] = []
+    rest: Optional[float] = lo  # the remainder is [rest, hi), None if empty
+    for _ in range(arity - 1):
+        if rest is None:
+            parts.append(None)
+        elif offset >= hi - rest - _EPS:
+            parts.append((rest, hi))
+            rest = None
+        elif offset <= _EPS:
+            parts.append(None)
+        else:
+            cut = rest + offset
+            parts.append((rest, cut))
+            rest = cut
+    parts.append(None if rest is None else (rest, hi))
+    return parts
 
 
 def examination_order(

@@ -31,6 +31,7 @@ from .sweep import MACRunSpec, SweepExecutor, cell_estimates, run_sequential
 
 __all__ = [
     "AblationArm",
+    "AblationArms",
     "element4_ablation",
     "window_length_ablation",
     "split_rule_ablation",
@@ -55,6 +56,16 @@ class AblationArm:
         return [self.label, cell]
 
 
+class AblationArms(list):
+    """The arms of one ablation, in order, with the notes to print under
+    its table: the hole notes and the sweep footer of a simulated
+    ablation (:func:`~repro.experiments.sweep.cell_estimates`)."""
+
+    def __init__(self, arms, notes):
+        super().__init__(arms)
+        self.notes = list(notes)
+
+
 def _spec(policy: ControlPolicy, lam, m, deadline, horizon, warmup, seed) -> MACRunSpec:
     return MACRunSpec(
         policy=policy, arrival_rate=lam, transmission_slots=m, horizon=horizon,
@@ -65,12 +76,14 @@ def _spec(policy: ControlPolicy, lam, m, deadline, horizon, warmup, seed) -> MAC
 def simulate_arms(
     labels, specs, workers, resilience=None, metrics=None,
     sequential: Optional[SequentialConfig] = None, span: str = "ablation",
-) -> "List[AblationArm]":
+) -> AblationArms:
     """Run the arm specs through the sweep executor and wrap the losses.
 
     A quarantined arm (resilience options with a poison spec) comes back
     as an explicit ``NaN`` arm labelled ``[quarantined]`` — the table
     keeps its shape and the hole is visible, never silently dropped.
+    The arms carry the sweep's notes: one per hole, then the footer of a
+    resumed or quarantined fixed sweep, or the sequential lane spend.
 
     With a ``sequential`` config, each spec becomes an adaptive-
     replication arm (the spec's own seed roots the lane seed
@@ -89,13 +102,16 @@ def simulate_arms(
     else:
         with trace.span(f"{span}.sweep", cells=len(specs)):
             outcome = executor.run_specs(specs)
-    cells, _ = cell_estimates(outcome, labels, executor, sequential)
-    return [
-        AblationArm(label=f"{label} [quarantined]", loss=cell.mean)
-        if cell.hole
-        else AblationArm(label=label, loss=cell.mean, stderr=cell.stderr)
-        for label, cell in zip(labels, cells)
-    ]
+    cells, notes = cell_estimates(outcome, labels, executor, sequential)
+    return AblationArms(
+        (
+            AblationArm(label=f"{label} [quarantined]", loss=cell.mean)
+            if cell.hole
+            else AblationArm(label=label, loss=cell.mean, stderr=cell.stderr)
+            for label, cell in zip(labels, cells)
+        ),
+        notes,
+    )
 
 
 def element4_ablation(
@@ -267,5 +283,10 @@ def twopoint_fit_errors(
 
 
 def ablation_table(arms: List[AblationArm], title: str) -> str:
-    """Render a list of arms as a table."""
-    return ascii_table(["arm", "loss"], [arm.row() for arm in arms], title=title)
+    """Render a list of arms as a table, with the arms' notes (if they
+    are :class:`AblationArms`) under it."""
+    table = ascii_table(["arm", "loss"], [arm.row() for arm in arms], title=title)
+    notes = getattr(arms, "notes", ())
+    if notes:
+        table += "\n" + "\n".join(f"note: {note}" for note in notes)
+    return table

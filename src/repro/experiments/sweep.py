@@ -710,9 +710,8 @@ def sequential_note(
 ) -> str:
     """The sweep-wide lane-spend note of a sequential sweep.
 
-    :func:`cell_estimates` appends it; the ``figure7``, ``validity`` and
-    ``robustness`` reports print it, the ablation and sensitivity tables
-    do not.
+    :func:`cell_estimates` appends it, and every report prints it under
+    its table.
     """
     lanes = sum(est.lanes for est in estimates)
     return (
@@ -777,13 +776,15 @@ def cell_estimates(
 
     A cell of one run reports that run's loss and binomial stderr; a
     cell of several reports their mean and the standard error of that
-    mean; a sequential cell reports its estimate with ``stderr()``.  The
-    notes are one line per degraded cell, in cell order, then the
-    footer: ``"{sweep}: {outcome summary}"`` when the fixed sweep
-    replayed or quarantined anything, or the sequential lane-spend note
-    (:func:`sequential_note`).  ``noun`` names a several-run cell in its
-    partial-quarantine note; ``telemetry`` marks a report with per-run
-    telemetry columns, which sequential mode leaves unfilled.
+    mean; a sequential cell reports its estimate with ``stderr()``.  A
+    fixed cell holding a run that resolved no message has a NaN estimate
+    and a note saying so.  The notes are one line per degraded cell, in
+    cell order, then the footer: ``"{sweep}: {outcome summary}"`` when
+    the fixed sweep replayed or quarantined anything, or the sequential
+    lane-spend note (:func:`sequential_note`).  ``noun`` names a
+    several-run cell in its partial-quarantine note; ``telemetry`` marks
+    a report with per-run telemetry columns, which sequential mode
+    leaves unfilled.
     """
     cells: List[CellEstimate] = []
     notes: List[str] = []
@@ -817,6 +818,16 @@ def cell_estimates(
                 f"{label}: {lost} of {n} replication(s) quarantined; "
                 f"{noun} averages the survivors"
             )
+        # A run that resolved no message has a NaN loss, and so has the
+        # mean of any cell holding one.
+        empty = sum(1 for run in runs if run.resolved <= 0)
+        if empty:
+            cause = (
+                "no run resolved a message"
+                if empty == len(runs)
+                else f"{empty} of {len(runs)} runs resolved no message"
+            )
+            notes.append(f"{label}: {cause} (no estimate)")
         if not runs:
             cells.append(CellEstimate(nan, nan, quarantined=lost, hole=True))
         elif len(runs) == 1:

@@ -17,8 +17,10 @@ Two engines execute the window protocol:
     :class:`~repro.mac.kernels.engine.FlatLane`: one run as a VEC/GEN
     state machine — closed-form epochs and the steady-state sprint from
     an empty unresolved set, flat struct-of-arrays epochs (bit-identical
-    to :mod:`repro.core.timeline`) otherwise, feedback faults as
-    branches of the GEN epoch.
+    to :mod:`repro.core.timeline`) otherwise: on one interval under
+    Theorem 1's oldest-first, older-part-first policy elements, on
+    interval lists for every other policy, feedback faults as branches
+    of the list epoch.
 ``compiled``
     The backend entry point: the eligibility gate and
     :func:`~repro.mac.kernels.compiled.run_compiled`, which builds one

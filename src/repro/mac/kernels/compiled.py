@@ -4,10 +4,10 @@
 :class:`~repro.mac.simulator.WindowMACSimulator` and ``MACRunSpec``, and
 what every CLI command runs) drives a single
 :class:`~repro.mac.kernels.engine.FlatLane`
-— the struct-of-arrays engine whose GEN epochs run on flat float columns
-and whose steady-state sprint walks tables precomputed with NumPy on the
-arrival axis.  ``backend="compiled"`` needs no optional dependency; it
-requires only eligibility.
+— the struct-of-arrays engine whose GEN epochs run on one float interval
+or on flat float columns, and whose steady-state sprint walks tables
+precomputed with NumPy on the arrival axis.  ``backend="compiled"``
+needs no optional dependency; it requires only eligibility.
 
 **Bit parity.**  The lane is bound by the kernel contract:
 field-for-field equality with the reference loop (seeded RANDOM
@@ -112,8 +112,8 @@ def run_compiled(
         n = arrival_rng.poisson(sim.arrival_rate * total_time)
         gen_times = np.sort(arrival_rng.uniform(0.0, total_time, size=n))
         gen_stations = arrival_rng.integers(0, sim.registry.n_stations, size=n)
-    arr_t: List[float] = [float(t) for t in gen_times]
-    arr_s: List[int] = [int(s) for s in gen_stations]
+    arr_t: List[float] = np.asarray(gen_times, dtype=np.float64).tolist()
+    arr_s: List[int] = np.asarray(gen_stations, dtype=np.int64).tolist()
 
     lane = FlatLane(
         policy,

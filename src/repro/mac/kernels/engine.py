@@ -15,12 +15,36 @@ runs of isolated arrivals are drained by the steady-state *sprint* over
 tables precomputed on the arrival axis (:meth:`FlatLane._prepare_sprint`).
 
 **GEN** — any other situation (≥2 in-window messages, a window shorter
-than the span, an exotic length rule).  The unresolved set lives in two
-parallel ``list[float]`` columns (``u_lo``/``u_hi``) plus a frontier
-scalar, and one decision epoch — controller bookkeeping, window
-selection, the splitting state machine, scoring — runs as straight-line
-Python over those columns.  When the set empties again the lane snaps
-back to VEC.
+than the span, an exotic length rule).  One decision epoch — controller
+bookkeeping, window selection, the splitting state machine, scoring —
+runs as straight-line Python, in one of two forms chosen once per lane:
+
+* **One interval** (:meth:`FlatLane._one_epoch`), on a clean lane whose
+  policy has Theorem 1's elements 1 and 3: the oldest-first position and
+  the ``"older"`` split order.  The initial window then starts at the
+  oldest unresolved instant, and a collision examines its oldest part
+  first; an idle part is resolved and the next part starts where it
+  ended, so every examined span starts at the oldest unresolved instant
+  and resolving it leaves one interval.  The unresolved set is therefore
+  always one interval ``[oldest, fr)`` up to the frontier, or empty: the
+  scalar pseudo-time backlog of §3 and Appendix A.  The lane holds it as
+  one float (``oldest``, ``None`` when empty), every set operation is a
+  scalar branch, each collision is cut by
+  :func:`repro.core.splits.split_interval`, and each examination bisects
+  the backlog directly (a clean lane's backlog does not change during a
+  process).  The argument holds for the float arithmetic too, up to
+  rounding at the ``1e-12`` edges; where the list helpers would leave a
+  set other than ``[oldest, fr)``, the epoch raises
+  :class:`~repro.resilience.invariants.InvariantViolation`, armed or not,
+  rather than diverge from the reference loop.
+* **Interval lists** (:meth:`FlatLane._gen_epoch`), on every other lane
+  (newest-first and random placement, the newer and random split orders,
+  feedback faults): the unresolved set lives in two parallel
+  ``list[float]`` columns (``u_lo``/``u_hi``) plus the frontier scalar,
+  and each examination reads a per-process snapshot of the window's
+  messages.
+
+When the set empties again the lane snaps back to VEC.
 
 **Feedback faults** (a :class:`~repro.faults.feedback.FeedbackFaultModel`
 keeps one shared protocol state, so they are branches of the same
@@ -35,10 +59,13 @@ subtraction, the same Welford mean update per event), and every column
 helper here is a literal transcription of the corresponding
 :mod:`repro.core.timeline` method — same epsilon (``1e-12``), same
 bisect bounds, same branch structure, same sequential measure folds.
-The split rules are not transcribed at all: a collision calls the
-canonical :func:`repro.core.splits.split_parts` (in its flat form, on
-the raw pieces) and ``examination_order``.  Two deliberate deviations
-that provably cannot change results:
+The one-interval operations are those helpers' branches on a
+one-interval set.  The split rules are not transcribed here: a
+collision calls the canonical :func:`repro.core.splits.split_parts` (in
+its flat form, on the raw pieces) or, on a one-interval lane, its
+one-interval coding :func:`repro.core.splits.split_interval`, and
+``examination_order``.  Two deliberate deviations that provably cannot
+change results:
 
 * resolved sub-spans are subtracted from the unresolved columns *as the
   process resolves them* rather than batched in
@@ -63,12 +90,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ...core.splits import examination_order, split_parts
+from ...core.splits import examination_order, split_interval, split_parts
 from ...core.timeline import split_pieces
 from ...core.window import _MAX_SPLIT_DEPTH, ChannelFeedback
 from ...faults.feedback import FeedbackFaultState
 from ...obs.metrics import MetricsRegistry
-from ...resilience.invariants import require
+from ...resilience.invariants import InvariantViolation, require
 from ..channel import ChannelStats
 from ..simulator import (
     MACSimResult,
@@ -90,6 +117,15 @@ _SPLIT_DEPTH_MESSAGE = (
     "window splitting exceeded the maximum depth; two arrivals "
     "are indistinguishable at double precision"
 )
+
+
+def _breach(now: float) -> None:
+    """A one-interval lane reached a branch where the list helpers would
+    leave an unresolved set that is not ``[oldest, fr)``."""
+    raise InvariantViolation(
+        f"unresolved backlog is no longer one interval ending at the "
+        f"frontier at slot {now}"
+    )
 
 
 def _iv_add(lows: List[float], highs: List[float], lo: float, hi: float) -> None:
@@ -251,6 +287,12 @@ class FlatLane:
     noise-only models (event models never fast-forward: their clocks
     are anchored to executed epochs).
 
+    ``one_interval`` is chosen here, from the policy and the fault hook:
+    a clean lane with the oldest-first position and the ``"older"``
+    split order keeps its unresolved set as the one interval ``[oldest,
+    fr)`` and runs :meth:`_one_epoch`; every other lane keeps the
+    ``u_lo``/``u_hi`` columns and runs :meth:`_gen_epoch`.
+
     ``check`` arms the ``REPRO_CHECK_INVARIANTS`` guards: a monotone
     clock once per round, a non-negative unresolved measure at every
     GEN epoch and flat fast-forward, and message conservation at
@@ -307,6 +349,8 @@ class FlatLane:
         # flat controller state (GEN mode)
         "u_lo",
         "u_hi",
+        "oldest",
+        "one_interval",
         "fr",
         "vec_ok",
         "pos_code",
@@ -388,6 +432,10 @@ class FlatLane:
 
         self.u_lo: List[float] = []
         self.u_hi: List[float] = []
+        self.oldest: Optional[float] = None
+        self.one_interval = (
+            pos_code == 0 and policy.split == "older" and faults is None
+        )
         self.fr = 0.0
         self.pos_code = pos_code
 
@@ -636,12 +684,18 @@ class FlatLane:
             del backlog_t[:cut]
             del backlog_i[:cut]
 
-    def _materialize(self, frontier: float) -> None:
-        """Enter GEN mode at the closed-form state (∅, F), flat columns."""
+    def _materialize(self, frontier: float, now_f: float) -> None:
+        """Enter GEN mode at the closed-form state (∅, F) and run the
+        epoch of ``now_f`` there."""
         del self.u_lo[:]
         del self.u_hi[:]
+        self.oldest = None
         self.fr = frontier
         self.vec = False
+        if self.one_interval:
+            self._one_epoch(now_f)
+        else:
+            self._gen_epoch(now_f)
 
     def vec_epoch(self, now_f: float) -> None:
         """One decision epoch from the closed-form state (∅, F).
@@ -676,8 +730,7 @@ class FlatLane:
             self.covers or (self.const is not None and self.const >= meas)
         ):
             # Window shorter than the span: the real split machinery.
-            self._materialize(frontier)
-            self._gen_epoch(now_f)
+            self._materialize(frontier, now_f)
             return
         # The window is the whole span [lo, now); membership is t >= lo.
         # The cut removes t < now−K ≤ lo only, so the in-window count is
@@ -685,8 +738,7 @@ class FlatLane:
         backlog_t = self.backlog_t
         n_in = len(backlog_t) - bisect_left(backlog_t, lo)
         if n_in >= 2:
-            self._materialize(frontier)
-            self._gen_epoch(now_f)
+            self._materialize(frontier, now_f)
             return
         self._cut(now_f)
         if ob is not None:
@@ -725,24 +777,9 @@ class FlatLane:
         truly idle examination, so the jump stops at the first
         corrupting draw; that slot runs as a real epoch on the same draw.
         """
-        u_lo = self.u_lo
-        u_hi = self.u_hi
+        one = self.one_interval
         if not self.backlog_t and self.entry_ok:
-            fr = self.fr
-            if now_f > fr:
-                _iv_add(u_lo, u_hi, fr, now_f)
-                self.fr = now_f
-            deadline = self.discard_deadline
-            if deadline is not None:
-                _iv_clamp_before(u_lo, u_hi, now_f - deadline)
-            meas = 0.0
-            for k in range(len(u_lo)):
-                meas += u_hi[k] - u_lo[k]
-            if self.check:
-                require(
-                    meas >= 0.0,
-                    f"unresolved backlog has negative measure at slot {now_f}",
-                )
+            meas = self._begin_one(now_f) if one else self._begin_columns(now_f)
             if meas > _EPS:
                 if self.covers:
                     length = meas
@@ -758,8 +795,11 @@ class FlatLane:
                     if self.faults is not None:
                         skipped = self.faults.scan_idle(skipped)
                     if skipped:
-                        del u_lo[:]
-                        del u_hi[:]
+                        if one:
+                            self.oldest = None
+                        else:
+                            del self.u_lo[:]
+                            del self.u_hi[:]
                         self.fr = now_f + skipped - 1.0
                         self.idle += skipped
                         self.now = now_f + skipped
@@ -776,7 +816,10 @@ class FlatLane:
                 # The reference registry still holds stranded messages.
                 size += len(self.stuck_i)
             ob.backlog_sizes.append(size)
-        self._gen_epoch(now_f)
+        if one:
+            self._one_epoch(now_f)
+        else:
+            self._gen_epoch(now_f)
 
     def succ_epoch(self, now_f: float, meas: float) -> None:
         """Single-message SUCCESS epoch, the steady state of the rounds.
@@ -899,6 +942,221 @@ class FlatLane:
 
     # -- the flat decision epoch ---------------------------------------------
 
+    def _begin_columns(self, now: float) -> float:
+        """``begin_process``'s advance and element-4 discard on the
+        ``u_lo``/``u_hi`` columns; returns the unresolved measure."""
+        u_lo = self.u_lo
+        u_hi = self.u_hi
+        fr = self.fr
+        if now > fr:
+            _iv_add(u_lo, u_hi, fr, now)
+            self.fr = now
+        deadline = self.discard_deadline
+        if deadline is not None:
+            _iv_clamp_before(u_lo, u_hi, now - deadline)
+        meas = 0.0
+        for k in range(len(u_lo)):
+            meas += u_hi[k] - u_lo[k]
+        if self.check:
+            require(
+                meas >= 0.0, f"unresolved backlog has negative measure at slot {now}"
+            )
+        return meas
+
+    def _begin_one(self, now: float) -> float:
+        """:meth:`_begin_columns` on the one-interval set ``[oldest, fr)``.
+
+        ``_iv_add`` of ``[fr, now)`` drops a sliver of at most ``1e-12``
+        and otherwise extends the set to ``[oldest, now)`` (``oldest <
+        fr``, so the union's ``min`` is ``oldest``); ``_iv_clamp_before``
+        empties a set that ends within ``1e-12`` of the horizon and
+        otherwise lifts ``oldest`` to it.  A sliver dropped from a
+        non-empty set would leave it ending short of the new frontier;
+        every epoch spends at least one slot, so that cannot happen.
+        """
+        fr = self.fr
+        oldest = self.oldest
+        if now > fr:
+            if now <= fr + _EPS:
+                if oldest is not None:
+                    _breach(now)
+            elif oldest is None:
+                oldest = fr
+            self.fr = fr = now
+        deadline = self.discard_deadline
+        if deadline is not None and oldest is not None:
+            horizon = now - deadline
+            if fr <= horizon + _EPS:
+                oldest = None
+            elif oldest < horizon:
+                oldest = horizon
+        self.oldest = oldest
+        if oldest is None:
+            return 0.0
+        meas = fr - oldest
+        if self.check:
+            require(
+                meas >= 0.0, f"unresolved backlog has negative measure at slot {now}"
+            )
+        return meas
+
+    def _one_epoch(self, now_f: float) -> None:
+        """:meth:`_gen_epoch` on a one-interval lane (see the module
+        docstring): the same call sequence, outcomes and float results,
+        with the unresolved set held as ``[oldest, fr)``.
+
+        The window is the oldest ``length`` of the set; each examined
+        part is a ``(lo, hi)`` pair, or ``None`` for an empty part of a
+        cut, and its participants are the backlog entries in ``[lo,
+        hi]`` (``bisect_right``'s inclusive high end).  Resolving a part
+        is ``_iv_subtract``'s branches on one interval: a part within
+        ``1e-12`` of empty resolves nothing, one reaching within
+        ``1e-12`` of the frontier empties the set, any other moves
+        ``oldest`` to the part's end.
+        """
+        now = now_f
+        meas = self._begin_one(now)
+        oldest = self.oldest
+        fr = self.fr
+
+        # -- element 1 (oldest-first): the oldest ``length`` of [oldest, fr)
+        whi = None  # the window's high end; None: no window this epoch
+        wmeas = 0.0
+        if meas > _EPS:
+            if self.covers:
+                length = meas
+            elif self.const is not None:
+                const = self.const
+                length = const if const < meas else meas
+            else:
+                value = self.policy.length.length(meas)
+                length = value if value < meas else meas
+            if length >= meas - _EPS:
+                whi = fr
+            elif length > _EPS:
+                whi = oldest + length
+            if whi is not None:
+                wmeas = whi - oldest
+                if wmeas <= _EPS:  # Span.is_empty
+                    whi = None
+
+        # -- element-4 backlog cut (after begin, as the reference epoch) --
+        self._cut(now)
+
+        if whi is None:
+            self.wait += 1.0
+            self.now = now + 1.0
+            return
+
+        process_start = now
+        ob = self.ob
+        if ob is not None:
+            ob.window_sizes.append(wmeas)
+
+        # -- the windowing state machine ------------------------------------
+        backlog_t = self.backlog_t
+        backlog_i = self.backlog_i
+        arr_s = self.arr_s
+        m_slots = self.m_slots
+        arity = self.policy.split_arity
+        deadline = self.discard_deadline
+        cur = (oldest, whi)
+        sibs: Optional[List] = None
+        depth = 0
+        idle_d = 0.0
+        collision_d = 0.0
+        transmission_d = 0.0
+        left = right = 0
+        success = False
+        tx_instant = 0.0
+        while True:
+            # Resolve one slot: distinct stations among the backlog
+            # entries in the part decide idle/success/collision.
+            collided = False
+            if cur is not None:
+                lo, hi = cur
+                left = bisect_left(backlog_t, lo)
+                right = bisect_right(backlog_t, hi)
+                if left < right:
+                    station = arr_s[backlog_i[left]]
+                    for k in range(left + 1, right):
+                        if arr_s[backlog_i[k]] != station:
+                            collided = True
+                            break
+            if collided:
+                now += 1.0
+                collision_d += 1.0
+                piece = cur
+            else:
+                if cur is None or left == right:
+                    now += 1.0
+                    idle_d += 1.0
+                else:
+                    success = True
+                    tx_instant = now
+                    now += m_slots
+                    transmission_d += m_slots
+                # The examined part is resolved (_iv_subtract).
+                if cur is not None and oldest is not None and hi > lo + _EPS:
+                    if fr <= lo + _EPS or oldest >= hi - _EPS:
+                        if fr > lo + _EPS and oldest < lo and hi < fr:
+                            _breach(now)
+                    elif oldest < lo - _EPS:
+                        _breach(now)
+                    elif fr > hi + _EPS:
+                        oldest = hi
+                    else:
+                        oldest = None
+                if success:
+                    break  # remaining siblings are abandoned
+                if sibs is None:
+                    break  # empty initial window: no transmission
+                if len(sibs) > 1:
+                    cur = sibs[0]
+                    sibs = sibs[1:]
+                    continue
+                # All earlier siblings idle: the last one holds every
+                # colliding arrival (>= 2, so it is not empty) and is
+                # split immediately.
+                piece = sibs[0]
+            depth += 1
+            if depth > _MAX_SPLIT_DEPTH:
+                raise RuntimeError(_SPLIT_DEPTH_MESSAGE)
+            parts = split_interval(piece[0], piece[1], arity)
+            cur = parts[0]
+            sibs = parts[1:]
+        self.oldest = oldest
+
+        # -- scoring ---------------------------------------------------------
+        if success:
+            transmitted = backlog_i[left]
+            if deadline is None:
+                # Same-station messages sharing the success span are
+                # stranded: the span is resolved but they are not
+                # transmitted, and no later window can enable them.
+                self.stuck_i.extend(backlog_i[left + 1 : right])
+                del backlog_t[left:right]
+                del backlog_i[left:right]
+            else:
+                del backlog_t[left]
+                del backlog_i[left]
+            arrival = self.arr_t[transmitted]
+            true_value = tx_instant - arrival
+            paper_value = max(0.0, process_start - arrival)
+            if arrival >= self.warmup:
+                self.scored.append(
+                    true_value if self.true_definition else paper_value
+                )
+                self._observe(true_value, paper_value)
+
+        self.idle += idle_d
+        self.coll += collision_d
+        self.tx += transmission_d
+        self.now = now
+        if self.vec_ok and oldest is None:
+            self.vec = True
+            self.frontier = fr
+
     def _select(self, length: float, meas: float) -> List[Tuple[float, float]]:
         """Element 1 on the flat columns (the three canonical rules).
 
@@ -955,20 +1213,8 @@ class FlatLane:
             faults.rejoin(now)
 
         # -- begin_process ---------------------------------------------------
-        fr = self.fr
-        if now > fr:
-            _iv_add(u_lo, u_hi, fr, now)
-            self.fr = now
+        meas = self._begin_columns(now)
         deadline = self.discard_deadline
-        if deadline is not None:
-            _iv_clamp_before(u_lo, u_hi, now - deadline)
-        meas = 0.0
-        for k in range(len(u_lo)):
-            meas += u_hi[k] - u_lo[k]
-        if self.check:
-            require(
-                meas >= 0.0, f"unresolved backlog has negative measure at slot {now}"
-            )
         cur: Optional[List[Tuple[float, float]]] = None
         wmeas = 0.0
         if meas > _EPS:

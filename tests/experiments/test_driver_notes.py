@@ -6,15 +6,18 @@ supervisor quarantines it at the first failure.  Each driver must then
 render the same hole notes, ``[quarantined]`` arms and sweep footers,
 fresh and resumed from the same checkpoint, in fixed and sequential
 mode.  The strings are the drivers' output as it stands; a change to
-any of them is a change to the reports and must show up here.
+any of them is a change to the reports and must show up here.  A fixed
+cell whose runs resolved no message is pinned the same way.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro.experiments.sweep as sweep_mod
-from repro.experiments.ablations import element4_ablation
+from repro.experiments.ablations import ablation_table, element4_ablation
 from repro.experiments.figure7 import PanelConfig, generate_panel
 from repro.experiments.robustness import (
     RobustnessConfig,
@@ -100,6 +103,29 @@ def _degradation(resilience, sequential):
     ).notes
 
 
+def _element4(resilience, sequential):
+    return element4_ablation(
+        **SMALL, resilience=resilience, sequential=sequential
+    ).notes
+
+
+def _stations(resilience, sequential):
+    return station_count_sensitivity(
+        station_counts=(4, 16),
+        **SMALL,
+        resilience=resilience,
+        sequential=sequential,
+    ).notes
+
+
+def _no_discard(spec):
+    return spec.policy.name == "no_discard"
+
+
+def _sixteen_stations(spec):
+    return spec.n_stations == 16
+
+
 def _controlled_k25(spec):
     return spec.policy.name == "controlled" and spec.deadline == 25.0
 
@@ -125,6 +151,20 @@ def _fcfs_seed2(spec):
 
 
 FIXED = {
+    "ablations": (
+        _element4,
+        _no_discard,
+        "no_discard: cell quarantined (no result; see sweep outcome)",
+        "sweep: 1 executed, 1 quarantined",
+        "sweep: 0 executed, 1 replayed from journal, 1 quarantined",
+    ),
+    "sensitivity": (
+        _stations,
+        _sixteen_stations,
+        "16 stations: cell quarantined (no result; see sweep outcome)",
+        "sweep: 1 executed, 1 quarantined",
+        "sweep: 0 executed, 1 replayed from journal, 1 quarantined",
+    ),
     "figure7": (
         _figure7,
         _controlled_k25,
@@ -174,6 +214,20 @@ def _fcfs_noisy(spec):
 
 UNTRACKED = "; fault telemetry columns not tracked in this mode"
 SEQUENTIAL_NOTES = {
+    "ablations": (
+        _element4,
+        _no_discard,
+        "no_discard: every lane quarantined (no estimate)",
+        "sequential replication: 4 lanes across 2 cells "
+        "(ci_target=0.05, wilson/obf, crn)",
+    ),
+    "sensitivity": (
+        _stations,
+        _sixteen_stations,
+        "16 stations: every lane quarantined (no estimate)",
+        "sequential replication: 4 lanes across 2 cells "
+        "(ci_target=0.05, wilson/obf, crn)",
+    ),
     "figure7": (
         _figure7,
         _controlled_k25,
@@ -236,3 +290,50 @@ def test_sensitivity_arm_is_marked_quarantined(sequential, poison):
     )
     assert arms[1].row() == ["16 stations [quarantined]", "nan"]
     assert arms[0].row()[0] == "4 stations"
+
+
+def test_resumed_ablation_table_prints_the_footer(tmp_path):
+    # The notes travel with the arms into the rendered table.
+    checkpoint = str(tmp_path / "journal")
+    fresh = element4_ablation(**SMALL, resilience=_options(checkpoint))
+    resumed = element4_ablation(
+        **SMALL, resilience=_options(checkpoint, resume=True)
+    )
+    assert ablation_table(resumed, "A-EL4") == (
+        ablation_table(fresh, "A-EL4")
+        + "\nnote: sweep: 0 executed, 2 replayed from journal"
+    )
+
+
+def test_fixed_cell_that_resolved_no_message_is_noted():
+    # A horizon of 30 slots ends before any message resolves: every
+    # simulated cell reads nan, and says why.
+    notes = generate_panel(
+        PanelConfig(0.25, 25),
+        include_simulation=True,
+        sim_horizon=30.0,
+        sim_warmup=3.75,
+        sim_deadlines=(25.0, 75.0),
+    ).notes
+    assert notes == [
+        f"{arm}_sim @ K={k}: no run resolved a message (no estimate)"
+        for arm in ("controlled", "fcfs", "lcfs")
+        for k in (25, 75)
+    ]
+
+
+def test_fixed_cell_with_one_empty_replication_is_noted(monkeypatch):
+    # One of a row's two replications resolved nothing: the row's mean
+    # is nan, and the note counts the empty run.
+    real = sweep_mod.run_sweep_task
+
+    def emptied(task, instrumented=False):
+        result = real(task, instrumented=instrumented)
+        if _feedback_seed2(task):
+            return dataclasses.replace(result, unresolved=result.arrivals)
+        return result
+
+    monkeypatch.setattr(sweep_mod, "run_sweep_task", emptied)
+    assert _feedback(None, None) == [
+        "error rate 0.02: 1 of 2 runs resolved no message (no estimate)"
+    ]

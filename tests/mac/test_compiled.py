@@ -17,15 +17,18 @@ smoke).
 import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ControlPolicy
+from repro.core.policy import FixedLength, FullBacklogLength, OldestFirstPosition
 from repro.des.rng import RandomStreams
 from repro.experiments.sweep import MACRunSpec, run_spec
 from repro.faults import FeedbackFaultModel
-from repro.mac.kernels import compiled
+from repro.faults.feedback import FeedbackFaultState
+from repro.mac.kernels import compiled, engine
 from repro.mac.simulator import WindowMACSimulator
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import invariants
@@ -140,9 +143,10 @@ class TestBitParity:
 
 
 # Random arms: horizons, warmups, sub-M and fractional deadlines,
-# transmission lengths and both loss definitions.
+# transmission lengths, both loss definitions, and populations small
+# enough that the no-discard arms strand same-station messages.
 _spec_strategy = st.builds(
-    lambda name, seed, horizon, warm_frac, dl_mult, m, loss: MACRunSpec(
+    lambda name, seed, horizon, warm_frac, dl_mult, m, loss, stations: MACRunSpec(
         policy=(
             ControlPolicy.optimal(dl_mult * m, 0.5 / m)
             if name == "optimal"
@@ -152,7 +156,7 @@ _spec_strategy = st.builds(
         transmission_slots=m,
         horizon=float(horizon),
         warmup=math.floor(horizon * warm_frac),
-        n_stations=25,
+        n_stations=stations,
         deadline=dl_mult * m,
         loss_definition=loss,
         seed=seed,
@@ -164,6 +168,7 @@ _spec_strategy = st.builds(
     dl_mult=st.sampled_from([0.5, 1.0, 3.0, 8.0]),
     m=st.sampled_from([1, 2, 25]),
     loss=st.sampled_from(["true", "paper"]),
+    stations=st.sampled_from([1, 2, 25]),
 )
 
 
@@ -175,6 +180,206 @@ _spec_strategy = st.builds(
 @given(spec=_spec_strategy)
 def test_property_random_arms_are_bit_identical(spec):
     assert run_spec(spec) == run_spec(dataclasses.replace(spec, backend="reference"))
+
+
+class TestOneIntervalEpoch:
+    """Theorem 1's policy elements 1 and 3 keep the unresolved set one
+    interval: those lanes run the scalar epoch, every other lane the
+    interval-list epoch."""
+
+    @pytest.fixture
+    def no_list_epoch(self, monkeypatch):
+        def refuse(lane, now_f):
+            raise AssertionError("entered the interval-list epoch")
+
+        monkeypatch.setattr(engine.FlatLane, "_gen_epoch", refuse)
+
+    @pytest.mark.parametrize(
+        "name, n_stations, unresolved",
+        [
+            ("optimal", 1, 0),
+            ("optimal", 25, 0),
+            # FCFS strands same-station messages at small populations.
+            ("uncontrolled_fcfs", 1, 4),
+            ("uncontrolled_fcfs", 2, 2),
+            ("uncontrolled_fcfs", 25, 0),
+        ],
+    )
+    def test_oldest_first_older_split_never_enters_the_list_epoch(
+        self, no_list_epoch, name, n_stations, unresolved
+    ):
+        result = _run(name, "compiled", n_stations=n_stations)
+        assert result == _run(name, "reference", n_stations=n_stations)
+        assert result.unresolved == unresolved
+
+    def test_newest_first_enters_the_list_epoch(self, no_list_epoch):
+        with pytest.raises(AssertionError, match="interval-list epoch"):
+            _run("uncontrolled_lcfs", "compiled")
+
+    def test_lane_picks_its_epoch_from_policy_and_fault_hook(self):
+        def one(policy, faults=None):
+            return engine.FlatLane(
+                policy, np.random.default_rng(1), M, "true", 0.0, 100.0, [], [],
+                pos_code=compiled._POSITION_CODES[type(policy.position)],
+                faults=faults,
+            ).one_interval
+
+        optimal = _policy("optimal")
+        null_faults = FeedbackFaultState(
+            FeedbackFaultModel.none(), 25, np.random.default_rng(2)
+        )
+        assert one(optimal)
+        assert one(_policy("uncontrolled_fcfs"))
+        assert one(dataclasses.replace(optimal, split_arity=3))
+        assert not one(optimal, faults=null_faults)
+        assert not one(dataclasses.replace(optimal, split="newer"))
+        assert not one(dataclasses.replace(optimal, split="random"))
+        assert not one(_policy("uncontrolled_lcfs"))
+        assert not one(_policy("uncontrolled_random"))
+
+
+#: Instants whose float spacing straddles the 1e-12 edges: below, near
+#: and above an ulp of 1e-12, and just under binade boundaries.
+_EDGE_BASES = (0.0, 3.0, 4095.5, 8191.0, 10_000.0, 65_534.0)
+
+
+def _edge_offset(scale: float):
+    """An offset from a boundary: ordinary, or within a few 1e-12."""
+    return st.one_of(
+        st.floats(-3e-12, 3e-12),
+        st.sampled_from([-1e-12, 0.0, 1e-12]),
+        st.floats(-scale, scale),
+    )
+
+
+@st.composite
+def _epoch_states(draw):
+    """One decision epoch's inputs: the set [oldest, fr), the clock, the
+    window length and discard deadline, and a backlog crowded onto the
+    set's ends and midpoint."""
+    fr = draw(st.sampled_from(_EDGE_BASES)) + 200.0
+    width = draw(st.one_of(st.none(), st.floats(0.0, 3e-12), st.floats(1.0, 150.0)))
+    oldest = None if width is None else fr - width
+    gaps = st.sampled_from([0.0, 1.0, 25.0])
+    if oldest is None:  # an empty set also takes a sliver advance
+        gaps = st.one_of(gaps, st.sampled_from([5e-13, 1e-12, 1.5e-12, 2.5e-12]))
+    now = fr + draw(gaps)
+    low = fr if oldest is None else oldest
+    length = draw(
+        st.one_of(st.none(), st.floats(1e-3, 200.0), _edge_offset(5.0).map(
+            lambda delta: now - low + delta
+        ))
+    )
+    deadline = draw(
+        st.one_of(st.none(), _edge_offset(2.0).map(lambda delta: now - low + delta))
+    )
+    assume(length is None or length > 0)
+    assume(deadline is None or deadline > 1e-6)
+    points = [low, fr, (low + now) / 2, low + (now - low) / 4, now]
+    arrivals = sorted(
+        draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(points),
+                    st.floats(low - 5.0, now),
+                    _edge_offset(1e-9).map(lambda delta: (low + now) / 2 + delta),
+                ),
+                max_size=6,
+            )
+        )
+    )
+    stations = draw(st.lists(st.integers(0, 2), min_size=len(arrivals),
+                             max_size=len(arrivals)))
+    return dict(
+        oldest=oldest, fr=fr, now=now, length=length, deadline=deadline,
+        arrivals=arrivals, stations=stations,
+        arity=draw(st.integers(2, 4)), m=draw(st.sampled_from([1, 25])),
+    )
+
+
+def _epoch_outcome(lane, epoch, now):
+    try:
+        epoch(now)
+    except invariants.InvariantViolation:
+        return "one-interval breach"
+    except RuntimeError as error:
+        return str(error)
+    return None
+
+
+def _lane_state(lane):
+    return (
+        lane.now, lane.idle, lane.coll, lane.tx, lane.wait, lane.fr,
+        lane.vec, lane.frontier, lane.backlog_t, lane.backlog_i, lane.stuck_i,
+        lane.scored, lane.wcount, lane.wtrue, lane.wpaper, lane.disc,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(state=_epoch_states())
+@example(state=dict(  # the window falls 1e-12 short of the set: whole
+    oldest=9_900.0, fr=10_000.0, now=10_001.0, length=101.0 - 1e-12,
+    deadline=None, arrivals=[9_950.0, 9_960.0], stations=[0, 1], arity=2, m=1,
+))
+@example(state=dict(  # an idle window ending one coarse ulp short of fr
+    oldest=10_000.0, fr=10_100.0, now=10_100.0, length=100.0 - 1.05e-12,
+    deadline=None, arrivals=[], stations=[], arity=2, m=1,
+))
+@example(state=dict(  # an empty set drops a 0.5e-12 advance
+    oldest=None, fr=203.0, now=203.0 + 5e-13, length=None,
+    deadline=None, arrivals=[], stations=[], arity=2, m=1,
+))
+@example(state=dict(  # ... and keeps a 1.5e-12 one
+    oldest=None, fr=203.0, now=203.0 + 1.5e-12, length=None,
+    deadline=None, arrivals=[], stations=[], arity=2, m=1,
+))
+def test_one_interval_epoch_equals_the_list_epoch(state):
+    # The same epoch on the same one-interval state, once on the scalar
+    # form and once on the u_lo/u_hi columns: equal clocks, counts,
+    # backlog, scores and set, unless the list helpers leave a set that
+    # is not [x, fr), where the scalar form raises instead.
+    policy = ControlPolicy(
+        position=OldestFirstPosition(),
+        length=(
+            FullBacklogLength() if state["length"] is None
+            else FixedLength(state["length"])
+        ),
+        split="older",
+        discard_deadline=state["deadline"],
+        name="probe",
+        split_arity=state["arity"],
+    )
+    one, columns = (
+        engine.FlatLane(
+            policy, np.random.default_rng(0), state["m"], "true", 0.0, 1e9,
+            list(state["arrivals"]), list(state["stations"]),
+        )
+        for _ in range(2)
+    )
+    for lane in (one, columns):
+        lane.vec = False
+        lane.fr = state["fr"]
+        lane.ingest(state["now"])
+    one.oldest = state["oldest"]
+    if state["oldest"] is not None:
+        columns.u_lo[:] = [state["oldest"]]
+        columns.u_hi[:] = [state["fr"]]
+    scalar = _epoch_outcome(one, one._one_epoch, state["now"])
+    listed = _epoch_outcome(columns, columns._gen_epoch, state["now"])
+    if scalar == "one-interval breach":
+        # The list epoch ran on, to a set the scalar form cannot hold.
+        held = columns.u_lo == [] or (
+            len(columns.u_lo) == 1 and columns.u_hi == [columns.fr]
+        )
+        assert listed is None and not held
+        return
+    assert scalar == listed
+    if scalar is None:
+        assert _lane_state(one) == _lane_state(columns)
+        expected = [] if one.oldest is None else [one.oldest]
+        assert (columns.u_lo, columns.u_hi) == (
+            expected, [one.fr] if expected else []
+        )
 
 
 class TestScoredMessages:

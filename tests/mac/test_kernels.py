@@ -45,6 +45,7 @@ class TestUnifiedPrimitives:
         # The compiled engine imports the canonical split rules — not
         # copies.
         assert engine.split_parts is core_splits.split_parts
+        assert engine.split_interval is core_splits.split_interval
         assert engine.examination_order is core_splits.examination_order
 
     def test_fast_kernel_reuses_primitive_layer(self):
@@ -69,6 +70,31 @@ class TestUnifiedPrimitives:
             ((2.0, 4.0),),
             ((4.0, 6.0),),
         ]
+
+    @given(
+        lo=st.floats(0.0, 1e6),
+        width=st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 2e-12),  # the 1e-12 edges of split_pieces
+            st.floats(1e-9, 1e4),
+        ),
+        arity=st.integers(2, 4),
+    )
+    @example(lo=0.0, width=0.0, arity=2)
+    @example(lo=0.0, width=1.5e-12, arity=2)  # the older part takes it all
+    @example(lo=0.0, width=2.5e-12, arity=4)  # the older parts are empty
+    @example(lo=1e4, width=3e-12, arity=3)  # cuts at a coarse ulp
+    def test_split_interval_is_split_parts_on_one_interval(self, lo, width, arity):
+        # The one-interval cut is a second coding of split_parts' walk:
+        # the same parts, bit for bit, with None for an empty part.
+        hi = lo + width
+        flat = core_splits.split_parts([(lo, hi)], arity)
+        parts = core_splits.split_interval(lo, hi, arity)
+
+        def bits(part_list):
+            return [[(a.hex(), b.hex()) for a, b in part] for part in part_list]
+
+        assert bits([[] if part is None else [part] for part in parts]) == bits(flat)
 
 
 class TestWaitStats:

@@ -2,13 +2,14 @@
 
 from bisect import bisect_left
 
+import numpy as np
 import pytest
 
 from repro.core import ControlPolicy
 from repro.experiments import MACRunSpec
 from repro.experiments.sweep import run_spec
 from repro.faults import FeedbackFaultModel
-from repro.mac.kernels import compiled
+from repro.mac.kernels import compiled, engine
 from repro.mac.kernels.engine import FlatLane
 from repro.resilience import InvariantViolation, invariants_enabled, require
 from repro.resilience.invariants import INVARIANTS_ENV
@@ -159,3 +160,47 @@ class TestFlatLaneGuardsFire:
         with pytest.raises(InvariantViolation, match="negative measure"):
             run_spec(spec)
         assert len(rounds) == 10
+
+
+class TestOneIntervalGuards:
+    """The one-interval lane's state is ``[oldest, fr)``: a negative
+    measure fails under the guards, and a branch where the list helpers
+    would leave any other set fails whether the guards are armed or not."""
+
+    @staticmethod
+    def _lane(check, oldest, frontier, arrivals=(), stations=()):
+        lane = FlatLane(
+            ControlPolicy.optimal(75.0, 0.02), np.random.default_rng(1), 25,
+            "true", 0.0, 1_000.0, list(arrivals), list(stations), check=check,
+        )
+        assert lane.one_interval
+        lane.vec = False
+        lane.oldest = oldest
+        lane.fr = frontier
+        return lane
+
+    def test_negative_measure_fails_armed(self):
+        self._lane(False, 30.0, 20.0)._begin_one(20.0)  # unguarded: silent
+        with pytest.raises(InvariantViolation, match="negative measure"):
+            self._lane(True, 30.0, 20.0)._begin_one(20.0)
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_sliver_advance_of_a_nonempty_set_fails(self, check):
+        # _iv_add drops [fr, now) when it is under 1e-12 wide, so the set
+        # would end short of the frontier.
+        lane = self._lane(check, 10.0, 20.0)
+        with pytest.raises(InvariantViolation, match="one interval"):
+            lane._begin_one(20.0 + 1e-13)
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_part_leaving_a_gap_at_the_old_end_fails(self, check, monkeypatch):
+        # A cut whose first part starts above the oldest unresolved
+        # instant: resolving it idle would leave [10, 11) and [15, 20).
+        def gapped(lo, hi, arity):
+            return [(lo + 1.0, 15.0), (15.0, hi)]
+
+        monkeypatch.setattr(engine, "split_interval", gapped)
+        lane = self._lane(check, 10.0, 20.0, arrivals=(16.0, 18.0), stations=(0, 1))
+        lane.ingest(20.0)
+        with pytest.raises(InvariantViolation, match="one interval"):
+            lane._one_epoch(20.0)
